@@ -177,7 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidInputError, DomainError, ParseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    json.dump(result.summary, summary_stream, indent=2)
+    json.dump(result.summary, summary_stream, indent=2, allow_nan=False)
     summary_stream.write("\n")
     return 0 if result.summary["pass"] else 1
 

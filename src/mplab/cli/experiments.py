@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import operator
 import os
 import time
@@ -20,7 +21,6 @@ from itertools import cycle, islice
 from typing import Any, Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..matcore import InvalidInputError
 from ..mp_law import MPLaw
@@ -41,7 +41,9 @@ from ..conditions import (
     draw_family_matrix,
     family_is_random,
     mp_property_trial,
+    norm_drift_stat,
     parse_family_spec,
+    require_isotropic,
 )
 from ..equivalence import (
     SwapConfig,
@@ -216,10 +218,10 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
         return [fn] * cfg.trials, summarize
 
     if stat == "norm-drift":
+        require_isotropic(model)
 
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-            x = sample_vector(model, p, rng)
-            value = (float(x @ x) - p) / p
+            value = norm_drift_stat(model, p, rng)
             return [dict(base, statistic="norm_drift", value=value)]
 
         def summarize(records: list[TrialRecord]) -> dict[str, Any]:
@@ -326,6 +328,10 @@ def _build_law_tables(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
 
     def make_fn(rho: float) -> RowFn:
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
+            # Quadrature cross-checks only; importing here keeps scipy off
+            # the CLI's start-up path.
+            from scipy.integrate import quad
+
             del rng  # the law table is deterministic
             law = MPLaw(rho)
             base = {"rho": rho}
@@ -338,7 +344,8 @@ def _build_law_tables(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
             rows.append(dict(base, statistic="atom_zero", value=law.atom0))
             density_mass, _ = quad(law.density, law.a, law.b, limit=400)
             rows.append(dict(base, statistic="total_mass", value=law.atom0 + density_mass))
-            rows.append(dict(base, statistic="cdf_hi_err", value=abs(law.cdf(law.b) - 1.0)))
+            cdf_hi_err = abs(law.cdf_quadrature(law.b) - 1.0)
+            rows.append(dict(base, statistic="cdf_hi_err", value=cdf_hi_err))
             gap = max(abs(law.stieltjes(z) - law.stieltjes_quadrature(z)) for z in LAW_Z_GRID)
             rows.append(dict(base, statistic="stieltjes_quad_gap", value=gap))
             resid = max(
@@ -433,6 +440,10 @@ def _run_trials(cfg: ExperimentConfig, fns: list[RowFn]) -> list[TrialRecord]:
     return records
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError("non-finite constant %s is not strict JSON" % name)
+
+
 def load_threshold_rules(path: str | None = None) -> list[dict[str, Any]]:
     """Threshold rules from a JSON file; default to the table shipped as data."""
     if path is None:
@@ -446,7 +457,7 @@ def load_threshold_rules(path: str | None = None) -> list[dict[str, Any]]:
             text = fh.read()
         label = path
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
         rules = list(data["rules"])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidInputError(f"bad threshold file {label}: {exc}") from exc
@@ -481,6 +492,21 @@ def _rule_params(cfg: ExperimentConfig) -> dict[str, Any]:
         "trials": cfg.trials,
         "z": z,
     }
+
+
+def _strict_metrics(metrics: dict[str, Any]) -> dict[str, Any]:
+    """Encode each non-finite metric as null plus a ``<name>_reason`` string.
+
+    Summaries are strict JSON; a null metric fails every rule that grades it.
+    """
+    out: dict[str, Any] = {}
+    for name, value in metrics.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            out[name] = None
+            out[name + "_reason"] = "non-finite value %r" % value
+        else:
+            out[name] = value
+    return out
 
 
 def evaluate_thresholds(
@@ -520,7 +546,7 @@ def run_experiment(
         rules = load_threshold_rules()
     fns, summarize = _BUILDERS[cfg.experiment](cfg)
     records = _run_trials(cfg, fns)
-    metrics = summarize(records)
+    metrics = _strict_metrics(summarize(records))
     checks = evaluate_thresholds(cfg, metrics, rules)
     summary = {
         "experiment": cfg.experiment,

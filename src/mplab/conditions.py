@@ -279,10 +279,15 @@ def chebyshev_bound_check(
     return ChebyshevCheck(observed=est.value, bound=min(bound, 1e300), se=est.se, trials=trials)
 
 
-def norm_drift_stat(model: VectorModel, p: int, rng: np.random.Generator) -> float:
-    """Squared-norm drift (x^T x - p) / p; defined for isotropic models."""
+def require_isotropic(model: VectorModel) -> None:
+    """Reject models the squared-norm drift is not defined for."""
     if not getattr(model, "isotropic", False):
         raise DomainError("squared-norm drift is defined for isotropic models only")
+
+
+def norm_drift_stat(model: VectorModel, p: int, rng: np.random.Generator) -> float:
+    """Squared-norm drift (x^T x - p) / p; defined for isotropic models."""
+    require_isotropic(model)
     x = sample_vector(model, p, rng)
     return (float(x @ x) - p) / p
 

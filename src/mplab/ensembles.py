@@ -22,6 +22,7 @@ isolation and parallel dispatch cannot perturb the draws.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +122,6 @@ def covariance_matrix(spec: CovSpec, p: int) -> np.ndarray:
     raise InvalidInputError(f"unknown covariance spec {spec!r}")
 
 
-_SQRT_CACHE: dict[tuple[CovSpec, int], np.ndarray] = {}
-
-
 def cov_sqrt(spec: CovSpec, p: int) -> np.ndarray | None:
     """Principal square root of the covariance; None means identity (skip).
 
@@ -136,10 +134,14 @@ def cov_sqrt(spec: CovSpec, p: int) -> np.ndarray | None:
         d = np.ones(p)
         d[: spec.k] = np.sqrt(spec.s)
         return d  # 1-d means diagonal scaling
-    key = (spec, p)
-    if key not in _SQRT_CACHE:
-        _SQRT_CACHE[key] = matcore.psd_sqrt(covariance_matrix(spec, p))
-    return _SQRT_CACHE[key]
+    return _dense_cov_sqrt(spec, p)
+
+
+@functools.lru_cache(maxsize=16)
+def _dense_cov_sqrt(spec: CovSpec, p: int) -> np.ndarray:
+    root = matcore.psd_sqrt(covariance_matrix(spec, p))
+    root.flags.writeable = False  # shared by every caller of the cache
+    return root
 
 
 # ---------------------------------------------------------------------------

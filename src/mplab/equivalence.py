@@ -19,6 +19,7 @@ alongside the gap, since that quantity controls whether the swap is valid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,15 +241,10 @@ def resolvent_gap_hetero(cfg: SwapConfig, rng: np.random.Generator) -> HeteroGap
     return HeteroGapResult(delta=delta, avg_spread=avg_spread)
 
 
-_SQ_TRACE_CACHE: dict[tuple[CovSpec, int], float] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _cov_square_trace(spec: CovSpec, p: int) -> float:
-    key = (spec, p)
-    if key not in _SQ_TRACE_CACHE:
-        sig = covariance_matrix(spec, p)
-        _SQ_TRACE_CACHE[key] = float(np.sum(sig * sig))
-    return _SQ_TRACE_CACHE[key]
+    sig = covariance_matrix(spec, p)
+    return float(np.sum(sig * sig))
 
 
 def rng_standard_matrix(p: int, n: int, rng: np.random.Generator) -> np.ndarray:

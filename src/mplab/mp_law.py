@@ -5,10 +5,12 @@ For aspect ratio rho = lim p/n the limit law on [0, infinity) has density
     f(x) = sqrt((b - x)(x - a)) / (2 pi x rho)   on [a, b],
 
 with edges a = (1 - sqrt(rho))^2, b = (1 + sqrt(rho))^2, plus a point mass
-max(1 - 1/rho, 0) at zero when rho > 1.  The cumulative distribution and the
-moments are integrated numerically; the Cauchy-Stieltjes transform has a
-closed form as a root of a quadratic, which we cross-check against direct
-quadrature in the tests.
+max(1 - 1/rho, 0) at zero when rho > 1.  The cumulative distribution has
+the closed form of Bai & Silverstein (2010, section 3.1) and the
+Cauchy-Stieltjes transform is a root of a quadratic; both are cross-checked
+against direct quadrature (``cdf_quadrature``, ``stieltjes_quadrature``) in
+the tests.  The moments are still integrated numerically.  scipy is imported
+only by the quadrature paths, so the closed forms load without it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .matcore import DomainError, require_upper_half
 
-# Quadrature accuracy for cdf/moments; comfortably below the 1e-8 the
-# consumers rely on.
+# Quadrature accuracy for the cdf oracle and the moments; comfortably below
+# the 1e-8 the consumers rely on.
 _QUAD_EPS = 1e-11
 _QUAD_LIMIT = 200
 
@@ -96,6 +97,8 @@ class MPLaw:
 
         if theta_hi <= 0.0:
             return 0.0
+        from scipy.integrate import quad
+
         pts = self._layer_points(theta_hi) if power == 0 else None
         val, _err = quad(
             integrand, 0.0, theta_hi, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS,
@@ -118,8 +121,44 @@ class MPLaw:
         pts = [t for t in (layer, 8.0 * layer, 64.0 * layer) if 0.0 < t < theta_hi]
         return pts or None
 
-    def cdf(self, x: float) -> float:
-        """Right-continuous distribution function, atom at zero included."""
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Right-continuous distribution function, atom at zero included.
+
+        Closed form on [a, b) with s = sqrt((b - x)(x - a)):
+
+            F(x) = (pi rho + s - (1 + rho) atan((1 + rho - x) / s)
+                    + |1 - rho| atan(((1 - rho)^2 - (1 + rho) x) / (|1 - rho| s)))
+                   / (2 pi rho)  [+ atom0 / 2 when rho > 1],
+
+        which is the textbook form in r = sqrt((b - x) / (x - a)) with the
+        ratios multiplied through by sqrt(x - a), so nothing overflows at the
+        edges; ``arctan2`` gives the limits at s = 0, and at rho = 1 the
+        second arctangent carries a zero weight.  A scalar argument returns a
+        float and an array argument an array of the same shape.
+        """
+        xs = np.asarray(x, dtype=np.float64)
+        if np.isnan(xs).any():
+            raise DomainError("cdf argument must not be NaN")
+        rho, a, b = self.rho, self.a, self.b
+        xi = np.clip(xs, a, b)
+        s = np.sqrt((b - xi) * (xi - a))
+        gap = abs(1.0 - rho)
+        body = (
+            np.pi * rho + s
+            - (1.0 + rho) * np.arctan2(1.0 + rho - xi, s)
+            + gap * np.arctan2((1.0 - rho) ** 2 - (1.0 + rho) * xi, gap * s)
+        ) / (2.0 * np.pi * rho)
+        if rho > 1.0:
+            body = body + self.atom0 / 2.0
+        out = np.where(xs < a, np.where(xs < 0.0, 0.0, self.atom0),
+                       np.where(xs < b, body, 1.0))
+        return float(out) if out.ndim == 0 else out
+
+    def cdf_quadrature(self, x: float) -> float:
+        """Reference cdf by quadrature of the edge-regular integrand.
+
+        Slow; serves as the independent oracle for :meth:`cdf`.
+        """
         x = float(x)
         if np.isnan(x):
             raise DomainError("cdf argument must not be NaN")
@@ -173,6 +212,8 @@ class MPLaw:
         contribution atom0 / (0 - z).  Serves as an independent cross-check
         of :meth:`stieltjes`.
         """
+        from scipy.integrate import quad
+
         z = require_upper_half(z)
         a, b = self.a, self.b
         width = b - a

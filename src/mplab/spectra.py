@@ -71,7 +71,7 @@ def ks_distance(e: ESD, law: MPLaw) -> float:
     p = lam.size
     if p == 0:
         raise DomainError("empty spectrum")
-    fvals = np.array([law.cdf(x) for x in lam])
+    fvals = law.cdf(lam)
     fleft = np.where(lam == 0.0, fvals - law.atom0, fvals)
     below = np.searchsorted(lam, lam, side="left").astype(np.float64)
     at_or_below = np.searchsorted(lam, lam, side="right").astype(np.float64)

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import mplab
 from mplab.cli.config import ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import IIDRademacher, derive_rng
@@ -310,7 +311,12 @@ def test_criterion_09_invariant_suite(capsys):
 def test_criterion_10_byte_determinism_across_worker_counts(capsys, tmp_path):
     def run(tag: str, threads: str, argv: list[str]) -> tuple[bytes, bytes]:
         out_path = tmp_path / f"{tag}.out"
-        env = dict(os.environ, MPLAB_THREADS=threads)
+        # The child runs in tmp_path, so a relative PYTHONPATH would not
+        # resolve; point it at the directory holding the imported package.
+        path = [os.path.dirname(os.path.dirname(mplab.__file__))]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
+        env = dict(os.environ, MPLAB_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
         proc = subprocess.run(
             [sys.executable, "-m", "mplab.cli", *argv, "--out", str(out_path)],
             capture_output=True, env=env, cwd=str(tmp_path), check=False,

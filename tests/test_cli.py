@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mplab
 from mplab.cli import build_parser, config_from_args, main
 from mplab.cli.config import (
     EXPERIMENT_CODES,
@@ -309,6 +313,21 @@ def test_bad_threshold_files_rejected(tmp_path):
     ]}))
     with pytest.raises(InvalidInputError):
         load_threshold_rules(str(bad_op))
+    non_finite = tmp_path / "inf.json"
+    non_finite.write_text(
+        '{"rules": [{"experiment": "esd", "metric": "ks_mean", "op": "<=", "value": Infinity}]}'
+    )
+    with pytest.raises(InvalidInputError):
+        load_threshold_rules(str(non_finite))
+
+
+def test_null_metric_fails_its_rule():
+    cfg = ExperimentConfig(experiment="conditions", model="iid-gauss", p=8,
+                           stat="lindeberg", eps=0.5, trials=2, seed=0)
+    rules = [{"name": "dev", "experiment": "conditions", "when": {},
+              "metric": "tail_dev_from_one_sigmas", "op": "<=", "value": 4.0}]
+    checks = evaluate_thresholds(cfg, {"tail_dev_from_one_sigmas": None}, rules)
+    assert [c["pass"] for c in checks] == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +473,58 @@ def test_main_dump_matrix_writes_file(tmp_path, capsys):
     assert code == 0
     m = read_matrix_dump(str(mpath))
     assert m.shape == (12, 12)
+
+
+def _strict_json(text: str):
+    def reject(name: str):
+        raise ValueError("non-finite constant %s" % name)
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_main_summary_is_strict_json_with_null_reason(tmp_path, capsys):
+    # No draw exceeds a cut of 100 sqrt(p): every tail mass is 0, the standard
+    # error is 0 and the deviation from one in sigmas is infinite.
+    rules = {"rules": [{"name": "dev", "experiment": "conditions", "when": {},
+                        "metric": "tail_dev_from_one_sigmas", "op": "<=", "value": 4.0}]}
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules))
+    code, out, err = run_main(
+        ["conditions", "--model", "iid-gauss", "--p", "8", "--stat", "lindeberg",
+         "--eps", "100", "--trials", "3", "--thresholds", str(path)],
+        capsys,
+    )
+    assert code == 1
+    summary = _strict_json(err)
+    metrics = summary["metrics"]
+    assert metrics["tail_se"] == 0.0
+    assert metrics["tail_dev_from_one_sigmas"] is None
+    assert "inf" in metrics["tail_dev_from_one_sigmas_reason"]
+    assert summary["thresholds"][0]["observed"] is None
+    assert summary["pass"] is False
+
+
+def test_main_norm_drift_rejects_non_isotropic_model(capsys):
+    code, out, err = run_main(
+        ["conditions", "--model", "gauss-cov:spiked:1,64", "--p", "64",
+         "--stat", "norm-drift", "--trials", "2"],
+        capsys,
+    )
+    assert code == 2 and "isotropic" in err and out == ""
+
+
+def test_cli_import_and_esd_run_leave_scipy_unloaded(tmp_path):
+    script = (
+        "import sys\n"
+        "import mplab.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "code = mplab.cli.main(['esd', '--model', 'iid-gauss', '--p', '8', '--n', '8',\n"
+        "                       '--trials', '2', '--out', 'rows.csv'])\n"
+        "assert code in (0, 1), code\n"
+        "assert 'scipy' not in sys.modules, 'esd run'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mplab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env, cwd=str(tmp_path), check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert (tmp_path / "rows.csv").exists()

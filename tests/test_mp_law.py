@@ -134,6 +134,76 @@ def test_cdf_rejects_nan():
         MPLaw(1.0).cdf(float("nan"))
 
 
+# Ratios near 1 (tiny lower edge), at 1 (the second arctangent drops) and
+# above 1 (atom at zero), plus the small-rho end where 1/rho amplifies rounding.
+CLOSED_FORM_RHOS = (0.01, 0.1, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 4.0, 10.0)
+
+
+def edge_grid(law: MPLaw) -> np.ndarray:
+    """Points inside the support coming within 1e-14 (b - a) of both edges."""
+    offs = np.concatenate([np.logspace(-14, -1, 14), np.linspace(0.1, 0.9, 9)])
+    width = law.b - law.a
+    return np.concatenate([law.a + offs * width, law.b - offs * width, [law.a]])
+
+
+@pytest.mark.parametrize("rho", CLOSED_FORM_RHOS)
+def test_cdf_closed_form_matches_quadrature_near_edges(rho):
+    law = MPLaw(rho)
+    xs = edge_grid(law)
+    closed = law.cdf(xs)
+    reference = np.array([law.cdf_quadrature(x) for x in xs])
+    assert np.max(np.abs(closed - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", CLOSED_FORM_RHOS)
+def test_cdf_exact_off_the_support(rho):
+    law = MPLaw(rho)
+    assert law.cdf(-1e-300) == 0.0
+    assert law.cdf(-np.inf) == 0.0
+    if law.a > 0:
+        assert law.cdf(0.0) == law.atom0
+        assert law.cdf(np.nextafter(law.a, 0.0)) == law.atom0
+    assert law.cdf(law.b) == 1.0
+    assert law.cdf(np.inf) == 1.0
+
+
+def test_cdf_square_case_starts_at_zero():
+    law = MPLaw(1.0)
+    assert law.cdf(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert law.cdf(1e-12) > 0.0
+
+
+def test_cdf_scalar_returns_float_array_returns_array():
+    law = MPLaw(2.0)
+    for x in (1.0, 0, np.float64(1.0), np.array(1.0)):
+        assert type(law.cdf(x)) is float
+    xs = np.array([[0.0, 0.5], [1.0, 7.0]])
+    out = law.cdf(xs)
+    assert isinstance(out, np.ndarray)
+    assert out.shape == xs.shape
+    expected = [[law.cdf(v) for v in row] for row in xs.tolist()]
+    np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+
+
+def test_cdf_rejects_nan_anywhere_in_array():
+    law = MPLaw(0.5)
+    with pytest.raises(DomainError):
+        law.cdf(np.array([0.5, 1.0, np.nan, 2.0]))
+    with pytest.raises(DomainError):
+        law.cdf_quadrature(float("nan"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.01, max_value=10.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_cdf_closed_form_matches_quadrature_property(rho, frac):
+    law = MPLaw(rho)
+    x = law.a + frac * (law.b - law.a)
+    assert abs(law.cdf(x) - law.cdf_quadrature(x)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # moments
 

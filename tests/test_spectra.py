@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mplab.ensembles import IIDGaussian, derive_rng, sample_data_matrix
 from mplab.matcore import DomainError, InvalidInputError, coordinate_frame, haar_frame
@@ -128,6 +130,55 @@ def test_ks_distance_of_quantile_spectrum_is_half_over_p(rho):
         lam = np.sort(np.concatenate([np.zeros(n_zero), lam[n_zero:]]))
     d = ks_distance(ESD(eigenvalues=lam), law)
     assert d == pytest.approx(1.0 / (2 * p), abs=1e-6)
+
+
+def ks_reference(lam, law: MPLaw) -> float:
+    """Per-eigenvalue KS distance from the quadrature cdf, one point at a time.
+
+    At each distinct eigenvalue v the empirical cdf jumps from #(< v)/p to
+    #(<= v)/p; the law's left limit differs from its cdf only at the atom.
+    """
+    lam = sorted(float(v) for v in lam)
+    p = len(lam)
+    worst = 0.0
+    for v in set(lam):
+        f = law.cdf_quadrature(v)
+        f_left = f - law.atom0 if v == 0.0 else f
+        below = sum(1 for u in lam if u < v)
+        at_or_below = sum(1 for u in lam if u <= v)
+        worst = max(worst, abs(at_or_below / p - f), abs(below / p - f_left))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "rho, lam",
+    [
+        (0.5, [0.3, 0.3, 0.3, 1.0, 1.0, 2.5]),  # ties, one point off the support
+        (2.0, [0.0, 0.0, 0.0, 0.4, 2.0, 2.0, 5.0]),  # zeros sit on the atom
+        (4.0, [0.0] * 6 + [1.5, 3.0]),
+        (1.0, [0.0, 1e-9, 3.999]),  # square case: support starts at zero
+        (0.5, [1.0]),  # p = 1
+        (2.0, [0.0]),  # p = 1, on the atom
+    ],
+)
+def test_ks_distance_matches_quadrature_reference(rho, lam):
+    law = MPLaw(rho)
+    e = ESD(eigenvalues=np.array(lam))
+    assert abs(ks_distance(e, law) - ks_reference(lam, law)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=0.05, max_value=5.0),
+    st.lists(st.sampled_from([0.0, 0.01, 0.2, 0.5, 1.0, 1.7, 3.0, 9.0]),
+             min_size=1, max_size=12),
+    st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=12),
+)
+def test_ks_distance_matches_quadrature_reference_property(rho, tied, spread):
+    lam = np.sort(np.array(tied + spread))
+    law = MPLaw(rho)
+    d = ks_distance(ESD(eigenvalues=lam), law)
+    assert abs(d - ks_reference(lam, law)) <= 1e-12
 
 
 def test_ks_distance_empty_rejected():
