@@ -26,13 +26,10 @@ from ..matcore import InvalidInputError
 from ..mp_law import MPLaw
 from ..ensembles import (
     GaussianCov,
-    covariance_matrix,
     derive_rng,
     parse_cov_spec,
     parse_model_spec,
-    population_covariance,
     sample_data_matrix,
-    sample_vector,
 )
 from ..spectra import esd, ks_distance, sample_covariance, write_esd_csv
 from ..conditions import (
@@ -40,13 +37,17 @@ from ..conditions import (
     cov_spread_stat,
     draw_family_matrix,
     family_is_random,
+    lindeberg_trial,
     mp_property_trial,
     norm_drift_stat,
     parse_family_spec,
+    quadform_sigma,
+    quadform_trial,
     require_isotropic,
 )
 from ..equivalence import (
     SwapConfig,
+    average_spread,
     parse_column_spec,
     parse_offset_spec,
     resolvent_gap,
@@ -166,22 +167,19 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
 
     if stat == "quadform":
         family = parse_family_spec(cfg.family or "identity")
+        sigma = quadform_sigma(model, p)
+        spread = cov_spread_stat(np.eye(p) if sigma is None else sigma)
         redraw = family_is_random(family)
         fixed = None if redraw else draw_family_matrix(family, p, derive_rng(0))
-        isotropic = getattr(model, "isotropic", False)
-        sigma = None if isotropic else population_covariance(model, p)
 
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
             a = draw_family_matrix(family, p, rng) if redraw else fixed
-            x = sample_vector(model, p, rng)
-            centering = float(np.trace(a)) if sigma is None else float(np.tensordot(sigma, a))
-            value = (float(x @ (a @ x)) - centering) / p
+            value = quadform_trial(model, a, sigma, rng)
             return [dict(base, statistic="quadform", value=value)]
 
         def summarize(records: list[TrialRecord]) -> dict[str, Any]:
             vals = _values(records, "quadform")
             freq = float(np.mean(np.abs(vals) > eps))
-            spread = cov_spread_stat(population_covariance(model, p))
             return {
                 "exceed_freq": freq,
                 "exceed_se": _freq_se(freq, vals.size),
@@ -193,12 +191,8 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
         return [fn] * cfg.trials, summarize
 
     if stat == "lindeberg":
-        cut = eps * np.sqrt(float(p))
-
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-            x = sample_vector(model, p, rng)
-            x2 = x * x
-            value = float(np.sum(x2[np.abs(x) > cut])) / p
+            value = lindeberg_trial(model, p, eps, rng)
             return [dict(base, statistic="lindeberg", value=value)]
 
         def summarize(records: list[TrialRecord]) -> dict[str, Any]:
@@ -279,8 +273,7 @@ def _build_equivalence(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
     if cfg.hetero:
         pattern = [parse_cov_spec(s) for s in cfg.hetero]
         hetero = tuple(islice(cycle(pattern), cfg.n))
-        traces = {s: float(np.sum(covariance_matrix(s, cfg.p) ** 2)) for s in pattern}
-        avg_spread = sum(traces[s] for s in hetero) / (cfg.n * cfg.p * cfg.p)
+        avg_spread = average_spread(hetero, cfg.p)
 
     swap_cfgs = [
         SwapConfig(model, cfg.p, cfg.n, z, b_spec=b_spec, c_spec=c_spec, hetero=hetero)

@@ -29,9 +29,6 @@ from .ensembles import (
     GaussianCov,
     ParseError,
     VectorModel,
-    covariance_matrix,
-    model_spec_string,
-    population_covariance,
     sample_data_matrix,
     sample_vector,
 )
@@ -189,30 +186,46 @@ def parse_family_spec(text: str):
 # scalar statistics
 
 
+def lindeberg_trial(model: VectorModel, p: int, eps: float, rng: np.random.Generator) -> float:
+    """One draw of (1/p) sum_k X_k^2 1{|X_k| > eps sqrt(p)}."""
+    x = sample_vector(model, p, rng)
+    x2 = x * x
+    return float(np.sum(x2[np.abs(x) > eps * np.sqrt(float(p))])) / p
+
+
 def lindeberg_stat(
     model: VectorModel, p: int, eps: float, trials: int, rng: np.random.Generator
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of (1/p) sum_k E X_k^2 1{|X_k| > eps sqrt(p)}."""
     _check_positive(eps, "eps")
     _check_trials(trials)
-    cut = eps * np.sqrt(float(p))
-    vals = np.empty(trials)
-    for t in range(trials):
-        x = sample_vector(model, p, rng)
-        x2 = x * x
-        vals[t] = float(np.sum(x2[np.abs(x) > cut])) / p
-    return _mc(vals)
+    return _mc(np.array([lindeberg_trial(model, p, eps, rng) for _ in range(trials)]))
+
+
+def quadform_sigma(model: VectorModel, p: int) -> np.ndarray | None:
+    """Population covariance for quadratic-form centering; None stands for I."""
+    return None if model.isotropic else model.covariance(p)
+
+
+def quadform_trial(
+    model: VectorModel, a: np.ndarray, sigma: np.ndarray | None, rng: np.random.Generator
+) -> float:
+    """One draw of the centered quadratic form (x^T A x - tr(Sigma A)) / p.
+
+    ``sigma`` comes from ``quadform_sigma``; None centers by tr(A).
+    """
+    p = a.shape[0]
+    x = sample_vector(model, p, rng)
+    centering = float(np.trace(a)) if sigma is None else float(np.tensordot(sigma, a))
+    return (float(x @ (a @ x)) - centering) / p
 
 
 def quadform_stat(model: VectorModel, a, rng: np.random.Generator) -> QuadformStat:
     """One draw of the centered quadratic form (x^T A x - tr(Sigma A)) / p."""
     a = matcore.as_symmetric(a)
     p = a.shape[0]
-    sigma = population_covariance(model, p)
-    centering = float(np.tensordot(sigma, a))
-    x = sample_vector(model, p, rng)
-    value = (float(x @ a @ x) - centering) / p
-    return QuadformStat(value=value, p=p, model=model_spec_string(model), family="explicit")
+    value = quadform_trial(model, a, quadform_sigma(model, p), rng)
+    return QuadformStat(value=value, p=p, model=model.spec(), family="explicit")
 
 
 def concentration_probe(
@@ -230,23 +243,22 @@ def concentration_probe(
     """
     _check_positive(eps, "eps")
     _check_trials(trials)
-    sigma = None if getattr(model, "isotropic", False) else population_covariance(model, p)
+    sigma = quadform_sigma(model, p)
     redraw = family_is_random(family)
     a = None if redraw else draw_family_matrix(family, p, rng)
     hits = np.empty(trials)
     for t in range(trials):
         if redraw:
             a = draw_family_matrix(family, p, rng)
-        x = sample_vector(model, p, rng)
-        centering = float(np.trace(a)) if sigma is None else float(np.tensordot(sigma, a))
-        value = (float(x @ (a @ x)) - centering) / p
-        hits[t] = 1.0 if abs(value) > eps else 0.0
+        hits[t] = 1.0 if abs(quadform_trial(model, a, sigma, rng)) > eps else 0.0
     return _mc(hits)
 
 
 def cov_spread_stat(sigma) -> float:
-    """Covariance-spread statistic tr(Sigma^2) / p^2."""
-    s = matcore.as_symmetric(sigma)
+    """Covariance-spread statistic tr(Sigma^2) / p^2 of a symmetric Sigma."""
+    s = matcore.as_square(sigma)
+    if not np.array_equal(s, s.T):
+        raise InvalidInputError("covariance matrix is not symmetric")
     p = s.shape[0]
     return float(np.sum(s * s)) / (p * p)
 
@@ -266,7 +278,7 @@ def chebyshev_bound_check(
     a = matcore.as_symmetric(a)
     if a.shape[0] != p:
         raise DomainError(f"test matrix dimension {a.shape[0]} != p={p}")
-    sigma = covariance_matrix(cov, p)
+    sigma = cov.matrix(p)
     norm_a = matcore.spectral_norm(a)
     bound = 2.0 * norm_a**2 * float(np.sum(sigma * sigma)) / (eps * p) ** 2
     centering = float(np.tensordot(sigma, a))
@@ -281,7 +293,7 @@ def chebyshev_bound_check(
 
 def require_isotropic(model: VectorModel) -> None:
     """Reject models the squared-norm drift is not defined for."""
-    if not getattr(model, "isotropic", False):
+    if not model.isotropic:
         raise DomainError("squared-norm drift is defined for isotropic models only")
 
 

@@ -15,6 +15,12 @@ sample-covariance universality:
 * ``WeakDependent`` - finite moving average over iid sign innovations,
   normalized to unit marginal variance.
 
+A model is one class that owns its behaviour: ``sample`` draws a whole data
+matrix, ``covariance`` is the exact E[x x^T], ``twin`` the Gaussian model
+with that covariance, ``spec`` its grammar string and ``isotropic`` whether
+the covariance is the identity.  Covariance specs own ``matrix``, ``root``
+and ``spec`` the same way.
+
 All sampling is driven by explicit counter-based generators derived from
 (seed, label path) so that any trial of any experiment can be replayed in
 isolation and parallel dispatch cannot perturb the draws.
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import DomainError, InvalidInputError
+from .matcore import DomainError
 
 
 class ParseError(ValueError):
@@ -48,11 +54,24 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # covariance specs
+#
+# ``root(p)`` is a square root of ``matrix(p)`` in its cheapest exact form:
+# None for the identity, a 1-d array for a diagonal scaling, otherwise the
+# dense principal root (read-only, cached per (spec, p)).
 
 
 @dataclass(frozen=True)
 class Identity:
     """Sigma = I_p."""
+
+    def matrix(self, p: int) -> np.ndarray:
+        return np.eye(p)
+
+    def root(self, p: int) -> None:
+        return None
+
+    def spec(self) -> str:
+        return "identity"
 
 
 @dataclass(frozen=True)
@@ -68,6 +87,22 @@ class Spiked:
         if not (self.s >= 0):
             raise DomainError(f"spike size must be >= 0, got {self.s}")
 
+    def _diagonal(self, p: int) -> np.ndarray:
+        if self.k > p:
+            raise DomainError(f"spike count {self.k} exceeds dimension {p}")
+        d = np.ones(p)
+        d[: self.k] = self.s
+        return d
+
+    def matrix(self, p: int) -> np.ndarray:
+        return np.diag(self._diagonal(p))
+
+    def root(self, p: int) -> np.ndarray:
+        return np.sqrt(self._diagonal(p))
+
+    def spec(self) -> str:
+        return f"spiked:{self.k},{self.s!r}"
+
 
 @dataclass(frozen=True)
 class Toeplitz:
@@ -78,6 +113,16 @@ class Toeplitz:
     def __post_init__(self):
         if not (abs(self.phi) < 1):
             raise DomainError(f"toeplitz parameter must satisfy |phi| < 1, got {self.phi}")
+
+    def matrix(self, p: int) -> np.ndarray:
+        idx = np.arange(p)
+        return self.phi ** np.abs(idx[:, None] - idx[None, :])
+
+    def root(self, p: int) -> np.ndarray:
+        return _dense_root(self, p)
+
+    def spec(self) -> str:
+        return f"toeplitz:{self.phi!r}"
 
 
 @dataclass(frozen=True)
@@ -94,83 +139,115 @@ class BandToeplitz:
         if len(self.gammas) == 0:
             raise DomainError("need at least gamma_0")
 
+    def matrix(self, p: int) -> np.ndarray:
+        sig = np.zeros((p, p))
+        for h, g in enumerate(self.gammas[:p]):
+            sig += g * (np.eye(p, k=h) + (np.eye(p, k=-h) if h else 0.0))
+        return sig
+
+    def root(self, p: int) -> np.ndarray:
+        return _dense_root(self, p)
+
+    def spec(self) -> str:
+        return "band:" + ",".join(repr(g) for g in self.gammas)
+
 
 CovSpec = Identity | Spiked | Toeplitz | BandToeplitz
 
 
-def covariance_matrix(spec: CovSpec, p: int) -> np.ndarray:
-    """Dense p-by-p covariance for a spec."""
-    _check_dim(p)
-    if isinstance(spec, Identity):
-        return np.eye(p)
-    if isinstance(spec, Spiked):
-        if spec.k > p:
-            raise DomainError(f"spike count {spec.k} exceeds dimension {p}")
-        d = np.ones(p)
-        d[: spec.k] = spec.s
-        return np.diag(d)
-    if isinstance(spec, Toeplitz):
-        idx = np.arange(p)
-        return spec.phi ** np.abs(idx[:, None] - idx[None, :])
-    if isinstance(spec, BandToeplitz):
-        sig = np.zeros((p, p))
-        for h, g in enumerate(spec.gammas):
-            if h >= p:
-                break
-            sig += g * (np.eye(p, k=h) + (np.eye(p, k=-h) if h else 0.0))
-        return sig
-    raise InvalidInputError(f"unknown covariance spec {spec!r}")
-
-
-def cov_sqrt(spec: CovSpec, p: int) -> np.ndarray | None:
-    """Principal square root of the covariance; None means identity (skip).
-
-    Diagonal specs take the exact elementwise root; dense specs go through
-    the symmetric eigendecomposition, cached per (spec, p).
-    """
-    if isinstance(spec, Identity):
-        return None
-    if isinstance(spec, Spiked):
-        d = np.ones(p)
-        d[: spec.k] = np.sqrt(spec.s)
-        return d  # 1-d means diagonal scaling
-    return _dense_cov_sqrt(spec, p)
-
-
 @functools.lru_cache(maxsize=16)
-def _dense_cov_sqrt(spec: CovSpec, p: int) -> np.ndarray:
-    root = matcore.psd_sqrt(covariance_matrix(spec, p))
+def _dense_root(spec: CovSpec, p: int) -> np.ndarray:
+    root = matcore.psd_sqrt(spec.matrix(p))
     root.flags.writeable = False  # shared by every caller of the cache
     return root
 
 
+def scale_columns(cov: CovSpec, g: np.ndarray) -> np.ndarray:
+    """Sigma^{1/2} g for a p-by-n matrix g, through the cheapest form of the root."""
+    root = cov.root(g.shape[0])
+    if root is None:
+        return g
+    if root.ndim == 1:
+        return root[:, None] * g
+    return root @ g
+
+
 # ---------------------------------------------------------------------------
 # vector models
+#
+# ``sample(p, n, rng)`` returns a C-contiguous p-by-n matrix whose columns
+# consume the stream exactly as n one-column draws in a row would; rows of an
+# n-by-p draw become its columns.  Callers go through ``sample_data_matrix``,
+# which validates the dimensions.
+
+
+def _signs(rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """rows-by-n matrix of iid symmetric signs, drawn column after column."""
+    out = np.empty((rows, n))
+    np.multiply(rng.integers(0, 2, size=(n, rows)).T, 2.0, out=out)
+    out -= 1.0
+    return out
+
+
+def _half(p: int) -> int:
+    if p % 2 != 0:
+        raise DomainError(f"block model needs even dimension, got {p}")
+    return p // 2
+
+
+class _Isotropic:
+    """Models with identity covariance; subclasses set ``name`` and ``sample``."""
+
+    isotropic = True
+
+    def covariance(self, p: int) -> np.ndarray:
+        return np.eye(p)
+
+    def twin(self) -> GaussianCov:
+        return GaussianCov(Identity())
+
+    def spec(self) -> str:
+        return self.name
 
 
 @dataclass(frozen=True)
-class IIDGaussian:
+class IIDGaussian(_Isotropic):
     """iid standard normal entries."""
 
-    isotropic = True
+    name = "iid-gauss"
+
+    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return np.ascontiguousarray(rng.standard_normal((n, p)).T)
 
 
 @dataclass(frozen=True)
-class IIDRademacher:
+class IIDRademacher(_Isotropic):
     """iid symmetric sign entries."""
 
-    isotropic = True
+    name = "iid-rademacher"
+
+    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return _signs(p, n, rng)
 
 
 @dataclass(frozen=True)
-class IIDSparseSpike:
+class IIDSparseSpike(_Isotropic):
     """iid entries: +-sqrt(p) with probability 1/(2p) each, else 0."""
 
-    isotropic = True
+    name = "sparse-spike"
+
+    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random((n, p))
+        scale = np.sqrt(float(p))
+        x = np.zeros((n, p))
+        x[u < 0.5 / p] = scale
+        x[u >= 1.0 - 0.5 / p] = -scale
+        del u  # frees the uniforms before the transposed copy
+        return np.ascontiguousarray(x.T)
 
 
 @dataclass(frozen=True)
-class BlockXi:
+class BlockXi(_Isotropic):
     """sqrt(2) * (z * xi, z * (1 - xi)), z Gaussian in R^{p/2}, xi a fair coin.
 
     Isotropic by construction, but the squared mass sits entirely in one
@@ -178,7 +255,21 @@ class BlockXi:
     jump between two values instead of concentrating.  Requires even p.
     """
 
-    isotropic = True
+    name = "block-xi"
+
+    def covariance(self, p: int) -> np.ndarray:
+        _half(p)
+        return np.eye(p)
+
+    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        q = _half(p)
+        out = np.zeros((p, n))
+        # Each column's coin precedes its Gaussian half in the stream, so the
+        # columns are drawn one at a time.
+        for k in range(n):
+            rows = slice(0, q) if rng.integers(0, 2) else slice(q, p)
+            out[rows, k] = rng.standard_normal(q) * np.sqrt(2.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -189,7 +280,19 @@ class GaussianCov:
 
     @property
     def isotropic(self) -> bool:
-        return isinstance(self.cov, Identity)
+        return self.cov == Identity()
+
+    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return scale_columns(self.cov, IIDGaussian().sample(p, n, rng))
+
+    def covariance(self, p: int) -> np.ndarray:
+        return self.cov.matrix(p)
+
+    def twin(self) -> GaussianCov:
+        return self
+
+    def spec(self) -> str:
+        return f"gauss-cov:{self.cov.spec()}"
 
 
 @dataclass(frozen=True)
@@ -233,6 +336,26 @@ class WeakDependent:
         c = np.asarray(self.coeffs)
         return tuple(float(np.sum(c[: c.size - h] * c[h:])) for h in range(c.size))
 
+    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        c = self.coeffs
+        order = len(c) - 1
+        eps = _signs(p + order, n, rng)
+        # x_i = sum_j c_j eps_{i+order-j}, summed lag by lag in the order of
+        # np.convolve(eps, c, "valid").
+        out = eps[:p] * c[order]
+        for k in range(1, order + 1):
+            out += eps[k : k + p] * c[order - k]
+        return out
+
+    def covariance(self, p: int) -> np.ndarray:
+        return self.twin().covariance(p)
+
+    def twin(self) -> GaussianCov:
+        return GaussianCov(BandToeplitz(self.autocovariances()))
+
+    def spec(self) -> str:
+        return "weak-ma:" + ",".join(repr(c) for c in self.coeffs)
+
 
 VectorModel = IIDGaussian | IIDRademacher | IIDSparseSpike | BlockXi | GaussianCov | WeakDependent
 
@@ -242,90 +365,20 @@ def _check_dim(p: int) -> None:
         raise DomainError(f"dimension must be a positive integer, got {p!r}")
 
 
-def sample_vector(model: VectorModel, p: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the model in dimension p."""
-    _check_dim(p)
-    if isinstance(model, IIDGaussian):
-        return rng.standard_normal(p)
-    if isinstance(model, IIDRademacher):
-        return rng.integers(0, 2, size=p).astype(np.float64) * 2.0 - 1.0
-    if isinstance(model, IIDSparseSpike):
-        u = rng.random(p)
-        scale = np.sqrt(float(p))
-        return scale * ((u < 0.5 / p).astype(np.float64) - (u >= 1.0 - 0.5 / p).astype(np.float64))
-    if isinstance(model, BlockXi):
-        if p % 2 != 0:
-            raise DomainError(f"block model needs even dimension, got {p}")
-        q = p // 2
-        xi = bool(rng.integers(0, 2))
-        z = rng.standard_normal(q) * np.sqrt(2.0)
-        x = np.zeros(p)
-        if xi:
-            x[:q] = z
-        else:
-            x[q:] = z
-        return x
-    if isinstance(model, GaussianCov):
-        g = rng.standard_normal(p)
-        root = cov_sqrt(model.cov, p)
-        if root is None:
-            return g
-        if root.ndim == 1:
-            return root * g
-        return root @ g
-    if isinstance(model, WeakDependent):
-        order = len(model.coeffs) - 1
-        eps = rng.integers(0, 2, size=p + order).astype(np.float64) * 2.0 - 1.0
-        return np.convolve(eps, np.asarray(model.coeffs), mode="valid")
-    raise InvalidInputError(f"unknown model {model!r}")
-
-
-def sample_with_innovations(
-    model: WeakDependent, p: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moving-average draw together with its innovation sequence.
-
-    Returns (x, eps) with eps[i] = eps_{i - order + 1} so that
-    x[k] = sum_j c_j * eps[k + order - j].  Consumes the stream exactly like
-    ``sample_vector`` does.
-    """
-    if not isinstance(model, WeakDependent):
-        raise InvalidInputError("innovations are only defined for the moving-average model")
-    _check_dim(p)
-    order = len(model.coeffs) - 1
-    eps = rng.integers(0, 2, size=p + order).astype(np.float64) * 2.0 - 1.0
-    x = np.convolve(eps, np.asarray(model.coeffs), mode="valid")
-    return x, eps
-
-
-def population_covariance(model: VectorModel, p: int) -> np.ndarray:
-    """Exact E[x x^T] for the model in dimension p."""
-    _check_dim(p)
-    if isinstance(model, (IIDGaussian, IIDRademacher, IIDSparseSpike)):
-        return np.eye(p)
-    if isinstance(model, BlockXi):
-        if p % 2 != 0:
-            raise DomainError(f"block model needs even dimension, got {p}")
-        return np.eye(p)
-    if isinstance(model, GaussianCov):
-        return covariance_matrix(model.cov, p)
-    if isinstance(model, WeakDependent):
-        return covariance_matrix(BandToeplitz(model.autocovariances()), p)
-    raise InvalidInputError(f"unknown model {model!r}")
-
-
 def sample_data_matrix(model: VectorModel, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """p-by-n matrix whose columns are independent draws, in draw order.
+    """C-contiguous p-by-n matrix whose columns are independent draws, in draw order.
 
-    Columns are drawn sequentially from the supplied stream, so a one-column
-    matrix is bitwise the same as a single ``sample_vector`` call.
+    Columns take the stream in sequence, so the matrix is the column stack of
+    n ``sample_vector`` calls on the same stream.
     """
     _check_dim(p)
     _check_dim(n)
-    out = np.empty((p, n))
-    for k in range(n):
-        out[:, k] = sample_vector(model, p, rng)
-    return out
+    return model.sample(p, n, rng)
+
+
+def sample_vector(model: VectorModel, p: int, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the model in dimension p: the one-column data matrix."""
+    return sample_data_matrix(model, p, 1, rng)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +414,8 @@ def parse_cov_spec(text: str) -> CovSpec:
     raise ParseError(f"unknown covariance spec {head!r}")
 
 
-def cov_spec_string(spec: CovSpec) -> str:
-    if isinstance(spec, Identity):
-        return "identity"
-    if isinstance(spec, Spiked):
-        return f"spiked:{spec.k},{spec.s!r}"
-    if isinstance(spec, Toeplitz):
-        return f"toeplitz:{spec.phi!r}"
-    if isinstance(spec, BandToeplitz):
-        return "band:" + ",".join(repr(g) for g in spec.gammas)
-    raise InvalidInputError(f"covariance spec {spec!r} has no string form")
-
-
 def parse_model_spec(text: str) -> VectorModel:
-    """Parse a model spec string.
+    """Parse a model spec string; the inverse of ``model.spec()``.
 
     Grammar:
         iid-gauss | iid-rademacher | sparse-spike | block-xi
@@ -382,12 +423,7 @@ def parse_model_spec(text: str) -> VectorModel:
     """
     s = text.strip()
     head, _, rest = s.partition(":")
-    simple = {
-        "iid-gauss": IIDGaussian,
-        "iid-rademacher": IIDRademacher,
-        "sparse-spike": IIDSparseSpike,
-        "block-xi": BlockXi,
-    }
+    simple = {cls.name: cls for cls in (IIDGaussian, IIDRademacher, IIDSparseSpike, BlockXi)}
     if head in simple:
         if rest:
             raise ParseError(f"model {head!r} takes no arguments, got {rest!r}")
@@ -405,20 +441,3 @@ def parse_model_spec(text: str) -> VectorModel:
             raise ParseError(f"bad coefficient list {rest!r}") from exc
         return WeakDependent(coeffs)
     raise ParseError(f"unknown model spec {head!r}")
-
-
-def model_spec_string(model: VectorModel) -> str:
-    """Inverse of parse_model_spec (weak-ma serializes its normalized coeffs)."""
-    if isinstance(model, IIDGaussian):
-        return "iid-gauss"
-    if isinstance(model, IIDRademacher):
-        return "iid-rademacher"
-    if isinstance(model, IIDSparseSpike):
-        return "sparse-spike"
-    if isinstance(model, BlockXi):
-        return "block-xi"
-    if isinstance(model, GaussianCov):
-        return f"gauss-cov:{cov_spec_string(model.cov)}"
-    if isinstance(model, WeakDependent):
-        return "weak-ma:" + ",".join(repr(c) for c in model.coeffs)
-    raise InvalidInputError(f"unknown model {model!r}")

@@ -27,18 +27,13 @@ import numpy as np
 from . import matcore
 from .conditions import RandomPSDFamily, draw_family_matrix
 from .ensembles import (
-    BandToeplitz,
     CovSpec,
-    GaussianCov,
-    Identity,
+    IIDGaussian,
     ParseError,
     VectorModel,
-    WeakDependent,
-    covariance_matrix,
     derive_rng,
     sample_data_matrix,
-    cov_sqrt,
-    sample_vector,
+    scale_columns,
 )
 from .matcore import DomainError, InvalidInputError
 
@@ -102,24 +97,6 @@ class HeteroGapResult:
 
     delta: complex
     avg_spread: float
-
-
-def paired_gaussian(model: VectorModel, p: int) -> GaussianCov:
-    """The Gaussian model with the same population covariance.
-
-    Isotropic models pair with the standard Gaussian; a Gaussian model pairs
-    with itself; the moving average pairs with the banded-Toeplitz Gaussian
-    built from its autocovariances.
-    """
-    if p < 1:
-        raise DomainError(f"dimension must be positive, got {p}")
-    if isinstance(model, GaussianCov):
-        return model
-    if isinstance(model, WeakDependent):
-        return GaussianCov(BandToeplitz(model.autocovariances()))
-    if getattr(model, "isotropic", False):
-        return GaussianCov(Identity())
-    raise InvalidInputError(f"no Gaussian twin known for {model!r}")
 
 
 def offset_matrix(b_spec: BSpec, p: int) -> np.ndarray | None:
@@ -189,7 +166,7 @@ def _gap_from_matrices(x: np.ndarray, zmat: np.ndarray, cfg: SwapConfig) -> comp
         s = shifted @ shifted.T / cfg.n
         if b is not None:
             s = s + b
-        spec = matcore.eigh(matcore.as_symmetric(s), want_vectors=False)
+        spec = matcore.eigh(s, want_vectors=False)
         traces.append(matcore.resolvent_trace(spec, z))
     return traces[0] - traces[1]
 
@@ -203,8 +180,7 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> complex:
     if cfg.hetero is not None:
         raise DomainError("config carries per-column covariances; use resolvent_gap_hetero")
     x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
-    twin = paired_gaussian(cfg.model, cfg.p)
-    zmat = sample_data_matrix(twin, cfg.p, cfg.n, rng)
+    zmat = sample_data_matrix(cfg.model.twin(), cfg.p, cfg.n, rng)
     return _gap_from_matrices(x, zmat, cfg)
 
 
@@ -219,37 +195,23 @@ def resolvent_gap_hetero(cfg: SwapConfig, rng: np.random.Generator) -> HeteroGap
     """
     if cfg.hetero is None:
         raise DomainError("config has no per-column covariances; use resolvent_gap")
-    if not getattr(cfg.model, "isotropic", False):
+    if not cfg.model.isotropic:
         raise DomainError("per-column covariances require an isotropic base model")
-    x = np.empty((cfg.p, cfg.n))
-    for k in range(cfg.n):
-        x[:, k] = sample_vector(cfg.model, cfg.p, rng)
-    zmat = rng_standard_matrix(cfg.p, cfg.n, rng)
+    x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
+    zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
     for k, spec in enumerate(cfg.hetero):
-        root = cov_sqrt(spec, cfg.p)
-        if root is None:
-            continue
-        if root.ndim == 1:
-            x[:, k] *= root
-            zmat[:, k] *= root
-        else:
-            x[:, k] = root @ x[:, k]
-            zmat[:, k] = root @ zmat[:, k]
+        x[:, k : k + 1] = scale_columns(spec, x[:, k : k + 1])
+        zmat[:, k : k + 1] = scale_columns(spec, zmat[:, k : k + 1])
     delta = _gap_from_matrices(x, zmat, cfg)
-    spread = sum(_cov_square_trace(spec, cfg.p) for spec in cfg.hetero)
-    avg_spread = spread / (cfg.n * cfg.p * cfg.p)
-    return HeteroGapResult(delta=delta, avg_spread=avg_spread)
+    return HeteroGapResult(delta=delta, avg_spread=average_spread(cfg.hetero, cfg.p))
+
+
+def average_spread(covs: tuple[CovSpec, ...], p: int) -> float:
+    """Averaged covariance spread (1/(n p^2)) sum_k tr(Sigma_k^2) of n column covariances."""
+    return sum(_cov_square_trace(spec, p) for spec in covs) / (len(covs) * p * p)
 
 
 @functools.lru_cache(maxsize=16)
 def _cov_square_trace(spec: CovSpec, p: int) -> float:
-    sig = covariance_matrix(spec, p)
+    sig = spec.matrix(p)
     return float(np.sum(sig * sig))
-
-
-def rng_standard_matrix(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Column-by-column standard normal draws, matching the data-matrix order."""
-    out = np.empty((p, n))
-    for k in range(n):
-        out[:, k] = rng.standard_normal(p)
-    return out

@@ -53,12 +53,13 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def _as_square_finite(m, name: str = "matrix") -> np.ndarray:
+def as_square(m) -> np.ndarray:
+    """Validate a square finite matrix; float64 input is not copied."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"{name} must be square 2-d, got shape {a.shape}")
+        raise InvalidInputError(f"matrix must be square 2-d, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} has non-finite entries")
+        raise InvalidInputError("matrix has non-finite entries")
     return a
 
 
@@ -68,7 +69,7 @@ def as_symmetric(m) -> np.ndarray:
     Mirroring one triangle (rather than averaging) keeps construction exact:
     the result is bitwise symmetric whatever rounding the caller accumulated.
     """
-    a = _as_square_finite(m)
+    a = as_square(m)
     lower = np.tril(a)
     return lower + np.tril(a, -1).T
 
@@ -99,7 +100,8 @@ def eigh(m, want_vectors: bool = True) -> Spectrum:
     Parameters
     ----------
     m : array_like
-        Square real matrix; the lower triangle is authoritative.
+        Square real matrix.  Only the lower triangle is read, as LAPACK
+        does, so callers need not symmetrize first.
     want_vectors : bool
         When False only eigenvalues are computed (cheaper).
 
@@ -109,7 +111,7 @@ def eigh(m, want_vectors: bool = True) -> Spectrum:
         Ascending eigenvalues, and orthonormal eigenvectors as columns when
         requested.  Identical input bits give identical output bits.
     """
-    a = as_symmetric(m)
+    a = as_square(m)
     try:
         if want_vectors:
             vals, vecs = np.linalg.eigh(a)

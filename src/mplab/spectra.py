@@ -2,32 +2,21 @@
 
 A data matrix X (p rows, n columns) is summarized by the normalized sample
 covariance S = X X^T / n; its sorted eigenvalue list is the empirical
-spectral distribution (ESD).  This module computes ESDs, the Kolmogorov
-sup-distance between an ESD and a limit law, empirical Cauchy-Stieltjes
-transforms, and compressions C S C^T along row-orthonormal frames.
+spectral distribution (ESD), held as a ``matcore.Spectrum``.  This module
+computes ESDs, the Kolmogorov sup-distance between an ESD and a limit law,
+and compressions C S C^T along row-orthonormal frames.  The empirical
+Cauchy-Stieltjes transform of an ESD is ``matcore.resolvent_trace``.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .matcore import DomainError, InvalidInputError
+from .matcore import DomainError, InvalidInputError, Spectrum
 from .mp_law import MPLaw
-
-
-@dataclass(frozen=True, eq=False)
-class ESD:
-    """Empirical spectral distribution: eigenvalues in ascending order."""
-
-    eigenvalues: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.eigenvalues.size
 
 
 def sample_covariance(x) -> np.ndarray:
@@ -44,20 +33,19 @@ def sample_covariance(x) -> np.ndarray:
     return matcore.as_symmetric(s)
 
 
-def esd(m, psd: bool = False) -> ESD:
+def esd(m, psd: bool = False) -> Spectrum:
     """Eigenvalue distribution of a symmetric matrix.
 
     With ``psd=True`` tiny negative eigenvalues (roundoff from a Gram-type
     construction) are clamped to zero; genuine negativity raises.
     """
     spec = matcore.eigh(m, want_vectors=False)
-    vals = spec.eigenvalues
     if psd:
-        vals = matcore.clamp_psd_eigenvalues(vals)
-    return ESD(eigenvalues=vals)
+        return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(spec.eigenvalues))
+    return spec
 
 
-def ks_distance(e: ESD, law: MPLaw) -> float:
+def ks_distance(e: Spectrum, law: MPLaw) -> float:
     """Kolmogorov sup-distance between the ESD and the law's distribution.
 
     Compares the law's cdf against the empirical cdf from both sides at every
@@ -80,12 +68,6 @@ def ks_distance(e: ESD, law: MPLaw) -> float:
     return float(max(np.max(upper), np.max(lower)))
 
 
-def empirical_stieltjes(e: ESD, z: complex) -> complex:
-    """Empirical transform (1/p) sum_k 1 / (lambda_k - z), im(z) > 0."""
-    z = matcore.require_upper_half(z)
-    return complex(np.mean(1.0 / (e.eigenvalues - z)))
-
-
 def projected_covariance(frame, m) -> np.ndarray:
     """Compression C m C^T of a symmetric matrix along a row-orthonormal frame."""
     c = matcore.as_frame(frame)
@@ -95,7 +77,7 @@ def projected_covariance(frame, m) -> np.ndarray:
     return matcore.as_symmetric(c @ a @ c.T)
 
 
-def write_esd_csv(path, e: ESD) -> None:
+def write_esd_csv(path, e: Spectrum) -> None:
     """Serialize an ESD as a one-column CSV of ascending eigenvalues."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -104,7 +86,7 @@ def write_esd_csv(path, e: ESD) -> None:
             writer.writerow([f"{float(v):.17g}"])
 
 
-def read_esd_csv(path) -> ESD:
+def read_esd_csv(path) -> Spectrum:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -113,4 +95,4 @@ def read_esd_csv(path) -> ESD:
         vals = np.array([float(row[0]) for row in reader])
     if np.any(np.diff(vals) < 0):
         raise InvalidInputError("ESD file is not sorted ascending")
-    return ESD(eigenvalues=vals)
+    return Spectrum(eigenvalues=vals)

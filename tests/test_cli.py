@@ -36,6 +36,13 @@ from mplab.cli.records import (
     write_matrix_dump,
     write_report,
 )
+from mplab.conditions import (
+    draw_family_matrix,
+    lindeberg_trial,
+    parse_family_spec,
+    quadform_sigma,
+    quadform_trial,
+)
 from mplab.ensembles import derive_rng, parse_model_spec, sample_data_matrix
 from mplab.matcore import DomainError, InvalidInputError
 from mplab.spectra import sample_covariance
@@ -528,3 +535,45 @@ def test_cli_import_and_esd_run_leave_scipy_unloaded(tmp_path):
                           env=env, cwd=str(tmp_path), check=False)
     assert proc.returncode == 0, proc.stderr.decode()
     assert (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["esd", "--model", "gauss-cov:spiked:5,2", "--p", "3", "--n", "8"],
+        ["mp-property", "--model", "gauss-cov:spiked:5,2", "--p", "3", "--n", "8", "--q", "2"],
+        ["equivalence", "--model", "gauss-cov:spiked:5,2", "--p", "3", "--n", "8"],
+        ["conditions", "--model", "gauss-cov:spiked:5,2", "--p", "3", "--eps", "0.5"],
+        ["equivalence", "--model", "iid-gauss", "--p", "3", "--n", "8",
+         "--hetero", "spiked:5,2"],
+    ],
+    ids=["esd", "mp-property", "equivalence", "conditions", "equivalence-hetero"],
+)
+def test_main_oversized_spike_is_exit_2(argv, capsys):
+    code, out, err = run_main(argv + ["--trials", "2"], capsys)
+    assert code == 2 and "spike count 5 exceeds dimension 3" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "stat, model, family",
+    [("lindeberg", "weak-ma:1,0.5,0.2", None),
+     ("quadform", "gauss-cov:toeplitz:0.5", "random-psd"),
+     ("quadform", "iid-rademacher", "fixed-half")],
+)
+def test_conditions_records_match_library_trials(stat, model, family):
+    # The CLI calls the library's per-trial statistic on trial t's stream.
+    p, eps = 16, 0.5
+    cfg = ExperimentConfig(experiment="conditions", model=model, p=p, eps=eps, stat=stat,
+                           family=family, trials=3, seed=5)
+    got = [r.value for r in run_experiment(cfg, rules=[]).records]
+    m = parse_model_spec(model)
+    expected = []
+    for t in range(3):
+        rng = derive_rng(5, EXPERIMENT_CODES["conditions"], t)
+        if stat == "lindeberg":
+            expected.append(lindeberg_trial(m, p, eps, rng))
+        else:
+            fam = parse_family_spec(family)
+            a = draw_family_matrix(fam, p, rng if family == "random-psd" else derive_rng(0))
+            expected.append(quadform_trial(m, a, quadform_sigma(m, p), rng))
+    assert got == expected

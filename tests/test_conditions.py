@@ -47,11 +47,10 @@ from mplab.ensembles import (
     Spiked,
     Toeplitz,
     WeakDependent,
-    covariance_matrix,
     derive_rng,
     sample_data_matrix,
 )
-from mplab.matcore import DomainError
+from mplab.matcore import DomainError, InvalidInputError
 from mplab.mp_law import MPLaw
 from mplab.spectra import esd, ks_distance, sample_covariance
 
@@ -168,8 +167,15 @@ def test_probe_small_dimension_gaussian_exceeds_often():
 def test_cov_spread_identity_and_spiked():
     p = 256
     assert cov_spread_stat(np.eye(p)) == 1.0 / p
-    s = covariance_matrix(Spiked(1, float(p)), p)
+    s = Spiked(1, float(p)).matrix(p)
     assert cov_spread_stat(s) == pytest.approx((p * p + p - 1) / p**2, rel=1e-14)
+
+
+def test_cov_spread_rejects_asymmetric_matrix():
+    s = np.eye(4)
+    s[3, 0] = 0.5
+    with pytest.raises(InvalidInputError):
+        cov_spread_stat(s)
 
 
 def test_chebyshev_bound_hand_recompute_and_exact_frequency():

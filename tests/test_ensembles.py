@@ -19,17 +19,11 @@ from mplab.ensembles import (
     Spiked,
     Toeplitz,
     WeakDependent,
-    cov_spec_string,
-    cov_sqrt,
-    covariance_matrix,
     derive_rng,
-    model_spec_string,
     parse_cov_spec,
     parse_model_spec,
-    population_covariance,
     sample_data_matrix,
     sample_vector,
-    sample_with_innovations,
 )
 from mplab.matcore import DomainError
 
@@ -43,6 +37,10 @@ ALL_MODELS = (
     GaussianCov(Toeplitz(0.5)),
     WeakDependent((1.0, 0.5)),
 )
+
+
+def spec_id(model) -> str:
+    return model.spec()
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +65,7 @@ def test_derive_rng_distinct_paths_differ():
 # sampling shapes and basic structure
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=model_spec_string)
+@pytest.mark.parametrize("model", ALL_MODELS, ids=spec_id)
 def test_sample_vector_shape_dtype(model):
     x = sample_vector(model, 16, derive_rng(0, 1))
     assert x.shape == (16,)
@@ -114,7 +112,7 @@ def test_block_xi_needs_even_dimension():
     with pytest.raises(DomainError):
         sample_vector(BlockXi(), 7, derive_rng(0))
     with pytest.raises(DomainError):
-        population_covariance(BlockXi(), 7)
+        BlockXi().covariance(7)
 
 
 def test_weak_ma_normalizes_coefficients():
@@ -138,15 +136,13 @@ def test_weak_ma_rejects_degenerate_coeffs():
         WeakDependent((0.0, 0.0))
 
 
-def test_sample_with_innovations_consistency():
+def test_weak_ma_is_moving_average_of_sign_innovations():
+    # One column takes p + order signs from the stream and convolves them
+    # with the coefficients, bitwise as np.convolve does.
     m = WeakDependent((1.0, -0.5, 0.25))
-    x1, eps = sample_with_innovations(m, 40, derive_rng(4))
-    x2 = sample_vector(m, 40, derive_rng(4))
-    assert np.array_equal(x1, x2)
-    assert set(np.unique(eps)) <= {-1.0, 1.0}
-    c = np.array(m.coeffs)
-    manual = np.convolve(eps, c, mode="valid")
-    assert np.array_equal(x1, manual)
+    eps = derive_rng(4).integers(0, 2, size=42).astype(np.float64) * 2.0 - 1.0
+    manual = np.convolve(eps, np.array(m.coeffs), mode="valid")
+    assert np.array_equal(sample_vector(m, 40, derive_rng(4)), manual)
 
 
 def test_sample_vector_rejects_bad_dimension():
@@ -161,7 +157,7 @@ def test_sample_vector_rejects_bad_dimension():
 @pytest.mark.parametrize(
     "model",
     (IIDGaussian(), IIDRademacher(), IIDSparseSpike(), BlockXi()),
-    ids=model_spec_string,
+    ids=spec_id,
 )
 def test_isotropic_models_have_identity_covariance(model):
     p, reps = 16, 100_000
@@ -175,7 +171,7 @@ def test_isotropic_models_have_identity_covariance(model):
     # allow 4 sigma of the largest entry's Monte Carlo error.
     worst_se = np.sqrt((2.0 + p) / reps)
     assert np.max(np.abs(acc - np.eye(p))) < 4 * worst_se
-    assert np.array_equal(population_covariance(model, p), np.eye(p))
+    assert np.array_equal(model.covariance(p), np.eye(p))
 
 
 def test_gaussian_cov_matches_spec():
@@ -188,7 +184,7 @@ def test_gaussian_cov_matches_spec():
         x = sample_vector(model, p, rng)
         acc += np.outer(x, x)
     acc /= reps
-    target = covariance_matrix(spec, p)
+    target = spec.matrix(p)
     se = np.sqrt(2.0 / reps)  # entrywise MC error scale for unit-variance marginals
     assert np.max(np.abs(acc - target)) < 5 * se
 
@@ -218,24 +214,26 @@ def test_weak_ma_empirical_autocovariance():
 
 
 def test_covariance_matrix_values():
-    assert np.array_equal(covariance_matrix(Identity(), 3), np.eye(3))
-    spiked = covariance_matrix(Spiked(2, 7.0), 4)
+    assert np.array_equal(Identity().matrix(3), np.eye(3))
+    spiked = Spiked(2, 7.0).matrix(4)
     assert np.array_equal(np.diag(spiked), [7.0, 7.0, 1.0, 1.0])
-    toep = covariance_matrix(Toeplitz(0.5), 3)
+    toep = Toeplitz(0.5).matrix(3)
     assert np.allclose(toep, [[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]])
-    band = covariance_matrix(BandToeplitz((1.0, 0.3)), 3)
+    band = BandToeplitz((1.0, 0.3)).matrix(3)
     assert np.allclose(band, [[1, 0.3, 0], [0.3, 1, 0.3], [0, 0.3, 1]])
 
 
 def test_covariance_matrix_rejects_oversized_spike():
     with pytest.raises(DomainError):
-        covariance_matrix(Spiked(5, 2.0), 4)
+        Spiked(5, 2.0).matrix(4)
+    with pytest.raises(DomainError):
+        Spiked(5, 2.0).root(4)
 
 
 def test_cov_sqrt_squares_to_covariance():
     for spec in (Identity(), Spiked(1, 9.0), Toeplitz(0.4), BandToeplitz((1.0, 0.45))):
-        root = cov_sqrt(spec, 6)
-        target = covariance_matrix(spec, 6)
+        root = spec.root(6)
+        target = spec.matrix(6)
         if root is None:
             assert np.array_equal(target, np.eye(6))
         elif root.ndim == 1:
@@ -257,7 +255,7 @@ def test_cov_spec_validation():
 
 def test_population_covariance_weak_ma_is_banded():
     m = WeakDependent((1.0, 0.5))
-    sig = population_covariance(m, 5)
+    sig = m.covariance(5)
     g0, g1 = m.autocovariances()
     assert np.allclose(np.diag(sig), g0)
     assert np.allclose(np.diag(sig, 1), g1)
@@ -272,31 +270,80 @@ def test_data_matrix_first_column_matches_single_draw():
     for model in ALL_MODELS:
         a = sample_data_matrix(model, 8, 1, derive_rng(9))
         b = sample_vector(model, 8, derive_rng(9))
-        assert np.array_equal(a[:, 0], b), model_spec_string(model)
+        assert np.array_equal(a[:, 0], b), model.spec()
 
 
-def test_data_matrix_shape_and_column_order():
-    x1 = sample_data_matrix(IIDGaussian(), 4, 3, derive_rng(10))
-    rng = derive_rng(10)
-    cols = [sample_vector(IIDGaussian(), 4, rng) for _ in range(3)]
-    assert x1.shape == (4, 3)
-    assert np.array_equal(x1, np.column_stack(cols))
+def reference_column(model, p, rng):
+    """One column drawn entry by entry in the stream order the models promise."""
+    if isinstance(model, IIDGaussian):
+        return rng.standard_normal(p)
+    if isinstance(model, IIDRademacher):
+        return rng.integers(0, 2, size=p).astype(np.float64) * 2.0 - 1.0
+    if isinstance(model, IIDSparseSpike):
+        u = rng.random(p)
+        return np.sqrt(float(p)) * ((u < 0.5 / p).astype(np.float64) - (u >= 1.0 - 0.5 / p))
+    if isinstance(model, BlockXi):
+        x, q = np.zeros(p), p // 2
+        low = bool(rng.integers(0, 2))
+        x[slice(0, q) if low else slice(q, p)] = rng.standard_normal(q) * np.sqrt(2.0)
+        return x
+    if isinstance(model, GaussianCov):
+        g, root = rng.standard_normal(p), model.cov.root(p)
+        return g if root is None else root * g if root.ndim == 1 else root @ g
+    order = len(model.coeffs) - 1
+    eps = rng.integers(0, 2, size=p + order).astype(np.float64) * 2.0 - 1.0
+    return np.convolve(eps, np.array(model.coeffs), mode="valid")
+
+
+@pytest.mark.parametrize(
+    "model",
+    ALL_MODELS + (WeakDependent((1.0, -0.5, 0.25)), GaussianCov(BandToeplitz((1.0, 0.3)))),
+    ids=spec_id,
+)
+def test_data_matrix_shape_and_column_order(model):
+    # A batch draw is the column stack of one-column draws on one stream, and
+    # of the per-column reference: bitwise, except that a dense covariance
+    # root multiplies all columns in one product, which may round differently
+    # from one product per column.
+    dense = isinstance(model, GaussianCov) and isinstance(model.cov, (Toeplitz, BandToeplitz))
+    # block-xi needs even p; two spikes need p >= 2.
+    if isinstance(model, BlockXi):
+        dims = (2, 62, 64, 66)
+    elif model == GaussianCov(Spiked(2, 5.0)):
+        dims = (2, 63, 64, 65)
+    else:
+        dims = (1, 63, 64, 65)
+    for p in dims:
+        assert np.array_equal(model.twin().covariance(p), model.covariance(p))
+        for n in (1, 2, 7):
+            x = sample_data_matrix(model, p, n, derive_rng(10, p, n))
+            rng = derive_rng(10, p, n)
+            cols = np.column_stack([sample_vector(model, p, rng) for _ in range(n)])
+            rng = derive_rng(10, p, n)
+            ref = np.column_stack([reference_column(model, p, rng) for _ in range(n)])
+            assert x.shape == (p, n) and x.dtype == np.float64
+            assert x.flags.c_contiguous
+            for other in (cols, ref):
+                if dense:
+                    assert np.max(np.abs(x - other)) <= 1e-12 * np.max(np.abs(other))
+                else:
+                    assert np.array_equal(x, other), (p, n)
 
 
 # ---------------------------------------------------------------------------
 # grammar
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=model_spec_string)
+@pytest.mark.parametrize("model", ALL_MODELS, ids=spec_id)
 def test_model_spec_round_trip(model):
-    assert parse_model_spec(model_spec_string(model)) == model
+    assert parse_model_spec(model.spec()) == model
 
 
 def test_model_spec_round_trip_odd_floats():
     m = WeakDependent((1.0, 1.0 / 3.0))
-    assert parse_model_spec(model_spec_string(m)) == m
+    assert parse_model_spec(m.spec()) == m
     g = GaussianCov(Toeplitz(1.0 / 3.0))
-    assert parse_model_spec(model_spec_string(g)) == g
+    assert parse_model_spec(g.spec()) == g
 
 
 def test_parse_model_spec_examples():
@@ -321,7 +368,7 @@ def test_parse_errors_name_the_offending_token():
 
 def test_cov_spec_round_trip():
     for spec in (Identity(), Spiked(3, 2.5), Toeplitz(-0.25), BandToeplitz((1.0, 0.5))):
-        assert parse_cov_spec(cov_spec_string(spec)) == spec
+        assert parse_cov_spec(spec.spec()) == spec
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +390,6 @@ def test_weak_ma_unit_variance_property(coeffs):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=-0.95, max_value=0.95), st.integers(min_value=1, max_value=12))
 def test_toeplitz_matrix_is_psd(phi, p):
-    sig = covariance_matrix(Toeplitz(phi), p)
+    sig = Toeplitz(phi).matrix(p)
     vals = np.linalg.eigvalsh(sig)
     assert vals.min() > -1e-10

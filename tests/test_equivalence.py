@@ -24,11 +24,11 @@ from mplab.equivalence import (
     RandomPSDUnitNorm,
     ScaledIdentity,
     SwapConfig,
+    average_spread,
     column_offset,
     column_spec_string,
     offset_matrix,
     offset_spec_string,
-    paired_gaussian,
     parse_column_spec,
     parse_offset_spec,
     resolvent_gap,
@@ -42,17 +42,12 @@ from mplab.matcore import DomainError, spectral_norm
 
 
 def test_paired_gaussian_mappings():
-    assert paired_gaussian(IIDGaussian(), 8) == GaussianCov(Identity())
-    assert paired_gaussian(IIDRademacher(), 8) == GaussianCov(Identity())
+    assert IIDGaussian().twin() == GaussianCov(Identity())
+    assert IIDRademacher().twin() == GaussianCov(Identity())
     g = GaussianCov(Toeplitz(0.3))
-    assert paired_gaussian(g, 8) is g
+    assert g.twin() is g
     m = WeakDependent((1.0, 0.5))
-    assert paired_gaussian(m, 8) == GaussianCov(BandToeplitz(m.autocovariances()))
-
-
-def test_paired_gaussian_rejects_bad_dimension():
-    with pytest.raises(DomainError):
-        paired_gaussian(IIDGaussian(), 0)
+    assert m.twin() == GaussianCov(BandToeplitz(m.autocovariances()))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +198,7 @@ def test_hetero_avg_spread_hand_formula():
     tr_toep = p + 2 * sum((p - h) * phi ** (2 * h) for h in range(1, p))
     expected = (3 * p + 3 * tr_toep) / (n * p * p)
     assert out.avg_spread == pytest.approx(expected, rel=1e-12)
+    assert out.avg_spread == average_spread(specs, p)
     assert abs(out.delta) <= 2.0 + 1e-12
 
 

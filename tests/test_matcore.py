@@ -115,6 +115,16 @@ def test_eigh_deterministic():
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
 
+def test_eigh_reads_only_the_lower_triangle():
+    m = _random_psd(_rng(5), 40)
+    garbage = m.copy()
+    garbage[np.triu_indices(40, 1)] = 7.0
+    for want_vectors in (False, True):
+        a, b = eigh(m, want_vectors), eigh(garbage, want_vectors)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert (a.eigenvectors is None) or np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
 def test_spectrum_p():
     assert Spectrum(eigenvalues=np.zeros(5)).p == 5
 

@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mplab.ensembles import IIDGaussian, derive_rng, sample_data_matrix
-from mplab.matcore import DomainError, InvalidInputError, coordinate_frame, haar_frame
+from mplab.matcore import (
+    DomainError,
+    InvalidInputError,
+    Spectrum,
+    coordinate_frame,
+    haar_frame,
+    resolvent_trace,
+)
 from mplab.mp_law import MPLaw
 from mplab.spectra import (
-    ESD,
-    empirical_stieltjes,
     esd,
     ks_distance,
     projected_covariance,
@@ -105,14 +110,14 @@ def test_ks_distance_point_mass_vs_law():
     law = MPLaw(0.5)
     # All eigenvalues at one interior point t: sup gap is max(F(t), 1 - F(t)).
     t = 1.0
-    e = ESD(eigenvalues=np.full(7, t))
+    e = Spectrum(eigenvalues=np.full(7, t))
     expected = max(law.cdf(t), 1.0 - law.cdf(t))
     assert ks_distance(e, law) == pytest.approx(expected, abs=1e-12)
 
 
 def test_ks_distance_two_atoms_hand_value():
     law = MPLaw(0.5)
-    e = ESD(eigenvalues=np.array([0.5, 2.0]))
+    e = Spectrum(eigenvalues=np.array([0.5, 2.0]))
     f1, f2 = law.cdf(0.5), law.cdf(2.0)
     expected = max(abs(0.5 - f1), f1, abs(f2 - 0.5), 1.0 - f2)
     assert ks_distance(e, law) == pytest.approx(expected, abs=1e-12)
@@ -128,7 +133,7 @@ def test_ks_distance_of_quantile_spectrum_is_half_over_p(rho):
         # rank-deficient sample covariance would have.
         n_zero = int(round(law.atom0 * p))
         lam = np.sort(np.concatenate([np.zeros(n_zero), lam[n_zero:]]))
-    d = ks_distance(ESD(eigenvalues=lam), law)
+    d = ks_distance(Spectrum(eigenvalues=lam), law)
     assert d == pytest.approx(1.0 / (2 * p), abs=1e-6)
 
 
@@ -163,7 +168,7 @@ def ks_reference(lam, law: MPLaw) -> float:
 )
 def test_ks_distance_matches_quadrature_reference(rho, lam):
     law = MPLaw(rho)
-    e = ESD(eigenvalues=np.array(lam))
+    e = Spectrum(eigenvalues=np.array(lam))
     assert abs(ks_distance(e, law) - ks_reference(lam, law)) <= 1e-12
 
 
@@ -177,13 +182,13 @@ def test_ks_distance_matches_quadrature_reference(rho, lam):
 def test_ks_distance_matches_quadrature_reference_property(rho, tied, spread):
     lam = np.sort(np.array(tied + spread))
     law = MPLaw(rho)
-    d = ks_distance(ESD(eigenvalues=lam), law)
+    d = ks_distance(Spectrum(eigenvalues=lam), law)
     assert abs(d - ks_reference(lam, law)) <= 1e-12
 
 
 def test_ks_distance_empty_rejected():
     with pytest.raises(DomainError):
-        ks_distance(ESD(eigenvalues=np.array([])), MPLaw(0.5))
+        ks_distance(Spectrum(eigenvalues=np.array([])), MPLaw(0.5))
 
 
 def test_ks_distance_shrinks_with_dimension():
@@ -197,21 +202,21 @@ def test_ks_distance_shrinks_with_dimension():
 
 
 # ---------------------------------------------------------------------------
-# empirical stieltjes transform
+# empirical stieltjes transform: the resolvent trace of the ESD
 
 
 def test_empirical_stieltjes_matches_direct_sum():
     lam = np.array([0.5, 1.0, 2.5])
     z = 0.3 + 0.7j
     expected = np.mean(1.0 / (lam - z))
-    got = empirical_stieltjes(ESD(eigenvalues=lam), z)
+    got = resolvent_trace(Spectrum(eigenvalues=lam), z)
     assert got == pytest.approx(expected, abs=1e-15)
     assert got.imag > 0
 
 
 def test_empirical_stieltjes_requires_upper_half():
     with pytest.raises(DomainError):
-        empirical_stieltjes(ESD(eigenvalues=np.ones(3)), 1.0 - 0.1j)
+        resolvent_trace(Spectrum(eigenvalues=np.ones(3)), 1.0 - 0.1j)
 
 
 def test_empirical_stieltjes_near_law_for_large_p():
@@ -220,7 +225,7 @@ def test_empirical_stieltjes_near_law_for_large_p():
     x = sample_data_matrix(IIDGaussian(), p, 2 * p, derive_rng(12))
     e = esd(sample_covariance(x), psd=True)
     z = 1.0 + 1.0j
-    assert abs(empirical_stieltjes(e, z) - law.stieltjes(z)) < 0.02
+    assert abs(resolvent_trace(e, z) - law.stieltjes(z)) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +264,7 @@ def test_projected_covariance_dimension_mismatch():
 def test_esd_csv_round_trip(tmp_path):
     vals = np.sort(derive_rng(14).uniform(0, 3, size=17))
     path = tmp_path / "esd.csv"
-    write_esd_csv(path, ESD(eigenvalues=vals))
+    write_esd_csv(path, Spectrum(eigenvalues=vals))
     back = read_esd_csv(path)
     assert np.array_equal(back.eigenvalues, vals)
 
