@@ -44,6 +44,7 @@ from ..conditions import (
     quadform_sigma,
     quadform_trial,
     require_isotropic,
+    standard_error,
 )
 from ..equivalence import (
     SwapConfig,
@@ -52,6 +53,7 @@ from ..equivalence import (
     parse_offset_spec,
     resolvent_gap,
     resolvent_gap_hetero,
+    swap_offsets,
 )
 from ..identities import CHECKS, run_check
 from .config import EXPERIMENT_CODES, ExperimentConfig
@@ -84,21 +86,44 @@ class RunResult:
     summary: dict[str, Any]
 
 
-def worker_count() -> int:
-    """Worker cap from MPLAB_THREADS; defaults to sequential execution."""
-    raw = os.environ.get("MPLAB_THREADS", "").strip()
-    if not raw:
-        return 1
+#: Variables that set the BLAS thread count, in the order they are read.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
     try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidInputError("MPLAB_THREADS must be an integer") from None
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
-def _se(vals: np.ndarray) -> float:
-    if vals.size < 2:
-        return 0.0
-    return float(np.std(vals, ddof=1) / np.sqrt(vals.size))
+def _blas_threads(cpus: int) -> int:
+    """The first positive integer among the BLAS variables; else BLAS's default, all CPUs."""
+    for name in _BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            return value
+    return cpus
+
+
+def worker_count() -> int:
+    """Trial workers: MPLAB_THREADS when set, else the CPUs that BLAS threads leave free.
+
+    Trials and BLAS share the cores: with BLAS pinned to one thread every
+    usable CPU runs a trial, and with BLAS at its default trials run one at
+    a time.  Records do not depend on the count.
+    """
+    raw = os.environ.get("MPLAB_THREADS", "").strip()
+    if raw:
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise InvalidInputError("MPLAB_THREADS must be an integer") from None
+    cpus = _usable_cpus()
+    return max(1, cpus // _blas_threads(cpus))
 
 
 def _freq_se(freq: float, trials: int) -> float:
@@ -128,8 +153,9 @@ def _build_esd(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
     base = {"model": cfg.model, "p": cfg.p, "n": cfg.n, "rho": cfg.p / cfg.n}
 
     def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-        x = sample_data_matrix(model, cfg.p, cfg.n, rng)
-        d = ks_distance(esd(sample_covariance(x), psd=True), law)
+        # X is freed once its Gram is formed, before the eigensolve.
+        s = sample_covariance(sample_data_matrix(model, cfg.p, cfg.n, rng))
+        d = ks_distance(esd(s, psd=True), law)
         return [dict(base, statistic="ks_distance", value=d)]
 
     return [fn] * cfg.trials, _summarize_ks
@@ -154,7 +180,7 @@ def _summarize_ks(records: list[TrialRecord]) -> dict[str, Any]:
         "ks_mean": float(np.mean(vals)),
         "ks_min": float(np.min(vals)),
         "ks_max": float(np.max(vals)),
-        "ks_se": _se(vals),
+        "ks_se": standard_error(vals),
     }
 
 
@@ -197,8 +223,10 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
 
         def summarize(records: list[TrialRecord]) -> dict[str, Any]:
             vals = _values(records, "lindeberg")
-            mean, se = float(np.mean(vals)), _se(vals)
-            if se > 0.0:
+            mean, se = float(np.mean(vals)), standard_error(vals)
+            if not math.isfinite(se):
+                dev = float("nan")  # one draw shows no spread to measure against
+            elif se > 0.0:
                 dev = abs(mean - 1.0) / se
             else:
                 dev = 0.0 if mean == 1.0 else float("inf")
@@ -279,15 +307,16 @@ def _build_equivalence(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
         SwapConfig(model, cfg.p, cfg.n, z, b_spec=b_spec, c_spec=c_spec, hetero=hetero)
         for z in zs
     ]
+    offsets = swap_offsets(swap_cfgs[0])  # shared by every z and trial
     base = {"model": cfg.model, "p": cfg.p, "n": cfg.n,
             "b_spec": cfg.b_spec, "c_spec": cfg.c_spec}
 
     def make_fn(sc: SwapConfig) -> RowFn:
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
             if sc.hetero is None:
-                delta = resolvent_gap(sc, rng)
+                delta = resolvent_gap(sc, rng, offsets)
             else:
-                delta = resolvent_gap_hetero(sc, rng).delta
+                delta = resolvent_gap_hetero(sc, rng, offsets).delta
             return [dict(base, statistic="resolvent_gap", value=delta.real,
                          value_im=delta.imag, z_re=sc.z.real, z_im=sc.z.imag)]
         return fn

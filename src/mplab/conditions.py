@@ -316,7 +316,10 @@ def mp_property_trial(
 
     Draws a p-by-n data matrix, compresses its sample covariance along a
     q-by-p frame (Haar-random or the fixed first-q-coordinates frame), and
-    returns the Kolmogorov distance to the limit law with ratio q/n.
+    returns the Kolmogorov distance to the limit law with ratio q/n.  The
+    data is compressed before the Gram is formed, so no p-by-p matrix is
+    built; ``spectra.projected_covariance`` gives the same matrix up to
+    rounding.
     """
     if not (1 <= q <= p):
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
@@ -326,10 +329,9 @@ def mp_property_trial(
         frame = matcore.coordinate_frame(q, p)
     else:
         raise DomainError(f"unknown frame mode {frame_mode!r}")
-    x = sample_data_matrix(model, p, n, rng)
-    s = spectra.sample_covariance(x)
-    compressed = spectra.projected_covariance(frame, s)
-    e = spectra.esd(compressed, psd=True)
+    # C (X X^T / n) C^T is the sample covariance of the compressed data C X.
+    compressed = matcore.as_frame(frame) @ sample_data_matrix(model, p, n, rng)
+    e = spectra.esd(spectra.sample_covariance(compressed), psd=True)
     return spectra.ks_distance(e, MPLaw(q / n))
 
 
@@ -337,11 +339,14 @@ def mp_property_trial(
 # helpers
 
 
-def _mc(vals: np.ndarray) -> MonteCarloEstimate:
+def standard_error(vals: np.ndarray) -> float:
+    """Standard error of the mean of vals; inf below two values, where no spread is seen."""
     n = vals.size
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return MonteCarloEstimate(value=mean, se=se, trials=n)
+    return float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+
+
+def _mc(vals: np.ndarray) -> MonteCarloEstimate:
+    return MonteCarloEstimate(value=float(np.mean(vals)), se=standard_error(vals), trials=vals.size)
 
 
 def _check_positive(v: float, name: str) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import matcore, spectra
 from .conditions import RandomPSDFamily, draw_family_matrix
 from .ensembles import (
     CovSpec,
@@ -156,42 +156,62 @@ def column_spec_string(spec: CSpec) -> str:
     raise InvalidInputError(f"unknown column-offset spec {spec!r}")
 
 
-def _gap_from_matrices(x: np.ndarray, zmat: np.ndarray, cfg: SwapConfig) -> complex:
-    z = complex(cfg.z)
-    b = offset_matrix(cfg.b_spec, cfg.p)
-    c = column_offset(cfg.c_spec, cfg.p, cfg.n)
+Offsets = tuple[np.ndarray | None, np.ndarray | None]
+
+
+def swap_offsets(cfg: SwapConfig) -> Offsets:
+    """The offsets (B, C) of a config, built once and read-only.
+
+    They depend on neither z nor the trial, so one build serves every trial
+    of a run, on any number of threads.
+    """
+    built = (offset_matrix(cfg.b_spec, cfg.p), column_offset(cfg.c_spec, cfg.p, cfg.n))
+    for m in built:
+        if m is not None:
+            m.flags.writeable = False
+    return built
+
+
+def _gap_from_matrices(
+    x: np.ndarray, zmat: np.ndarray, cfg: SwapConfig, offsets: Offsets | None
+) -> complex:
+    b, c = swap_offsets(cfg) if offsets is None else offsets
     traces = []
     for data in (x, zmat):
-        shifted = data if c is None else data + c
-        s = shifted @ shifted.T / cfg.n
+        s = spectra.sample_covariance(data if c is None else data + c)
         if b is not None:
-            s = s + b
+            s += b
         spec = matcore.eigh(s, want_vectors=False)
-        traces.append(matcore.resolvent_trace(spec, z))
+        traces.append(matcore.resolvent_trace(spec, cfg.z))
     return traces[0] - traces[1]
 
 
-def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> complex:
+def resolvent_gap(
+    cfg: SwapConfig, rng: np.random.Generator, offsets: Offsets | None = None
+) -> complex:
     """One draw of the swap gap Delta for a homogeneous column model.
 
     X is drawn from cfg.model and Z from its Gaussian twin, sequentially from
-    the given stream; |Delta| <= 2 / im(z) always holds.
+    the given stream; |Delta| <= 2 / im(z) always holds.  ``offsets`` is
+    ``swap_offsets(cfg)``, built here when not given.
     """
     if cfg.hetero is not None:
         raise DomainError("config carries per-column covariances; use resolvent_gap_hetero")
     x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
     zmat = sample_data_matrix(cfg.model.twin(), cfg.p, cfg.n, rng)
-    return _gap_from_matrices(x, zmat, cfg)
+    return _gap_from_matrices(x, zmat, cfg, offsets)
 
 
-def resolvent_gap_hetero(cfg: SwapConfig, rng: np.random.Generator) -> HeteroGapResult:
+def resolvent_gap_hetero(
+    cfg: SwapConfig, rng: np.random.Generator, offsets: Offsets | None = None
+) -> HeteroGapResult:
     """Swap gap with one covariance spec per column.
 
     Column k of X is Sigma_k^{1/2} u_k for an isotropic base draw u_k of
     cfg.model; column k of Z is Sigma_k^{1/2} g_k for standard Gaussian g_k.
     Both sides then share the per-column population covariances exactly.
     With all columns Identity this consumes the stream exactly like
-    ``resolvent_gap`` on the same config.
+    ``resolvent_gap`` on the same config.  ``offsets`` is as there.
     """
     if cfg.hetero is None:
         raise DomainError("config has no per-column covariances; use resolvent_gap")
@@ -202,7 +222,7 @@ def resolvent_gap_hetero(cfg: SwapConfig, rng: np.random.Generator) -> HeteroGap
     for k, spec in enumerate(cfg.hetero):
         x[:, k : k + 1] = scale_columns(spec, x[:, k : k + 1])
         zmat[:, k : k + 1] = scale_columns(spec, zmat[:, k : k + 1])
-    delta = _gap_from_matrices(x, zmat, cfg)
+    delta = _gap_from_matrices(x, zmat, cfg, offsets)
     return HeteroGapResult(delta=delta, avg_spread=average_spread(cfg.hetero, cfg.p))
 
 

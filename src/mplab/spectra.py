@@ -26,11 +26,17 @@ def sample_covariance(x) -> np.ndarray:
         raise InvalidInputError(f"data matrix must be 2-d, got shape {a.shape}")
     if a.shape[1] < 1:
         raise DomainError("need at least one column")
-    if not np.all(np.isfinite(a)):
+    # numpy forms a @ a.T with one symmetric rank-k update and mirrors the
+    # triangle, so the result is exactly symmetric.  A non-finite entry in
+    # row i, or an overflow in row i, makes s[i, i] non-finite: the diagonal
+    # check stands for a scan of the whole data matrix, and its error
+    # replaces the floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a @ a.T
+        s /= a.shape[1]
+    if not np.all(np.isfinite(np.diagonal(s))):
         raise InvalidInputError("data matrix has non-finite entries")
-    s = a @ a.T / a.shape[1]
-    # BLAS output is only symmetric up to rounding; make it exact.
-    return matcore.as_symmetric(s)
+    return s
 
 
 def esd(m, psd: bool = False) -> Spectrum:

@@ -345,3 +345,36 @@ def test_criterion_10_byte_determinism_across_worker_counts(capsys, tmp_path):
         "records and summaries byte-identical across reruns and "
         "MPLAB_THREADS in {1, 8} for esd and equivalence",
     )
+
+
+def test_default_worker_count_gives_the_sequential_bytes(tmp_path):
+    # With MPLAB_THREADS unset and BLAS pinned to one thread, trials fill
+    # every usable CPU; the bytes must be those of a one-worker run.
+    def run(tag: str, env: dict[str, str], argv: list[str]) -> tuple[bytes, bytes]:
+        out_path = tmp_path / f"{tag}.out"
+        path = [os.path.dirname(os.path.dirname(mplab.__file__))]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
+        child = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        for name in ("MPLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"):
+            child.pop(name, None)
+        child.update(env)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mplab.cli", *argv, "--out", str(out_path)],
+            capture_output=True, env=child, cwd=str(tmp_path), check=False,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return out_path.read_bytes(), proc.stdout
+
+    cases = {
+        "esd": ["esd", "--model", "sparse-spike", "--p", "128", "--n", "256",
+                "--trials", "6", "--seed", "42", "--format", "csv"],
+        "mp-property": ["mp-property", "--model", "iid-gauss", "--p", "128", "--n", "128",
+                        "--q", "64", "--frame", "haar", "--trials", "6", "--seed", "42",
+                        "--format", "json"],
+    }
+    for name, argv in cases.items():
+        sequential = run(f"{name}-t1", {"MPLAB_THREADS": "1"}, argv)
+        default = run(f"{name}-default", {"OPENBLAS_NUM_THREADS": "1"}, argv)
+        assert default == sequential, f"{name}: default worker count changed the bytes"

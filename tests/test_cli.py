@@ -240,6 +240,39 @@ def test_run_experiment_deterministic_across_workers(monkeypatch):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "env, expected",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+        ({"MKL_NUM_THREADS": "1"}, 2),
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OMP_NUM_THREADS": "2,1"}, 1),
+        # A malformed or zero value counts as unset, so the next one is read.
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
+        # An explicit MPLAB_THREADS wins.
+        ({"MPLAB_THREADS": "3"}, 3),
+        ({"MPLAB_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}, 1),
+    ],
+)
+def test_worker_count_fills_the_cpus_blas_leaves(monkeypatch, env, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for name in ("MPLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert worker_count() == expected
+
+
+def test_bad_worker_count_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("MPLAB_THREADS", "two")
+    code, out, err = run_main(["esd", "--model", "iid-gauss", "--p", "8", "--n", "8"], capsys)
+    assert code == 2 and "MPLAB_THREADS" in err and out == ""
+
+
 def test_timing_flag_controls_wall_ms():
     cfg = ExperimentConfig(experiment="facts", trials=2, seed=0, p=8, timing=True)
     out = run_experiment(cfg, rules=[])
@@ -509,6 +542,26 @@ def test_main_summary_is_strict_json_with_null_reason(tmp_path, capsys):
     assert "inf" in metrics["tail_dev_from_one_sigmas_reason"]
     assert summary["thresholds"][0]["observed"] is None
     assert summary["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, se_name",
+    [
+        (["esd", "--model", "iid-gauss", "--p", "8", "--n", "16"], "ks_se"),
+        (["conditions", "--model", "sparse-spike", "--p", "8", "--stat", "lindeberg",
+          "--eps", "0.5"], "tail_se"),
+    ],
+)
+def test_main_single_trial_has_no_standard_error(argv, se_name, capsys):
+    # One draw shows no spread: the library's estimate has se = inf, and the
+    # CLI reports the same se, as null with a reason.
+    code, _, err = run_main(argv + ["--trials", "1", "--no-thresholds"], capsys)
+    assert code == 0
+    metrics = _strict_json(err)["metrics"]
+    assert metrics[se_name] is None and "inf" in metrics[se_name + "_reason"]
+    if se_name == "tail_se":
+        assert metrics["tail_dev_from_one_sigmas"] is None
+        assert metrics["tail_dev_from_one_sigmas_reason"]
 
 
 def test_main_norm_drift_rejects_non_isotropic_model(capsys):

@@ -50,9 +50,9 @@ from mplab.ensembles import (
     derive_rng,
     sample_data_matrix,
 )
-from mplab.matcore import DomainError, InvalidInputError
+from mplab.matcore import DomainError, InvalidInputError, coordinate_frame, haar_frame
 from mplab.mp_law import MPLaw
-from mplab.spectra import esd, ks_distance, sample_covariance
+from mplab.spectra import esd, ks_distance, projected_covariance, sample_covariance
 
 
 def gaussian_tail_second_moment(c: float) -> float:
@@ -236,6 +236,20 @@ def test_mp_property_fixed_half_reproducible_by_hand():
     s = sample_covariance(x)
     e = esd(np.ascontiguousarray(s[:q, :q]), psd=True)
     assert got == ks_distance(e, MPLaw(q / n))
+
+
+@pytest.mark.parametrize("frame_mode", ["haar", "fixed-half"])
+def test_mp_property_matches_projected_covariance_oracle(frame_mode):
+    # The trial compresses the data before the Gram; the oracle compresses
+    # the Gram, C (X X^T / n) C^T.  The two differ only in rounding.
+    model, p, n, q = IIDGaussian(), 96, 80, 48
+    for seed in range(5):
+        got = mp_property_trial(model, p, n, q, derive_rng(seed), frame_mode=frame_mode)
+        rng = derive_rng(seed)
+        frame = haar_frame(q, p, rng) if frame_mode == "haar" else coordinate_frame(q, p)
+        s = sample_covariance(sample_data_matrix(model, p, n, rng))
+        e = esd(projected_covariance(frame, s), psd=True)
+        assert abs(got - ks_distance(e, MPLaw(q / n))) <= 1e-12
 
 
 def test_mp_property_haar_small_case_in_range():

@@ -25,6 +25,7 @@ from mplab.ensembles import (
     sample_data_matrix,
     sample_vector,
 )
+from mplab.ensembles import _BLOCK_BYTES
 from mplab.matcore import DomainError
 
 ALL_MODELS = (
@@ -315,19 +316,26 @@ def test_data_matrix_shape_and_column_order(model):
         dims = (1, 63, 64, 65)
     for p in dims:
         assert np.array_equal(model.twin().covariance(p), model.covariance(p))
-        for n in (1, 2, 7):
-            x = sample_data_matrix(model, p, n, derive_rng(10, p, n))
-            rng = derive_rng(10, p, n)
-            cols = np.column_stack([sample_vector(model, p, rng) for _ in range(n)])
-            rng = derive_rng(10, p, n)
-            ref = np.column_stack([reference_column(model, p, rng) for _ in range(n)])
-            assert x.shape == (p, n) and x.dtype == np.float64
-            assert x.flags.c_contiguous
-            for other in (cols, ref):
-                if dense:
-                    assert np.max(np.abs(x - other)) <= 1e-12 * np.max(np.abs(other))
-                else:
-                    assert np.array_equal(x, other), (p, n)
+    cases = [(p, n) for p in dims for n in (1, 2, 7)]
+    if isinstance(model, (IIDGaussian, IIDRademacher, IIDSparseSpike, WeakDependent)):
+        # These fill the matrix from row blocks of an n-by-p draw: span at
+        # least three blocks, the last one ragged.
+        step = _BLOCK_BYTES // (8 * 1024)
+        assert 300 >= 3 * step and 300 % step
+        cases += [(1024, 300), (1000, 300)]
+    for p, n in cases:
+        x = sample_data_matrix(model, p, n, derive_rng(10, p, n))
+        rng = derive_rng(10, p, n)
+        cols = np.column_stack([sample_vector(model, p, rng) for _ in range(n)])
+        rng = derive_rng(10, p, n)
+        ref = np.column_stack([reference_column(model, p, rng) for _ in range(n)])
+        assert x.shape == (p, n) and x.dtype == np.float64
+        assert x.flags.c_contiguous
+        for other in (cols, ref):
+            if dense:
+                assert np.max(np.abs(x - other)) <= 1e-12 * np.max(np.abs(other))
+            else:
+                assert np.array_equal(x, other), (p, n)
 
 
 # ---------------------------------------------------------------------------

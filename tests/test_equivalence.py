@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mplab.equivalence as equivalence
+from mplab.cli.config import ExperimentConfig
+from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
     BandToeplitz,
     GaussianCov,
@@ -33,6 +36,7 @@ from mplab.equivalence import (
     parse_offset_spec,
     resolvent_gap,
     resolvent_gap_hetero,
+    swap_offsets,
 )
 from mplab.matcore import DomainError, spectral_norm
 
@@ -171,6 +175,26 @@ def test_gap_reproducible_and_column_offset_changes_it():
     assert resolvent_gap(cfg, derive_rng(5)) == resolvent_gap(cfg, derive_rng(5))
     shifted = SwapConfig(IIDGaussian(), 16, 32, 1j, c_spec=ConstantColumns(1.0))
     assert resolvent_gap(shifted, derive_rng(5)) != resolvent_gap(cfg, derive_rng(5))
+
+
+def test_offsets_are_built_once_per_run_and_shared_read_only(monkeypatch):
+    cfg = SwapConfig(IIDRademacher(), 16, 32, 1j, b_spec=RandomPSDUnitNorm(3),
+                     c_spec=ConstantColumns(0.5))
+    offsets = swap_offsets(cfg)
+    assert all(not m.flags.writeable for m in offsets)
+    assert resolvent_gap(cfg, derive_rng(9), offsets) == resolvent_gap(cfg, derive_rng(9))
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return offset_matrix(*args)
+
+    monkeypatch.setattr(equivalence, "offset_matrix", counted)
+    run = ExperimentConfig(experiment="equivalence", model="iid-rademacher", p=16, n=32,
+                           trials=3, seed=1, zs=(1j, -1 + 0.5j), b_spec="psd:3")
+    assert len(run_experiment(run, rules=[]).records) == 6
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mplab.ensembles import IIDGaussian, derive_rng, sample_data_matrix
+from mplab.ensembles import IIDGaussian, IIDSparseSpike, derive_rng, sample_data_matrix
 from mplab.matcore import (
     DomainError,
     InvalidInputError,
     Spectrum,
+    as_symmetric,
     coordinate_frame,
     haar_frame,
     resolvent_trace,
@@ -71,8 +72,29 @@ def test_sample_covariance_rejects_bad_input():
         sample_covariance(np.ones(4))
     with pytest.raises(DomainError):
         sample_covariance(np.ones((3, 0)))
-    with pytest.raises(InvalidInputError):
-        sample_covariance(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+    # Finiteness is read off the diagonal of the Gram: a bad entry anywhere,
+    # or entries whose squares overflow, must still be caught.
+    for bad in (np.nan, np.inf, -np.inf, 1e200):
+        for i, j in ((0, 0), (2, 4), (4, 6)):
+            x = np.ones((5, 7))
+            x[i, j] = bad
+            for a in (x, np.asfortranarray(x)):
+                with pytest.raises(InvalidInputError):
+                    sample_covariance(a)
+
+
+@pytest.mark.parametrize("p, n", [(5, 7), (1, 9), (9, 1), (64, 129), (257, 1000), (1024, 2048)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sample_covariance_is_the_mirrored_product_bit_for_bit(p, n, order):
+    # The old construction symmetrized a @ a.T / n by mirroring its lower
+    # triangle; numpy's symmetric product must give the same bits unmirrored.
+    # Sparse entries with random signs make signed zeros in the products.
+    rng = derive_rng(17, p, n)
+    x = np.asarray(IIDSparseSpike().sample(p, n, rng) * rng.standard_normal((p, n)), order=order)
+    s = sample_covariance(x)
+    old = as_symmetric(x @ x.T / n)
+    assert np.array_equal(s.view(np.uint64), old.view(np.uint64))
+    assert np.array_equal(s.view(np.uint64), s.T.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
