@@ -51,18 +51,7 @@ from .spectra import (
     projected_covariance,
     sample_covariance,
 )
-from .conditions import (
-    ChebyshevCheck,
-    MonteCarloEstimate,
-    QuadformStat,
-    chebyshev_bound_check,
-    concentration_probe,
-    cov_spread_stat,
-    lindeberg_stat,
-    mp_property_trial,
-    norm_drift_stat,
-    quadform_stat,
-)
+from .conditions import cov_spread_stat, mp_property_trial, norm_drift_stat
 from .equivalence import (
     ConstantColumns,
     HeteroGapResult,
@@ -79,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandToeplitz",
     "BlockXi",
-    "ChebyshevCheck",
     "ConstantColumns",
     "ConvergenceError",
     "CovSpec",
@@ -92,9 +80,7 @@ __all__ = [
     "Identity",
     "InvalidInputError",
     "MPLaw",
-    "MonteCarloEstimate",
     "ParseError",
-    "QuadformStat",
     "RandomPSDUnitNorm",
     "ScaledIdentity",
     "Spectrum",
@@ -105,8 +91,6 @@ __all__ = [
     "WeakDependent",
     "as_frame",
     "as_symmetric",
-    "chebyshev_bound_check",
-    "concentration_probe",
     "coordinate_frame",
     "cov_spread_stat",
     "derive_rng",
@@ -114,14 +98,12 @@ __all__ = [
     "esd",
     "haar_frame",
     "ks_distance",
-    "lindeberg_stat",
     "mp_property_trial",
     "norm_drift_stat",
     "parse_cov_spec",
     "parse_model_spec",
     "projected_covariance",
     "psd_sqrt",
-    "quadform_stat",
     "rank_one_trace_update",
     "resolvent_gap",
     "resolvent_gap_hetero",

@@ -9,6 +9,7 @@ long before producing anything useful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
@@ -73,7 +74,11 @@ class ExperimentConfig:
                     "%s=%d exceeds the dimension cap %d; refusing to run"
                     % (name, dim, MAX_DIM)
                 )
+        if self.eps is not None and not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise DomainError("eps must be positive and finite, got %r" % (self.eps,))
         for z in self.zs:
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise DomainError("resolvent point %r is not finite" % (z,))
             if not z.imag > 0.0:
                 raise DomainError("resolvent points must satisfy Im z > 0")
         if self.model is not None:

@@ -33,7 +33,7 @@ from ..ensembles import (
 )
 from ..spectra import esd, ks_distance, sample_covariance, write_esd_csv
 from ..conditions import (
-    chebyshev_bound_check,
+    chebyshev_bound,
     cov_spread_stat,
     draw_family_matrix,
     family_is_random,
@@ -126,10 +126,6 @@ def worker_count() -> int:
     return max(1, cpus // _blas_threads(cpus))
 
 
-def _freq_se(freq: float, trials: int) -> float:
-    return float(np.sqrt(freq * (1.0 - freq) / trials))
-
-
 def _require(cfg: ExperimentConfig, *names: str) -> None:
     missing = [name for name in names if getattr(cfg, name) in (None, ())]
     if missing:
@@ -140,6 +136,12 @@ def _require(cfg: ExperimentConfig, *names: str) -> None:
 
 def _values(records: list[TrialRecord], statistic: str) -> np.ndarray:
     return np.array([r.value for r in records if r.statistic == statistic], dtype=float)
+
+
+def _frequency(hits: np.ndarray) -> tuple[float, float]:
+    """Frequency of the true entries of hits, and its standard error."""
+    hits = hits.astype(float)
+    return float(np.mean(hits)), standard_error(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,10 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
     p, eps = cfg.p, cfg.eps
     base = {"model": cfg.model, "p": p, "eps": eps}
 
-    if stat == "quadform":
+    if stat in ("quadform", "chebyshev"):
+        # chebyshev runs the quadform trials and adds its bound to the summary.
+        if stat == "chebyshev" and not isinstance(model, GaussianCov):
+            raise InvalidInputError("the chebyshev statistic requires a gauss-cov model")
         family = parse_family_spec(cfg.family or "identity")
         sigma = quadform_sigma(model, p)
         spread = cov_spread_stat(np.eye(p) if sigma is None else sigma)
@@ -205,14 +210,19 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
 
         def summarize(records: list[TrialRecord]) -> dict[str, Any]:
             vals = _values(records, "quadform")
-            freq = float(np.mean(np.abs(vals) > eps))
-            return {
+            freq, se = _frequency(np.abs(vals) > eps)
+            metrics = {
                 "exceed_freq": freq,
-                "exceed_se": _freq_se(freq, vals.size),
+                "exceed_se": se,
                 "abs_mean": float(np.mean(np.abs(vals))),
                 "abs_max": float(np.max(np.abs(vals))),
                 "cov_spread": spread,
             }
+            if stat == "chebyshev":
+                bound = chebyshev_bound(family, spread, eps)
+                metrics["bound"] = bound
+                metrics["slack"] = bound + 4.0 * se - freq
+            return metrics
 
         return [fn] * cfg.trials, summarize
 
@@ -248,44 +258,15 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
 
         def summarize(records: list[TrialRecord]) -> dict[str, Any]:
             vals = _values(records, "norm_drift")
-            freq = float(np.mean(np.abs(vals) <= eps))
+            freq, se = _frequency(np.abs(vals) <= eps)
             return {
                 "within_freq": freq,
-                "within_se": _freq_se(freq, vals.size),
+                "within_se": se,
                 "abs_mean": float(np.mean(np.abs(vals))),
                 "abs_max": float(np.max(np.abs(vals))),
             }
 
         return [fn] * cfg.trials, summarize
-
-    if stat == "chebyshev":
-        if not isinstance(model, GaussianCov):
-            raise InvalidInputError("the chebyshev statistic requires a gauss-cov model")
-        family = parse_family_spec(cfg.family or "identity")
-        trials = cfg.trials
-
-        def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-            a = draw_family_matrix(family, p, rng)
-            check = chebyshev_bound_check(model.cov, a, p, eps, trials, rng)
-            return [
-                dict(base, statistic="cheb_exceed", value=check.observed, se=check.se),
-                dict(base, statistic="cheb_bound", value=check.bound),
-            ]
-
-        def summarize(records: list[TrialRecord]) -> dict[str, Any]:
-            observed = _values(records, "cheb_exceed")[0]
-            bound = _values(records, "cheb_bound")[0]
-            se = next(r.se for r in records if r.statistic == "cheb_exceed")
-            return {
-                "observed": float(observed),
-                "bound": float(bound),
-                "mc_se": float(se),
-                "slack": float(bound + 4.0 * se - observed),
-            }
-
-        # The Monte Carlo loop lives inside chebyshev_bound_check, so the
-        # whole statistic is a single trial.
-        return [fn], summarize
 
     raise InvalidInputError("unknown statistic: %r" % (stat,))
 

@@ -1,17 +1,17 @@
 """Concentration diagnostics for random-vector models.
 
 The spectral behavior of sample covariances is governed by a handful of
-scalar statistics of the column distribution.  This module estimates them by
-Monte Carlo:
+scalar statistics of the column distribution.  This module gives one draw
+of each; the Monte Carlo loop over draws is the CLI's trial runner
+(``mplab.cli.experiments.run_experiment``):
 
 * the truncated-second-moment (small-tail) statistic
-  (1/p) sum_k E X_k^2 1{|X_k| > eps sqrt(p)}, whose vanishing is the
+  (1/p) sum_k X_k^2 1{|X_k| > eps sqrt(p)}, whose mean vanishing is the
   iid-entry dividing line;
 * centered quadratic forms (x^T A x - tr(Sigma A)) / p over families of test
   matrices with a uniform operator-norm bound;
 * the covariance-spread statistic tr(Sigma^2) / p^2 and the Chebyshev-type
-  exceedance bound 2 ||A||^2 tr(Sigma^2) / (eps p)^2 it implies for Gaussian
-  columns;
+  exceedance bound it implies for Gaussian columns;
 * the squared-norm drift (x^T x - p) / p for isotropic models;
 * single trials of the projected-spectrum experiment: compress a sample
   covariance along a frame and measure the Kolmogorov distance to the limit
@@ -25,44 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, spectra
-from .ensembles import (
-    GaussianCov,
-    ParseError,
-    VectorModel,
-    sample_data_matrix,
-    sample_vector,
-)
+from .ensembles import ParseError, VectorModel, sample_data_matrix, sample_vector
 from .matcore import DomainError, InvalidInputError
 from .mp_law import MPLaw
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """A Monte Carlo mean with its standard error."""
-
-    value: float
-    se: float
-    trials: int
-
-
-@dataclass(frozen=True)
-class QuadformStat:
-    """One centered quadratic-form observation and its context."""
-
-    value: float
-    p: int
-    model: str
-    family: str
-
-
-@dataclass(frozen=True)
-class ChebyshevCheck:
-    """Observed exceedance frequency against its a-priori bound."""
-
-    observed: float
-    bound: float
-    se: float
-    trials: int
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +97,13 @@ def draw_family_matrix(family: MatrixFamily, p: int, rng: np.random.Generator) -
     if isinstance(family, HaarProjectorFamily):
         if not (1 <= family.q <= p):
             raise DomainError(f"projector rank {family.q} out of range for p={p}")
+        # A product of a matrix with its own transpose is computed as one
+        # triangle and mirrored, so these Gram draws are exactly symmetric.
         c = matcore.haar_frame(family.q, p, rng)
-        return matcore.as_symmetric(c.T @ c)
+        return c.T @ c
     if isinstance(family, RandomPSDFamily):
         g = rng.standard_normal((p, p))
-        w = matcore.as_symmetric(g @ g.T)
+        w = g @ g.T
         return w / matcore.spectral_norm(w)
     if isinstance(family, SquaredResolventFamily):
         g = rng.standard_normal((p, p))
@@ -193,15 +160,6 @@ def lindeberg_trial(model: VectorModel, p: int, eps: float, rng: np.random.Gener
     return float(np.sum(x2[np.abs(x) > eps * np.sqrt(float(p))])) / p
 
 
-def lindeberg_stat(
-    model: VectorModel, p: int, eps: float, trials: int, rng: np.random.Generator
-) -> MonteCarloEstimate:
-    """Monte Carlo estimate of (1/p) sum_k E X_k^2 1{|X_k| > eps sqrt(p)}."""
-    _check_positive(eps, "eps")
-    _check_trials(trials)
-    return _mc(np.array([lindeberg_trial(model, p, eps, rng) for _ in range(trials)]))
-
-
 def quadform_sigma(model: VectorModel, p: int) -> np.ndarray | None:
     """Population covariance for quadratic-form centering; None stands for I."""
     return None if model.isotropic else model.covariance(p)
@@ -220,40 +178,6 @@ def quadform_trial(
     return (float(x @ (a @ x)) - centering) / p
 
 
-def quadform_stat(model: VectorModel, a, rng: np.random.Generator) -> QuadformStat:
-    """One draw of the centered quadratic form (x^T A x - tr(Sigma A)) / p."""
-    a = matcore.as_symmetric(a)
-    p = a.shape[0]
-    value = quadform_trial(model, a, quadform_sigma(model, p), rng)
-    return QuadformStat(value=value, p=p, model=model.spec(), family="explicit")
-
-
-def concentration_probe(
-    model: VectorModel,
-    family: MatrixFamily,
-    p: int,
-    eps: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> MonteCarloEstimate:
-    """Exceedance frequency P(|x^T A x - tr(Sigma A)| / p > eps) over the family.
-
-    Deterministic families are drawn once; random families are redrawn every
-    trial (matrix first, then the vector, from the same stream).
-    """
-    _check_positive(eps, "eps")
-    _check_trials(trials)
-    sigma = quadform_sigma(model, p)
-    redraw = family_is_random(family)
-    a = None if redraw else draw_family_matrix(family, p, rng)
-    hits = np.empty(trials)
-    for t in range(trials):
-        if redraw:
-            a = draw_family_matrix(family, p, rng)
-        hits[t] = 1.0 if abs(quadform_trial(model, a, sigma, rng)) > eps else 0.0
-    return _mc(hits)
-
-
 def cov_spread_stat(sigma) -> float:
     """Covariance-spread statistic tr(Sigma^2) / p^2 of a symmetric Sigma."""
     s = matcore.as_square(sigma)
@@ -263,32 +187,19 @@ def cov_spread_stat(sigma) -> float:
     return float(np.sum(s * s)) / (p * p)
 
 
-def chebyshev_bound_check(
-    cov, a, p: int, eps: float, trials: int, rng: np.random.Generator
-) -> ChebyshevCheck:
-    """Compare Gaussian quadratic-form exceedance with its variance bound.
+def chebyshev_bound(family: MatrixFamily, spread: float, eps: float) -> float:
+    """Chebyshev bound on P(|x^T A x - tr(Sigma A)| / p > eps) for Gaussian x.
 
-    For x Gaussian with covariance Sigma and symmetric A,
-    Var(x^T A x) <= 2 ||A||^2 tr(Sigma^2), so
-    P(|x^T A x - tr(Sigma A)| > eps p) <= 2 ||A||^2 tr(Sigma^2) / (eps p)^2.
+    For x ~ N(0, Sigma) and symmetric A, Var(x^T A x) = 2 tr((Sigma A)^2)
+    <= 2 ||A||^2 tr(Sigma^2), so the exceedance probability is at most
+    2 ||A||^2 tr(Sigma^2) / (eps p)^2 <= 2 B^2 spread / eps^2, with B the
+    family's norm bound and spread = tr(Sigma^2) / p^2.  The right side holds
+    for every draw of A, so it also bounds a mixture over random draws of A
+    made independently of x.  Dividing by eps twice keeps a tiny eps from
+    underflowing eps^2 to zero; the cap keeps the bound finite.
     """
-    _check_positive(eps, "eps")
-    _check_trials(trials)
-    model = GaussianCov(cov)
-    a = matcore.as_symmetric(a)
-    if a.shape[0] != p:
-        raise DomainError(f"test matrix dimension {a.shape[0]} != p={p}")
-    sigma = cov.matrix(p)
-    norm_a = matcore.spectral_norm(a)
-    bound = 2.0 * norm_a**2 * float(np.sum(sigma * sigma)) / (eps * p) ** 2
-    centering = float(np.tensordot(sigma, a))
-    hits = np.empty(trials)
-    for t in range(trials):
-        x = sample_vector(model, p, rng)
-        value = float(x @ (a @ x)) - centering
-        hits[t] = 1.0 if abs(value) > eps * p else 0.0
-    est = _mc(hits)
-    return ChebyshevCheck(observed=est.value, bound=min(bound, 1e300), se=est.se, trials=trials)
+    b = family_norm_bound(family)
+    return min(2.0 * b * b * spread / eps / eps, 1e300)
 
 
 def require_isotropic(model: VectorModel) -> None:
@@ -325,12 +236,13 @@ def mp_property_trial(
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
     if frame_mode == "haar":
         frame = matcore.haar_frame(q, p, rng)
+        # C (X X^T / n) C^T is the sample covariance of the compressed data C X.
+        compressed = matcore.as_frame(frame) @ sample_data_matrix(model, p, n, rng)
     elif frame_mode == "fixed-half":
-        frame = matcore.coordinate_frame(q, p)
+        # The coordinate frame keeps the first q rows of X.
+        compressed = sample_data_matrix(model, p, n, rng)[:q]
     else:
         raise DomainError(f"unknown frame mode {frame_mode!r}")
-    # C (X X^T / n) C^T is the sample covariance of the compressed data C X.
-    compressed = matcore.as_frame(frame) @ sample_data_matrix(model, p, n, rng)
     e = spectra.esd(spectra.sample_covariance(compressed), psd=True)
     return spectra.ks_distance(e, MPLaw(q / n))
 
@@ -343,17 +255,3 @@ def standard_error(vals: np.ndarray) -> float:
     """Standard error of the mean of vals; inf below two values, where no spread is seen."""
     n = vals.size
     return float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-
-
-def _mc(vals: np.ndarray) -> MonteCarloEstimate:
-    return MonteCarloEstimate(value=float(np.mean(vals)), se=standard_error(vals), trials=vals.size)
-
-
-def _check_positive(v: float, name: str) -> None:
-    if not (v > 0 and np.isfinite(v)):
-        raise DomainError(f"{name} must be positive and finite, got {v}")
-
-
-def _check_trials(trials: int) -> None:
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")

@@ -550,11 +550,17 @@ def test_main_summary_is_strict_json_with_null_reason(tmp_path, capsys):
         (["esd", "--model", "iid-gauss", "--p", "8", "--n", "16"], "ks_se"),
         (["conditions", "--model", "sparse-spike", "--p", "8", "--stat", "lindeberg",
           "--eps", "0.5"], "tail_se"),
+        (["conditions", "--model", "iid-gauss", "--p", "8", "--stat", "quadform",
+          "--eps", "0.5"], "exceed_se"),
+        (["conditions", "--model", "iid-gauss", "--p", "8", "--stat", "norm-drift",
+          "--eps", "0.5"], "within_se"),
+        (["conditions", "--model", "gauss-cov:identity", "--p", "8", "--stat", "chebyshev",
+          "--eps", "0.5"], "exceed_se"),
     ],
 )
 def test_main_single_trial_has_no_standard_error(argv, se_name, capsys):
-    # One draw shows no spread: the library's estimate has se = inf, and the
-    # CLI reports the same se, as null with a reason.
+    # One draw shows no spread: conditions.standard_error is inf, and the CLI
+    # reports it as null with a reason, whatever the statistic.
     code, _, err = run_main(argv + ["--trials", "1", "--no-thresholds"], capsys)
     assert code == 0
     metrics = _strict_json(err)["metrics"]
@@ -562,6 +568,60 @@ def test_main_single_trial_has_no_standard_error(argv, se_name, capsys):
     if se_name == "tail_se":
         assert metrics["tail_dev_from_one_sigmas"] is None
         assert metrics["tail_dev_from_one_sigmas_reason"]
+    if "chebyshev" in argv:
+        assert metrics["slack"] is None and "inf" in metrics["slack_reason"]
+
+
+_BAD_EPS = ("0", "-1", "nan", "inf")
+_COND = ["conditions", "--model", "gauss-cov:identity", "--p", "8"]
+_EQ = ["equivalence", "--model", "iid-gauss", "--p", "8", "--n", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(pytest.param([*_COND, "--stat", stat, "--eps", eps], id=f"{stat}-eps={eps}")
+          for stat in ("quadform", "lindeberg", "norm-drift", "chebyshev") for eps in _BAD_EPS),
+        *(pytest.param([*_EQ, "--eps", eps], id=f"equivalence-eps={eps}") for eps in _BAD_EPS),
+        *(pytest.param([*_EQ, "--z", z], id=f"equivalence-z={z}") for z in ("nan,1", "0,inf")),
+    ],
+)
+def test_main_rejects_non_finite_or_non_positive_eps_and_z(argv, tmp_path, capsys):
+    # Rejected while the config is built: no trial runs and no report is written.
+    out = tmp_path / "rows.csv"
+    code, stdout, err = run_main(argv + ["--trials", "2", "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["identity", "fixed-half", "random-psd", "haar-proj:3"])
+def test_chebyshev_report_is_the_quadform_report(family, tmp_path, capsys):
+    # chebyshev runs the quadform trials; only its summary adds the bound.
+    paths, summaries = {}, {}
+    for stat in ("quadform", "chebyshev"):
+        paths[stat] = tmp_path / f"{stat}.csv"
+        code, out, _ = run_main(
+            ["conditions", "--model", "gauss-cov:toeplitz:0.4", "--p", "12", "--stat", stat,
+             "--family", family, "--eps", "0.3", "--trials", "6", "--seed", "3",
+             "--out", str(paths[stat])],
+            capsys,
+        )
+        assert code == 0
+        summaries[stat] = _strict_json(out)
+    assert paths["quadform"].read_bytes() == paths["chebyshev"].read_bytes()
+    quad, cheb = summaries["quadform"]["metrics"], summaries["chebyshev"]["metrics"]
+    assert {k: cheb[k] for k in quad} == quad
+    assert set(cheb) - set(quad) == {"bound", "slack"}
+    assert cheb["slack"] == cheb["bound"] + 4.0 * cheb["exceed_se"] - cheb["exceed_freq"]
+    assert summaries["chebyshev"]["trials"] == 6
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in mplab.__all__ if not hasattr(mplab, name)]
+    assert missing == []
+    assert len(set(mplab.__all__)) == len(mplab.__all__)
 
 
 def test_main_norm_drift_rejects_non_isotropic_model(capsys):

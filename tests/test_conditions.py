@@ -7,8 +7,10 @@ Closed-form oracles used here:
   and Q(c) = 1 - Phi(c), by integration by parts.
 * Half-support squared norms: a block-xi vector has x^T x = 2 chi2_{p/2}
   exactly, so norm-drift band probabilities are chi-square cdf differences.
-* Gaussian identity quadratic form: x^T x ~ chi2_p, so the exceedance
-  frequency in chebyshev_bound_check has an exact chi-square value.
+* Gaussian identity quadratic form: x^T x ~ chi2_p, so the chebyshev
+  statistic's exceedance frequency has an exact chi-square value.
+
+The Monte Carlo estimates go through ``run_experiment``, the one trial loop.
 """
 
 from __future__ import annotations
@@ -17,40 +19,49 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
+from mplab.cli.config import ExperimentConfig
+from mplab.cli.experiments import run_experiment
 from mplab.conditions import (
     FixedHalfProjectorFamily,
     HaarProjectorFamily,
     IdentityFamily,
     RandomPSDFamily,
     SquaredResolventFamily,
-    chebyshev_bound_check,
-    concentration_probe,
+    chebyshev_bound,
     cov_spread_stat,
     draw_family_matrix,
     family_is_random,
     family_norm_bound,
     family_spec_string,
-    lindeberg_stat,
     mp_property_trial,
     norm_drift_stat,
     parse_family_spec,
-    quadform_stat,
+    quadform_sigma,
+    quadform_trial,
+    standard_error,
 )
 from mplab.ensembles import (
     BlockXi,
     GaussianCov,
     IIDGaussian,
     IIDRademacher,
-    IIDSparseSpike,
-    Identity,
     ParseError,
     Spiked,
     Toeplitz,
     WeakDependent,
     derive_rng,
+    parse_model_spec,
     sample_data_matrix,
 )
-from mplab.matcore import DomainError, InvalidInputError, coordinate_frame, haar_frame
+from mplab.matcore import (
+    DomainError,
+    InvalidInputError,
+    as_frame,
+    as_symmetric,
+    coordinate_frame,
+    haar_frame,
+    spectral_norm,
+)
 from mplab.mp_law import MPLaw
 from mplab.spectra import esd, ks_distance, projected_covariance, sample_covariance
 
@@ -59,109 +70,127 @@ def gaussian_tail_second_moment(c: float) -> float:
     return 2.0 * (c * norm.pdf(c) + norm.sf(c))
 
 
+def conditions(seed: int = 0, **kwargs) -> dict:
+    """Summary metrics of an ungraded conditions run."""
+    cfg = ExperimentConfig(experiment="conditions", seed=seed, **kwargs)
+    return run_experiment(cfg, rules=[]).summary["metrics"]
+
+
 # ---------------------------------------------------------------------------
-# lindeberg_stat
+# lindeberg
 
 
 def test_lindeberg_gaussian_matches_closed_form():
     p, eps, trials = 16, 0.25, 20_000
-    est = lindeberg_stat(IIDGaussian(), p, eps, trials, derive_rng(0))
+    out = run_experiment(
+        ExperimentConfig(experiment="conditions", model="iid-gauss", stat="lindeberg",
+                         p=p, eps=eps, trials=trials), rules=[]
+    ).summary
+    m = out["metrics"]
     expected = gaussian_tail_second_moment(eps * np.sqrt(p))  # c = 1.0
     assert expected == pytest.approx(0.80127, abs=5e-5)  # frozen from the oracle
-    assert abs(est.value - expected) < 4 * est.se
-    assert est.trials == trials
+    assert abs(m["tail_mean"] - expected) < 4 * m["tail_se"]
+    assert out["trials"] == trials
 
 
 def test_lindeberg_rademacher_is_exact_indicator():
     # cut above 1: no entry ever exceeds, tail mass identically zero.
-    est = lindeberg_stat(IIDRademacher(), 16, 0.5, 50, derive_rng(1))
-    assert est.value == 0.0 and est.se == 0.0
+    m = conditions(1, model="iid-rademacher", stat="lindeberg", p=16, eps=0.5, trials=50)
+    assert m["tail_mean"] == 0.0 and m["tail_se"] == 0.0 and m["tail_max"] == 0.0
     # cut below 1: every entry exceeds, statistic is exactly 1 each trial.
-    est = lindeberg_stat(IIDRademacher(), 16, 0.2, 50, derive_rng(1))
-    assert est.value == 1.0 and est.se == 0.0
+    m = conditions(1, model="iid-rademacher", stat="lindeberg", p=16, eps=0.2, trials=50)
+    assert m["tail_mean"] == 1.0 and m["tail_se"] == 0.0 and m["tail_max"] == 1.0
 
 
 def test_lindeberg_sparse_counts_spikes():
     p, trials = 32, 8000
-    rng = derive_rng(2)
-    est = lindeberg_stat(IIDSparseSpike(), p, 0.5, trials, rng)
+    m = conditions(2, model="sparse-spike", stat="lindeberg", p=p, eps=0.5, trials=trials)
     # Every nonzero entry has magnitude sqrt(p) > 0.5 sqrt(p) and contributes
     # p/p = 1, so the statistic equals the spike count: mean 1, variance ~ 1.
-    assert abs(est.value - 1.0) < 4 * est.se
-    assert est.se == pytest.approx(1.0 / np.sqrt(trials), rel=0.15)
+    assert abs(m["tail_mean"] - 1.0) < 4 * m["tail_se"]
+    assert m["tail_se"] == pytest.approx(1.0 / np.sqrt(trials), rel=0.15)
 
 
 def test_lindeberg_rejects_bad_args():
-    with pytest.raises(DomainError):
-        lindeberg_stat(IIDGaussian(), 8, -0.1, 10, derive_rng(0))
-    with pytest.raises(DomainError):
-        lindeberg_stat(IIDGaussian(), 8, 0.5, 0, derive_rng(0))
+    # eps and trials are checked once, where a run is configured.
+    for eps in (-0.1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="eps"):
+            ExperimentConfig(experiment="conditions", model="iid-gauss", stat="lindeberg",
+                             p=8, eps=eps, trials=10)
+    with pytest.raises(InvalidInputError, match="trials"):
+        ExperimentConfig(experiment="conditions", model="iid-gauss", stat="lindeberg",
+                         p=8, eps=0.5, trials=0)
 
 
 def test_single_trial_estimate_has_infinite_se():
-    est = lindeberg_stat(IIDGaussian(), 8, 0.5, 1, derive_rng(3))
-    assert est.se == np.inf
+    assert standard_error(np.array([0.25])) == np.inf
+    m = conditions(3, model="iid-gauss", stat="lindeberg", p=8, eps=0.5, trials=1)
+    assert m["tail_se"] is None and "inf" in m["tail_se_reason"]
 
 
 # ---------------------------------------------------------------------------
-# quadform_stat
+# quadform
 
 
 def test_quadform_rademacher_identity_is_exactly_zero():
     p = 24
-    out = quadform_stat(IIDRademacher(), np.eye(p), derive_rng(4))
-    assert out.value == 0.0
-    assert out.p == p
-    assert out.model == "iid-rademacher"
-    assert out.family == "explicit"
+    model = IIDRademacher()
+    assert quadform_trial(model, np.eye(p), quadform_sigma(model, p), derive_rng(4)) == 0.0
+    m = conditions(4, model="iid-rademacher", stat="quadform", family="identity",
+                   p=p, eps=1e-300, trials=5)
+    assert m["abs_max"] == 0.0 and m["exceed_freq"] == 0.0
 
 
 def test_quadform_gaussian_spiked_matrix_centers_correctly():
     p, trials = 16, 6000
+    model = IIDGaussian()
     a = np.diag(np.concatenate([[2.0], np.ones(p - 1)]))
+    sigma = quadform_sigma(model, p)
     rng = derive_rng(5)
-    vals = np.array([quadform_stat(IIDGaussian(), a, rng).value for _ in range(trials)])
-    se = vals.std(ddof=1) / np.sqrt(trials)
-    assert abs(vals.mean()) < 4 * se
+    vals = np.array([quadform_trial(model, a, sigma, rng) for _ in range(trials)])
+    assert abs(vals.mean()) < 4 * standard_error(vals)
 
 
 def test_quadform_nonisotropic_centering():
     # For GaussianCov the centering is tr(Sigma A), not tr(A).
     p, trials = 8, 6000
-    cov = Toeplitz(0.5)
-    model = GaussianCov(cov)
-    a = np.eye(p)
-    rng = derive_rng(6)
-    vals = np.array([quadform_stat(model, a, rng).value for _ in range(trials)])
-    se = vals.std(ddof=1) / np.sqrt(trials)
-    assert abs(vals.mean()) < 4 * se
+    model = GaussianCov(Toeplitz(0.5))
+    assert quadform_sigma(model, p) is not None
+    cfg = ExperimentConfig(experiment="conditions", model=model.spec(), stat="quadform",
+                           family="identity", p=p, eps=0.5, trials=trials, seed=6)
+    vals = np.array([r.value for r in run_experiment(cfg, rules=[]).records])
+    assert vals.size == trials
+    assert abs(vals.mean()) < 4 * standard_error(vals)
 
 
 # ---------------------------------------------------------------------------
-# concentration_probe
+# quadform exceedance frequency over a test-matrix family
 
 
 def test_probe_identity_family_rademacher_never_exceeds():
-    est = concentration_probe(IIDRademacher(), IdentityFamily(), 32, 0.1, 40, derive_rng(7))
-    assert est.value == 0.0
+    m = conditions(7, model="iid-rademacher", stat="quadform", family="identity",
+                   p=32, eps=0.1, trials=40)
+    assert m["exceed_freq"] == 0.0 and m["exceed_se"] == 0.0
 
 
 def test_probe_is_deterministic_given_stream():
-    a = concentration_probe(IIDGaussian(), RandomPSDFamily(), 16, 0.05, 25, derive_rng(8))
-    b = concentration_probe(IIDGaussian(), RandomPSDFamily(), 16, 0.05, 25, derive_rng(8))
+    cfg = ExperimentConfig(experiment="conditions", model="iid-gauss", stat="quadform",
+                           family="random-psd", p=16, eps=0.05, trials=25, seed=8)
+    a, b = run_experiment(cfg, rules=[]), run_experiment(cfg, rules=[])
     assert a == b
-    assert 0.0 <= a.value <= 1.0
+    assert 0.0 <= a.summary["metrics"]["exceed_freq"] <= 1.0
 
 
 def test_probe_small_dimension_gaussian_exceeds_often():
     # At p = 4 the normalized quadratic form has std ~ sqrt(2/p) = 0.71,
     # so exceedances at eps = 0.1 are common — sanity check direction.
-    est = concentration_probe(IIDGaussian(), IdentityFamily(), 4, 0.1, 400, derive_rng(9))
-    assert est.value > 0.5
+    m = conditions(9, model="iid-gauss", stat="quadform", family="identity",
+                   p=4, eps=0.1, trials=400)
+    assert m["exceed_freq"] > 0.5
 
 
 # ---------------------------------------------------------------------------
-# cov_spread_stat and chebyshev_bound_check
+# cov_spread_stat and the chebyshev bound
 
 
 def test_cov_spread_identity_and_spiked():
@@ -180,19 +209,27 @@ def test_cov_spread_rejects_asymmetric_matrix():
 
 def test_chebyshev_bound_hand_recompute_and_exact_frequency():
     p, eps, trials = 64, 0.5, 4000
-    out = chebyshev_bound_check(Identity(), np.eye(p), p, eps, trials, derive_rng(10))
-    # Bound: 2 * 1 * tr(I)/ (eps p)^2 = 2 / (eps^2 p).
-    assert out.bound == pytest.approx(2.0 / (eps * eps * p), rel=1e-12)
+    m = conditions(10, model="gauss-cov:identity", stat="chebyshev", family="identity",
+                   p=p, eps=eps, trials=trials)
+    # Bound: 2 * 1 * tr(I) / (eps p)^2 = 2 / (eps^2 p).
+    assert m["bound"] == pytest.approx(2.0 / (eps * eps * p), rel=1e-12)
+    assert chebyshev_bound(IdentityFamily(), 1.0 / p, eps) == m["bound"]
+    # The bound scales with the family's squared norm bound, and stays finite.
+    assert chebyshev_bound(SquaredResolventFamily(0.5j), 0.25, 0.5) == 2.0 * 16 * 0.25 / 0.25
+    assert chebyshev_bound(IdentityFamily(), 1.0, 1e-200) == 1e300
     # Exact exceedance for x^T x ~ chi2_p.
     exact = 1.0 - (chi2.cdf(p * (1 + eps), df=p) - chi2.cdf(p * (1 - eps), df=p))
     se = np.sqrt(exact * (1 - exact) / trials)
-    assert abs(out.observed - exact) < 4 * se
-    assert out.observed <= out.bound + 4 * out.se
+    assert abs(m["exceed_freq"] - exact) < 4 * se
+    assert m["slack"] == m["bound"] + 4 * m["exceed_se"] - m["exceed_freq"] >= 0.0
 
 
 def test_chebyshev_rejects_mismatched_matrix():
-    with pytest.raises(DomainError):
-        chebyshev_bound_check(Identity(), np.eye(4), 8, 0.5, 10, derive_rng(0))
+    # A test matrix that does not fit dimension p is refused.
+    cfg = ExperimentConfig(experiment="conditions", model="gauss-cov:identity",
+                           stat="chebyshev", family="haar-proj:9", p=8, eps=0.5, trials=2)
+    with pytest.raises(DomainError, match="projector rank 9"):
+        run_experiment(cfg, rules=[])
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +266,28 @@ def test_norm_drift_block_xi_matches_chi_square_band():
 # mp_property_trial
 
 
-def test_mp_property_fixed_half_reproducible_by_hand():
-    model, p, n, q = IIDGaussian(), 30, 60, 15
-    got = mp_property_trial(model, p, n, q, derive_rng(13), frame_mode="fixed-half")
-    x = sample_data_matrix(model, p, n, derive_rng(13))
-    s = sample_covariance(x)
-    e = esd(np.ascontiguousarray(s[:q, :q]), psd=True)
-    assert got == ks_distance(e, MPLaw(q / n))
+@pytest.mark.parametrize(
+    "spec",
+    ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
+     "gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,0", "weak-ma:1,0.5"],
+)
+def test_mp_property_fixed_half_reproducible_by_hand(spec):
+    # The trial slices the first q rows of X; multiplying by the coordinate
+    # frame selects the same rows and gives the same bits.
+    model = parse_model_spec(spec)
+    for p, n, q in ((30, 60, 15), (64, 33, 32), (10, 7, 1)):
+        for seed in (13, 14):
+            got = mp_property_trial(model, p, n, q, derive_rng(seed), frame_mode="fixed-half")
+            x = sample_data_matrix(model, p, n, derive_rng(seed))
+            s = sample_covariance(as_frame(coordinate_frame(q, p)) @ x)
+            assert got == ks_distance(esd(s, psd=True), MPLaw(q / n)), (p, n, q, seed)
+    if spec == "iid-gauss":
+        # Here the leading block of the full Gram also matches bit for bit.
+        p, n, q = 30, 60, 15
+        s = sample_covariance(sample_data_matrix(model, p, n, derive_rng(13)))
+        e = esd(np.ascontiguousarray(s[:q, :q]), psd=True)
+        got = mp_property_trial(model, p, n, q, derive_rng(13), frame_mode="fixed-half")
+        assert got == ks_distance(e, MPLaw(q / n))
 
 
 @pytest.mark.parametrize("frame_mode", ["haar", "fixed-half"])
@@ -286,6 +338,24 @@ def test_family_draws_have_claimed_structure():
     assert vals.min() > -1e-12 and vals.max() == pytest.approx(1.0, abs=1e-12)
     sq = draw_family_matrix(SquaredResolventFamily(0.5 + 2.0j), p, rng)
     assert np.max(np.abs(np.linalg.eigvalsh(sq))) <= 1.0 / 4.0 + 1e-12
+
+
+def test_gram_family_draws_are_exactly_symmetric_and_unchanged():
+    # c^T c and g g^T come out of one symmetric product; mirroring the lower
+    # triangle, as earlier versions did, changes no bit.
+    for p in (1, 2, 7, 64, 65, 130):
+        for family in (HaarProjectorFamily(max(1, p // 2)), RandomPSDFamily()):
+            got = draw_family_matrix(family, p, derive_rng(16, p))
+            rng = derive_rng(16, p)
+            if isinstance(family, HaarProjectorFamily):
+                c = haar_frame(family.q, p, rng)
+                expected = as_symmetric(c.T @ c)
+            else:
+                g = rng.standard_normal((p, p))
+                w = as_symmetric(g @ g.T)
+                expected = w / spectral_norm(w)
+            assert got.tobytes() == expected.tobytes(), (family, p)
+            assert got.tobytes() == got.T.copy().tobytes(), (family, p)
 
 
 def test_family_norm_bounds():
