@@ -266,12 +266,23 @@ def test_norm_drift_block_xi_matches_chi_square_band():
 # mp_property_trial
 
 
+def test_mp_property_fixed_half_reproducible_by_hand():
+    # The trial's spectrum equals the leading q x q block of the full Gram
+    # bit for bit.
+    model, p, n, q = IIDGaussian(), 30, 60, 15
+    got = mp_property_trial(model, p, n, q, derive_rng(13), frame_mode="fixed-half")
+    x = sample_data_matrix(model, p, n, derive_rng(13))
+    s = sample_covariance(x)
+    e = esd(np.ascontiguousarray(s[:q, :q]), psd=True)
+    assert got == ks_distance(e, MPLaw(q / n))
+
+
 @pytest.mark.parametrize(
     "spec",
     ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
      "gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,0", "weak-ma:1,0.5"],
 )
-def test_mp_property_fixed_half_reproducible_by_hand(spec):
+def test_mp_property_fixed_half_matches_coordinate_frame(spec):
     # The trial slices the first q rows of X; multiplying by the coordinate
     # frame selects the same rows and gives the same bits.
     model = parse_model_spec(spec)
@@ -281,13 +292,6 @@ def test_mp_property_fixed_half_reproducible_by_hand(spec):
             x = sample_data_matrix(model, p, n, derive_rng(seed))
             s = sample_covariance(as_frame(coordinate_frame(q, p)) @ x)
             assert got == ks_distance(esd(s, psd=True), MPLaw(q / n)), (p, n, q, seed)
-    if spec == "iid-gauss":
-        # Here the leading block of the full Gram also matches bit for bit.
-        p, n, q = 30, 60, 15
-        s = sample_covariance(sample_data_matrix(model, p, n, derive_rng(13)))
-        e = esd(np.ascontiguousarray(s[:q, :q]), psd=True)
-        got = mp_property_trial(model, p, n, q, derive_rng(13), frame_mode="fixed-half")
-        assert got == ks_distance(e, MPLaw(q / n))
 
 
 @pytest.mark.parametrize("frame_mode", ["haar", "fixed-half"])
