@@ -31,7 +31,7 @@ from ..ensembles import (
     parse_model_spec,
     sample_data_matrix,
 )
-from ..spectra import esd, ks_distance, sample_covariance, write_esd_csv
+from ..spectra import gram, gram_esd, ks_distance, sample_covariance, write_esd_csv
 from ..conditions import (
     chebyshev_bound,
     cov_spread_stat,
@@ -156,8 +156,8 @@ def _build_esd(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
 
     def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
         # X is freed once its Gram is formed, before the eigensolve.
-        s = sample_covariance(sample_data_matrix(model, cfg.p, cfg.n, rng))
-        d = ks_distance(esd(s, psd=True), law)
+        g = gram(sample_data_matrix(model, cfg.p, cfg.n, rng))
+        d = ks_distance(gram_esd(*g), law)
         return [dict(base, statistic="ks_distance", value=d)]
 
     return [fn] * cfg.trials, _summarize_ks
@@ -567,14 +567,17 @@ def dump_first_trial(
     matrix_path: str | None = None,
     esd_path: str | None = None,
 ) -> None:
-    """Rebuild trial 0's sample covariance and dump it and/or its spectrum."""
+    """Rebuild trial 0's sample covariance and dump it and/or its spectrum.
+
+    The spectrum is the one trial 0 grades; the matrix is always p-by-p.
+    """
     if cfg.experiment != "esd":
         raise InvalidInputError("matrix dumps are available for the esd experiment only")
     _require(cfg, "model", "p", "n")
     model = parse_model_spec(cfg.model)
     rng = derive_rng(cfg.seed, EXPERIMENT_CODES["esd"], 0)
-    s = sample_covariance(sample_data_matrix(model, cfg.p, cfg.n, rng))
+    x = sample_data_matrix(model, cfg.p, cfg.n, rng)
     if matrix_path:
-        write_matrix_dump(matrix_path, s)
+        write_matrix_dump(matrix_path, sample_covariance(x))
     if esd_path:
-        write_esd_csv(esd_path, esd(s, psd=True))
+        write_esd_csv(esd_path, gram_esd(*gram(x)))

@@ -235,16 +235,18 @@ def mp_property_trial(
     if not (1 <= q <= p):
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
     if frame_mode == "haar":
-        frame = matcore.haar_frame(q, p, rng)
-        # C (X X^T / n) C^T is the sample covariance of the compressed data C X.
-        compressed = matcore.as_frame(frame) @ sample_data_matrix(model, p, n, rng)
+        # C (X X^T / n) C^T is the sample covariance of the compressed data
+        # C X.  The frame is orthonormal by construction, so it is not
+        # re-validated.
+        compressed = matcore.haar_frame(q, p, rng) @ sample_data_matrix(model, p, n, rng)
     elif frame_mode == "fixed-half":
         # The coordinate frame keeps the first q rows of X.
         compressed = sample_data_matrix(model, p, n, rng)[:q]
     else:
         raise DomainError(f"unknown frame mode {frame_mode!r}")
-    e = spectra.esd(spectra.sample_covariance(compressed), psd=True)
-    return spectra.ks_distance(e, MPLaw(q / n))
+    g = spectra.gram(compressed)
+    del compressed  # X is freed before the eigensolve
+    return spectra.ks_distance(spectra.gram_esd(*g), MPLaw(q / n))
 
 
 # ---------------------------------------------------------------------------

@@ -219,11 +219,25 @@ def resolvent_gap_hetero(
         raise DomainError("per-column covariances require an isotropic base model")
     x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
     zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
-    for k, spec in enumerate(cfg.hetero):
-        x[:, k : k + 1] = scale_columns(spec, x[:, k : k + 1])
-        zmat[:, k : k + 1] = scale_columns(spec, zmat[:, k : k + 1])
+    _scale_each_column(cfg.hetero, x)
+    _scale_each_column(cfg.hetero, zmat)
     delta = _gap_from_matrices(x, zmat, cfg, offsets)
     return HeteroGapResult(delta=delta, avg_spread=average_spread(cfg.hetero, cfg.p))
+
+
+def _scale_each_column(covs: tuple[CovSpec, ...], m: np.ndarray) -> None:
+    """Replace column k of m by Sigma_k^{1/2} m[:, k], in place.
+
+    Each distinct root is applied once, to all of its columns, in first-seen
+    order.  That is bitwise the per-column product for identity and diagonal
+    roots; a dense root becomes one matrix product, which can round
+    differently from one product per column in the last digits.
+    """
+    columns: dict[CovSpec, list[int]] = {}
+    for k, spec in enumerate(covs):
+        columns.setdefault(spec, []).append(k)
+    for spec, cols in columns.items():
+        m[:, cols] = scale_columns(spec, m[:, cols])
 
 
 def average_spread(covs: tuple[CovSpec, ...], p: int) -> float:

@@ -42,7 +42,8 @@ class CheckResult:
 
 def _psd(rng: np.random.Generator, p: int) -> np.ndarray:
     g = rng.standard_normal((p, p))
-    return matcore.as_symmetric(g @ g.T / p)
+    # numpy forms g @ g.T as one triangle and mirrors it: exactly symmetric.
+    return g @ g.T / p
 
 
 def _square(rng: np.random.Generator, p: int) -> np.ndarray:

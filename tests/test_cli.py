@@ -45,7 +45,8 @@ from mplab.conditions import (
 )
 from mplab.ensembles import derive_rng, parse_model_spec, sample_data_matrix
 from mplab.matcore import DomainError, InvalidInputError
-from mplab.spectra import sample_covariance
+from mplab.mp_law import MPLaw
+from mplab.spectra import ks_distance, read_esd_csv, sample_covariance
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,16 @@ def test_dump_first_trial_matches_hand_recompute(tmp_path):
     bad = ExperimentConfig(experiment="facts", trials=1)
     with pytest.raises(InvalidInputError):
         dump_first_trial(bad, str(mpath), None)
+
+
+@pytest.mark.parametrize("model, p, n", [("iid-gauss", 24, 16), ("sparse-spike", 32, 64),
+                                          ("iid-rademacher", 16, 24)])
+def test_dumped_esd_is_the_spectrum_trial_zero_grades(tmp_path, model, p, n):
+    cfg = ExperimentConfig(experiment="esd", model=model, p=p, n=n, trials=2, seed=5)
+    epath = tmp_path / "esd.csv"
+    dump_first_trial(cfg, None, str(epath))
+    record = run_experiment(cfg, rules=[]).records[0]
+    assert ks_distance(read_esd_csv(str(epath)), MPLaw(p / n)) == record.value
 
 
 # ---------------------------------------------------------------------------

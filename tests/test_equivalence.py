@@ -20,6 +20,7 @@ from mplab.ensembles import (
     Toeplitz,
     WeakDependent,
     derive_rng,
+    scale_columns,
 )
 from mplab.equivalence import (
     ConstantColumns,
@@ -38,6 +39,7 @@ from mplab.equivalence import (
     resolvent_gap_hetero,
     swap_offsets,
 )
+from mplab.equivalence import _scale_each_column
 from mplab.matcore import DomainError, spectral_norm
 
 
@@ -233,3 +235,35 @@ def test_hetero_gap_bound_holds_for_spiked_columns():
     )
     out = resolvent_gap_hetero(cfg, derive_rng(8))
     assert abs(out.delta) <= 2.0 / 0.5 + 1e-12
+
+
+def test_grouped_column_scaling_matches_per_column_products():
+    # Each distinct root is applied once to all of its columns.  Identity and
+    # diagonal roots scale entrywise, so they keep the per-column bits; a
+    # dense root is one matrix product instead of one per column.
+    p, n = 12, 11
+    pattern = (Identity(), Toeplitz(0.5), Spiked(2, 3.0), Identity(), BandToeplitz((1.0, 0.3)))
+    covs = tuple(pattern[k % len(pattern)] for k in range(n))
+    m = derive_rng(21).standard_normal((p, n))
+    want = m.copy()
+    for k, spec in enumerate(covs):
+        want[:, k : k + 1] = scale_columns(spec, m[:, k : k + 1])
+    got = m.copy()
+    _scale_each_column(covs, got)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    exact = [k for k, spec in enumerate(covs) if isinstance(spec, (Identity, Spiked))]
+    assert np.array_equal(got[:, exact].view(np.uint64), want[:, exact].view(np.uint64))
+
+
+def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
+    p, n = 16, 12
+    covs = tuple((Identity(), Spiked(3, 2.5))[k % 2] for k in range(n))
+    cfg = SwapConfig(IIDRademacher(), p, n, 0.5 + 1j, hetero=covs)
+    rng = derive_rng(22)
+    x = IIDRademacher().sample(p, n, rng)
+    zmat = IIDGaussian().sample(p, n, rng)
+    for k, spec in enumerate(covs):
+        x[:, k : k + 1] = scale_columns(spec, x[:, k : k + 1])
+        zmat[:, k : k + 1] = scale_columns(spec, zmat[:, k : k + 1])
+    want = equivalence._gap_from_matrices(x, zmat, cfg, None)
+    assert resolvent_gap_hetero(cfg, derive_rng(22)).delta == want

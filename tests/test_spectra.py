@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mplab.ensembles import IIDGaussian, IIDSparseSpike, derive_rng, sample_data_matrix
+from mplab.cli.config import ExperimentConfig
+from mplab.cli.experiments import run_experiment
+from mplab.ensembles import (
+    IIDGaussian,
+    IIDSparseSpike,
+    derive_rng,
+    parse_model_spec,
+    sample_data_matrix,
+)
 from mplab.matcore import (
     DomainError,
     InvalidInputError,
@@ -20,6 +28,8 @@ from mplab.matcore import (
 from mplab.mp_law import MPLaw
 from mplab.spectra import (
     esd,
+    gram,
+    gram_esd,
     ks_distance,
     projected_covariance,
     read_esd_csv,
@@ -122,6 +132,124 @@ def test_esd_of_sample_covariance_is_nonnegative():
     assert np.all(e.eigenvalues >= 0)
     # p > n: rank deficiency forces at least p - n (near-)zero eigenvalues.
     assert np.count_nonzero(e.eigenvalues < 1e-12) >= 10
+
+
+# ---------------------------------------------------------------------------
+# gram and gram_esd
+
+MODELS = ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
+          "gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,0", "weak-ma:1,0.5"]
+
+
+@pytest.mark.parametrize("spec", MODELS)
+@pytest.mark.parametrize("p, n", [(24, 40), (32, 32), (40, 24), (4, 10), (10, 4), (4, 1)])
+def test_gram_esd_matches_full_eigensolve(spec, p, n):
+    check_gram_esd_against_full_eigensolve(parse_model_spec(spec), p, n)
+
+
+@pytest.mark.parametrize("spec", ["iid-gauss", "sparse-spike"])
+@pytest.mark.parametrize("n", [1, 5])
+def test_gram_esd_of_one_row(spec, n):
+    check_gram_esd_against_full_eigensolve(parse_model_spec(spec), 1, n)
+
+
+def check_gram_esd_against_full_eigensolve(model, p, n):
+    for seed in (3, 4):
+        x = sample_data_matrix(model, p, n, derive_rng(seed, p, n))
+        s = sample_covariance(x)
+        want = esd(s, psd=True).eigenvalues
+        g, dim = gram(x)
+        got = gram_esd(g, dim).eigenvalues
+        assert dim == p and got.size == p
+        assert np.all(np.diff(got) >= 0) and np.all(got >= 0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[-1], (model, p, n, seed)
+        # p - n eigenvalues are exact zeros; so are those of the zero rows of X.
+        zero_rows = int(np.sum(~x.any(axis=1)))
+        assert np.count_nonzero(got == 0.0) >= max(p - n, zero_rows)
+        if p <= n:
+            assert np.array_equal(g.view(np.uint64), s.view(np.uint64))
+            off_diagonal = np.count_nonzero(s - np.diag(np.diagonal(s)), axis=1)
+            if np.all(off_diagonal > 0):  # nothing deflated: the same bits
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        else:
+            assert g.shape == (n, n)
+            assert np.array_equal(g.view(np.uint64), g.T.view(np.uint64))
+
+
+@pytest.mark.parametrize("p, n", [(6, 4), (4, 6), (5, 5)])
+def test_gram_esd_of_zero_data_is_all_zeros(p, n):
+    got = gram_esd(*gram(np.zeros((p, n)))).eigenvalues
+    assert np.array_equal(got, np.zeros(p))
+
+
+def test_gram_esd_wider_than_tall_hand_case():
+    # p = n + 1: S = X X^T / 2 has rank 2, and X^T X / 2 = [[1, 1/2], [1/2, 1]]
+    # has eigenvalues 1/2 and 3/2; the third eigenvalue of S is exactly 0.
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    g, p = gram(x)
+    assert p == 3 and np.array_equal(g, [[1.0, 0.5], [0.5, 1.0]])
+    lam = gram_esd(g, p).eigenvalues
+    assert lam[0] == 0.0
+    assert np.allclose(lam, [0.0, 0.5, 1.5], rtol=0, atol=1e-15)
+
+
+def test_gram_esd_solves_a_row_with_one_off_diagonal_entry():
+    # Column 2 has two nonzeros, so rows 1 and 2 of the Gram each carry
+    # exactly one off-diagonal entry and must be solved together; row 0 has
+    # none, so its diagonal 1/3 is read off.  S = [[1, 0, 0], [0, 5, 1],
+    # [0, 1, 1]] / 3 has eigenvalues 1/3 and (3 -+ sqrt 5) / 3.
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
+    lam = gram_esd(*gram(x)).eigenvalues
+    r5 = np.sqrt(5.0)
+    assert np.allclose(lam, [(3.0 - r5) / 3.0, 1.0 / 3.0, (3.0 + r5) / 3.0], rtol=0, atol=1e-15)
+    assert lam[1] == sample_covariance(x)[0, 0]
+
+
+def test_gram_esd_reads_isolated_coordinates_off_exactly():
+    # Rows 0 and 3 of X are zero and row 2 shares no column with another row.
+    x = np.array([[0.0, 0.0, 0.0, 0.0],
+                  [1.0, 2.0, 0.0, 0.0],
+                  [0.0, 0.0, 3.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [2.0, -1.0, 0.0, 0.0]])
+    lam = gram_esd(*gram(x)).eigenvalues
+    # Rows 1 and 4 are orthogonal with squared norm 5; row 2 has squared norm 9.
+    assert np.array_equal(lam, np.array([0.0, 0.0, 5.0, 5.0, 9.0]) / 4.0)
+
+
+def test_gram_rejects_bad_input_in_both_orientations():
+    with pytest.raises(InvalidInputError):
+        gram(np.ones(4))
+    with pytest.raises(DomainError):
+        gram(np.ones((3, 0)))
+    for shape in ((5, 7), (7, 5)):
+        for bad in (np.nan, np.inf, -np.inf, 1e200):
+            for i, j in ((0, 0), (2, 4), (4, 3)):
+                x = np.ones(shape)
+                x[i, j] = bad
+                for a in (x, np.asfortranarray(x)):
+                    with pytest.raises(InvalidInputError):
+                        gram(a)
+
+
+def test_gram_esd_rejects_bad_input():
+    with pytest.raises(InvalidInputError):
+        gram_esd(np.ones((2, 3)), 3)
+    with pytest.raises(InvalidInputError):
+        gram_esd(np.array([[1.0, np.nan], [np.nan, 1.0]]), 2)
+    with pytest.raises(DomainError):
+        gram_esd(np.eye(3), 2)
+    with pytest.raises(InvalidInputError):
+        gram_esd(np.diag([-1.0, 1.0]), 3)
+
+
+def test_esd_experiment_above_ratio_one_grades_the_law():
+    # At p = 2n half the eigenvalues of S are exactly zero, matching the
+    # law's atom 1/2.  Rounded to +-1e-16 they used to put the KS near 0.25.
+    cfg = ExperimentConfig(experiment="esd", model="iid-gauss", p=256, n=128, trials=4,
+                           seed=1)
+    ks_mean = run_experiment(cfg, rules=[]).summary["metrics"]["ks_mean"]
+    assert ks_mean <= 0.03
 
 
 # ---------------------------------------------------------------------------
