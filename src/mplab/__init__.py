@@ -54,14 +54,13 @@ from .spectra import (
 from .conditions import cov_spread_stat, mp_property_trial, norm_drift_stat
 from .equivalence import (
     ConstantColumns,
-    HeteroGapResult,
     RandomPSDUnitNorm,
     ScaledIdentity,
     SwapConfig,
     resolvent_gap,
     resolvent_gap_hetero,
 )
-from .identities import run_check, run_suite
+from .identities import run_check
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "CovSpec",
     "DomainError",
     "GaussianCov",
-    "HeteroGapResult",
     "IIDGaussian",
     "IIDRademacher",
     "IIDSparseSpike",
@@ -109,7 +107,6 @@ __all__ = [
     "resolvent_gap_hetero",
     "resolvent_trace",
     "run_check",
-    "run_suite",
     "sample_covariance",
     "sample_data_matrix",
     "sample_vector",

@@ -1,4 +1,4 @@
-"""Experiment configuration: validation and a JSON-able round trip.
+"""Experiment configuration: validation and a JSON-able form.
 
 A config captures everything that determines a run except the worker
 count, so (config, seed) -> report is a pure function.  Dimensions are
@@ -10,12 +10,13 @@ long before producing anything useful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
-from ..matcore import DomainError, InvalidInputError
+from ..matcore import DomainError, InvalidInputError, require_upper_half
 from ..ensembles import parse_model_spec
 from ..conditions import parse_family_spec
+from ..equivalence import parse_column_spec, parse_offset_spec
 
 EXPERIMENTS = ("esd", "conditions", "mp-property", "equivalence", "law-tables", "facts")
 
@@ -77,14 +78,15 @@ class ExperimentConfig:
         if self.eps is not None and not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise DomainError("eps must be positive and finite, got %r" % (self.eps,))
         for z in self.zs:
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise DomainError("resolvent point %r is not finite" % (z,))
-            if not z.imag > 0.0:
-                raise DomainError("resolvent points must satisfy Im z > 0")
+            require_upper_half(z)
         if self.model is not None:
             parse_model_spec(self.model)  # raises ParseError on bad grammar
         if self.family is not None:
             parse_family_spec(self.family)
+        if self.b_spec is not None:
+            parse_offset_spec(self.b_spec)
+        if self.c_spec is not None:
+            parse_column_spec(self.c_spec)
         if self.stat is not None and self.stat not in CONDITION_STATS:
             raise InvalidInputError("unknown statistic: %r" % (self.stat,))
         if self.frame is not None and self.frame not in FRAME_MODES:
@@ -115,23 +117,4 @@ class ExperimentConfig:
             "rhos": list(self.rhos),
             "timing": self.timing,
         }
-
-
-def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    extra = set(data) - known
-    if extra:
-        raise InvalidInputError("unknown config keys: %s" % ", ".join(sorted(extra)))
-    kwargs: dict[str, Any] = dict(data)
-    if "zs" in kwargs:
-        kwargs["zs"] = tuple(complex(re, im) for re, im in kwargs["zs"])
-    if "hetero" in kwargs:
-        kwargs["hetero"] = tuple(kwargs["hetero"])
-    if "rhos" in kwargs:
-        kwargs["rhos"] = tuple(float(r) for r in kwargs["rhos"])
-    return ExperimentConfig(**kwargs)
-
-
-def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(cfg, seed=seed)
 

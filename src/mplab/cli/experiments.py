@@ -35,8 +35,6 @@ from ..spectra import gram, gram_esd, ks_distance, sample_covariance, write_esd_
 from ..conditions import (
     chebyshev_bound,
     cov_spread_stat,
-    draw_family_matrix,
-    family_is_random,
     lindeberg_trial,
     mp_property_trial,
     norm_drift_stat,
@@ -200,11 +198,10 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
         family = parse_family_spec(cfg.family or "identity")
         sigma = quadform_sigma(model, p)
         spread = cov_spread_stat(np.eye(p) if sigma is None else sigma)
-        redraw = family_is_random(family)
-        fixed = None if redraw else draw_family_matrix(family, p, derive_rng(0))
+        fixed = None if family.random else family.draw(p, None)
 
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-            a = draw_family_matrix(family, p, rng) if redraw else fixed
+            a = family.draw(p, rng) if family.random else fixed
             value = quadform_trial(model, a, sigma, rng)
             return [dict(base, statistic="quadform", value=value)]
 
@@ -297,7 +294,7 @@ def _build_equivalence(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
             if sc.hetero is None:
                 delta = resolvent_gap(sc, rng, offsets)
             else:
-                delta = resolvent_gap_hetero(sc, rng, offsets).delta
+                delta = resolvent_gap_hetero(sc, rng, offsets)
             return [dict(base, statistic="resolvent_gap", value=delta.real,
                          value_im=delta.imag, z_re=sc.z.real, z_im=sc.z.imag)]
         return fn

@@ -32,38 +32,98 @@ from .mp_law import MPLaw
 
 # ---------------------------------------------------------------------------
 # test-matrix families
+#
+# A family owns its behaviour: ``draw(p, rng)`` is one dense symmetric draw in
+# dimension p, ``random`` says whether draws consume the stream (a fixed
+# family ignores ``rng``, so None will do), ``norm_bound`` is the uniform
+# operator-norm bound every draw satisfies and ``spec()`` its grammar string.
+
+
+class _Family:
+    """Defaults shared by the families; subclasses set ``draw`` and ``name`` or ``spec``."""
+
+    random = True
+    norm_bound = 1.0
+
+    def spec(self) -> str:
+        return self.name
 
 
 @dataclass(frozen=True)
-class IdentityFamily:
+class IdentityFamily(_Family):
     """A = I_p (deterministic)."""
 
+    name = "identity"
+    random = False
+
+    def draw(self, p: int, rng: np.random.Generator | None) -> np.ndarray:
+        return np.eye(p)
+
 
 @dataclass(frozen=True)
-class HaarProjectorFamily:
+class HaarProjectorFamily(_Family):
     """Orthogonal projector onto a uniformly random q-dimensional subspace."""
 
     q: int
 
+    def draw(self, p: int, rng: np.random.Generator) -> np.ndarray:
+        if not (1 <= self.q <= p):
+            raise DomainError(f"projector rank {self.q} out of range for p={p}")
+        # A product of a matrix with its own transpose is computed as one
+        # triangle and mirrored, so these Gram draws are exactly symmetric.
+        c = matcore.haar_frame(self.q, p, rng)
+        return c.T @ c
+
+    def spec(self) -> str:
+        return f"haar-proj:{self.q}"
+
 
 @dataclass(frozen=True)
-class FixedHalfProjectorFamily:
+class FixedHalfProjectorFamily(_Family):
     """Deterministic projector onto the first floor(p/2) coordinates."""
 
+    name = "fixed-half"
+    random = False
+
+    def draw(self, p: int, rng: np.random.Generator | None) -> np.ndarray:
+        d = np.zeros(p)
+        d[: p // 2] = 1.0
+        return np.diag(d)
+
 
 @dataclass(frozen=True)
-class RandomPSDFamily:
+class RandomPSDFamily(_Family):
     """Wishart-type PSD matrix rescaled to unit operator norm."""
 
+    name = "random-psd"
+
+    def draw(self, p: int, rng: np.random.Generator) -> np.ndarray:
+        g = rng.standard_normal((p, p))
+        w = g @ g.T
+        return w / matcore.spectral_norm(w)
+
 
 @dataclass(frozen=True)
-class SquaredResolventFamily:
+class SquaredResolventFamily(_Family):
     """Real part of (C - z I)^{-2} for a random PSD C; norm bound 1/im(z)^2."""
 
     z: complex
 
     def __post_init__(self):
-        matcore.require_upper_half(self.z)
+        object.__setattr__(self, "z", matcore.require_upper_half(self.z))
+
+    @property
+    def norm_bound(self) -> float:
+        return 1.0 / self.z.imag ** 2
+
+    def draw(self, p: int, rng: np.random.Generator) -> np.ndarray:
+        g = rng.standard_normal((p, p))
+        base = matcore.eigh(g @ g.T / p)
+        diag = np.real(1.0 / (base.eigenvalues - self.z) ** 2)
+        return matcore.as_symmetric((base.eigenvectors * diag) @ base.eigenvectors.T)
+
+    def spec(self) -> str:
+        return f"sq-resolvent:{self.z.real!r},{self.z.imag!r}"
 
 
 MatrixFamily = (
@@ -75,70 +135,18 @@ MatrixFamily = (
 )
 
 
-def family_is_random(family: MatrixFamily) -> bool:
-    return isinstance(family, (HaarProjectorFamily, RandomPSDFamily, SquaredResolventFamily))
+def parse_family_spec(text: str) -> MatrixFamily:
+    """Parse a family spec string; the inverse of ``family.spec()``.
 
-
-def family_norm_bound(family: MatrixFamily) -> float:
-    """Uniform operator-norm bound every draw of the family satisfies."""
-    if isinstance(family, SquaredResolventFamily):
-        return 1.0 / complex(family.z).imag ** 2
-    return 1.0
-
-
-def draw_family_matrix(family: MatrixFamily, p: int, rng: np.random.Generator) -> np.ndarray:
-    """One dense symmetric draw of the family in dimension p."""
-    if isinstance(family, IdentityFamily):
-        return np.eye(p)
-    if isinstance(family, FixedHalfProjectorFamily):
-        d = np.zeros(p)
-        d[: p // 2] = 1.0
-        return np.diag(d)
-    if isinstance(family, HaarProjectorFamily):
-        if not (1 <= family.q <= p):
-            raise DomainError(f"projector rank {family.q} out of range for p={p}")
-        # A product of a matrix with its own transpose is computed as one
-        # triangle and mirrored, so these Gram draws are exactly symmetric.
-        c = matcore.haar_frame(family.q, p, rng)
-        return c.T @ c
-    if isinstance(family, RandomPSDFamily):
-        g = rng.standard_normal((p, p))
-        w = g @ g.T
-        return w / matcore.spectral_norm(w)
-    if isinstance(family, SquaredResolventFamily):
-        g = rng.standard_normal((p, p))
-        base = matcore.eigh(g @ g.T / p)
-        z = complex(family.z)
-        diag = np.real(1.0 / (base.eigenvalues - z) ** 2)
-        return matcore.as_symmetric((base.eigenvectors * diag) @ base.eigenvectors.T)
-    raise InvalidInputError(f"unknown matrix family {family!r}")
-
-
-def family_spec_string(family: MatrixFamily) -> str:
-    if isinstance(family, IdentityFamily):
-        return "identity"
-    if isinstance(family, HaarProjectorFamily):
-        return f"haar-proj:{family.q}"
-    if isinstance(family, FixedHalfProjectorFamily):
-        return "fixed-half"
-    if isinstance(family, RandomPSDFamily):
-        return "random-psd"
-    if isinstance(family, SquaredResolventFamily):
-        z = complex(family.z)
-        return f"sq-resolvent:{z.real:g},{z.imag:g}"
-    raise InvalidInputError(f"unknown matrix family {family!r}")
-
-
-def parse_family_spec(text: str):
-    """Parse 'identity' | 'haar-proj:q' | 'fixed-half' | 'random-psd' | 'sq-resolvent:re,im'."""
+    Grammar: identity | haar-proj:q | fixed-half | random-psd | sq-resolvent:re,im
+    """
     head, _, rest = text.strip().partition(":")
+    simple = {cls.name: cls for cls in (IdentityFamily, FixedHalfProjectorFamily, RandomPSDFamily)}
+    if head in simple:
+        if rest:
+            raise ParseError(f"matrix family {head!r} takes no arguments, got {rest!r}")
+        return simple[head]()
     try:
-        if head == "identity" and not rest:
-            return IdentityFamily()
-        if head == "fixed-half" and not rest:
-            return FixedHalfProjectorFamily()
-        if head == "random-psd" and not rest:
-            return RandomPSDFamily()
         if head == "haar-proj":
             return HaarProjectorFamily(int(rest))
         if head == "sq-resolvent":
@@ -198,7 +206,7 @@ def chebyshev_bound(family: MatrixFamily, spread: float, eps: float) -> float:
     made independently of x.  Dividing by eps twice keeps a tiny eps from
     underflowing eps^2 to zero; the cap keeps the bound finite.
     """
-    b = family_norm_bound(family)
+    b = family.norm_bound
     return min(2.0 * b * b * spread / eps / eps, 1e300)
 
 

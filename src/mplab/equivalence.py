@@ -12,20 +12,22 @@ the model's quadratic forms concentrate and its covariance spread vanishes,
 Delta tends to zero as p grows; models violating those conditions keep a
 visible gap.  Whatever the model, |Delta| <= 2 / im(z) deterministically.
 
-A heterogeneous variant assigns each column its own covariance and reports
-the averaged covariance-spread statistic (1/(n p^2)) sum_k tr(Sigma_k^2)
-alongside the gap, since that quantity controls whether the swap is valid.
+A heterogeneous variant assigns each column its own covariance;
+``average_spread`` gives the averaged covariance-spread statistic
+(1/(n p^2)) sum_k tr(Sigma_k^2), since that quantity controls whether the
+swap is valid.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore, spectra
-from .conditions import RandomPSDFamily, draw_family_matrix
+from .conditions import RandomPSDFamily
 from .ensembles import (
     CovSpec,
     IIDGaussian,
@@ -35,11 +37,14 @@ from .ensembles import (
     sample_data_matrix,
     scale_columns,
 )
-from .matcore import DomainError, InvalidInputError
+from .matcore import DomainError
 
 
 # ---------------------------------------------------------------------------
 # offsets
+#
+# An offset owns its behaviour: ``build`` is the dense matrix in dimension p
+# (p-by-n for a column offset) and ``spec()`` its grammar string.
 
 
 @dataclass(frozen=True)
@@ -48,12 +53,32 @@ class ScaledIdentity:
 
     beta: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise DomainError(f"offset scale must be finite, got {self.beta}")
+
+    def build(self, p: int) -> np.ndarray:
+        return self.beta * np.eye(p)
+
+    def spec(self) -> str:
+        return f"id:{self.beta!r}"
+
 
 @dataclass(frozen=True)
 class RandomPSDUnitNorm:
     """A fixed unit-norm PSD offset, generated deterministically from a seed."""
 
     seed: int
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"offset seed must be non-negative, got {self.seed}")
+
+    def build(self, p: int) -> np.ndarray:
+        return RandomPSDFamily().draw(p, derive_rng(self.seed, 0))
+
+    def spec(self) -> str:
+        return f"psd:{self.seed}"
 
 
 BSpec = None | ScaledIdentity | RandomPSDUnitNorm
@@ -64,6 +89,17 @@ class ConstantColumns:
     """Every column of C equals gamma * ones(p) / sqrt(p), so ||C C^T / n|| = gamma^2."""
 
     gamma: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise DomainError(f"column-offset scale must be finite, got {self.gamma}")
+
+    def build(self, p: int, n: int) -> np.ndarray:
+        col = self.gamma * np.ones(p) / np.sqrt(float(p))
+        return np.tile(col[:, None], (1, n))
+
+    def spec(self) -> str:
+        return f"const:{self.gamma!r}"
 
 
 CSpec = None | ConstantColumns
@@ -91,33 +127,6 @@ class SwapConfig:
             )
 
 
-@dataclass(frozen=True)
-class HeteroGapResult:
-    """Gap plus the averaged covariance-spread statistic of the column list."""
-
-    delta: complex
-    avg_spread: float
-
-
-def offset_matrix(b_spec: BSpec, p: int) -> np.ndarray | None:
-    if b_spec is None:
-        return None
-    if isinstance(b_spec, ScaledIdentity):
-        return b_spec.beta * np.eye(p)
-    if isinstance(b_spec, RandomPSDUnitNorm):
-        return draw_family_matrix(RandomPSDFamily(), p, derive_rng(b_spec.seed, 0))
-    raise InvalidInputError(f"unknown offset spec {b_spec!r}")
-
-
-def column_offset(c_spec: CSpec, p: int, n: int) -> np.ndarray | None:
-    if c_spec is None:
-        return None
-    if isinstance(c_spec, ConstantColumns):
-        col = c_spec.gamma * np.ones(p) / np.sqrt(float(p))
-        return np.tile(col[:, None], (1, n))
-    raise InvalidInputError(f"unknown column-offset spec {c_spec!r}")
-
-
 def parse_offset_spec(text: str) -> BSpec:
     """Grammar for additive offsets: ``id:<beta>`` or ``psd:<seed>``."""
     head, _, rest = text.strip().partition(":")
@@ -131,14 +140,6 @@ def parse_offset_spec(text: str) -> BSpec:
     raise ParseError(f"unknown offset spec {text!r}")
 
 
-def offset_spec_string(spec: BSpec) -> str:
-    if isinstance(spec, ScaledIdentity):
-        return f"id:{spec.beta!r}"
-    if isinstance(spec, RandomPSDUnitNorm):
-        return f"psd:{spec.seed}"
-    raise InvalidInputError(f"unknown offset spec {spec!r}")
-
-
 def parse_column_spec(text: str) -> CSpec:
     """Grammar for column offsets: ``const:<gamma>``."""
     head, _, rest = text.strip().partition(":")
@@ -150,12 +151,6 @@ def parse_column_spec(text: str) -> CSpec:
     raise ParseError(f"unknown column-offset spec {text!r}")
 
 
-def column_spec_string(spec: CSpec) -> str:
-    if isinstance(spec, ConstantColumns):
-        return f"const:{spec.gamma!r}"
-    raise InvalidInputError(f"unknown column-offset spec {spec!r}")
-
-
 Offsets = tuple[np.ndarray | None, np.ndarray | None]
 
 
@@ -165,7 +160,10 @@ def swap_offsets(cfg: SwapConfig) -> Offsets:
     They depend on neither z nor the trial, so one build serves every trial
     of a run, on any number of threads.
     """
-    built = (offset_matrix(cfg.b_spec, cfg.p), column_offset(cfg.c_spec, cfg.p, cfg.n))
+    built = (
+        None if cfg.b_spec is None else cfg.b_spec.build(cfg.p),
+        None if cfg.c_spec is None else cfg.c_spec.build(cfg.p, cfg.n),
+    )
     for m in built:
         if m is not None:
             m.flags.writeable = False
@@ -204,7 +202,7 @@ def resolvent_gap(
 
 def resolvent_gap_hetero(
     cfg: SwapConfig, rng: np.random.Generator, offsets: Offsets | None = None
-) -> HeteroGapResult:
+) -> complex:
     """Swap gap with one covariance spec per column.
 
     Column k of X is Sigma_k^{1/2} u_k for an isotropic base draw u_k of
@@ -221,8 +219,7 @@ def resolvent_gap_hetero(
     zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
     _scale_each_column(cfg.hetero, x)
     _scale_each_column(cfg.hetero, zmat)
-    delta = _gap_from_matrices(x, zmat, cfg, offsets)
-    return HeteroGapResult(delta=delta, avg_spread=average_spread(cfg.hetero, cfg.p))
+    return _gap_from_matrices(x, zmat, cfg, offsets)
 
 
 def _scale_each_column(covs: tuple[CovSpec, ...], m: np.ndarray) -> None:

@@ -203,7 +203,3 @@ def run_check(name: str, trials: int, seed: int, p_max: int = 40) -> CheckResult
         worst = max(worst, margin - tol)
     return CheckResult(name=name, trials=trials, violations=violations, worst_margin=worst)
 
-
-def run_suite(trials: int, seed: int, p_max: int = 40) -> list[CheckResult]:
-    """Run every registered check; all-zero violation counts is the contract."""
-    return [run_check(name, trials, seed, p_max) for name in CHECKS]

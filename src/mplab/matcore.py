@@ -11,6 +11,7 @@ validation, the error vocabulary and the tolerance constants.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +89,10 @@ def as_frame(c) -> np.ndarray:
 
 
 def require_upper_half(z: complex) -> complex:
+    """z as a complex number; it must be finite with im(z) > 0."""
     z = complex(z)
-    if not (z.imag > 0):
-        raise DomainError(f"resolvent point must satisfy im(z) > 0, got {z}")
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise DomainError(f"resolvent point must be finite with im(z) > 0, got {z}")
     return z
 
 

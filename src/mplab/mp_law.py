@@ -55,10 +55,6 @@ class MPLaw:
         """Mass of the point atom at zero (nonzero only for rho > 1)."""
         return max(1.0 - 1.0 / self.rho, 0.0)
 
-    def support(self) -> tuple[float, float, float]:
-        """Return (lower edge, upper edge, mass at zero)."""
-        return self.a, self.b, self.atom0
-
     # -- continuous part ---------------------------------------------------
 
     def density(self, x: float) -> float:

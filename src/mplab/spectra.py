@@ -144,14 +144,3 @@ def write_esd_csv(path, e: Spectrum) -> None:
         for v in e.eigenvalues:
             writer.writerow([f"{float(v):.17g}"])
 
-
-def read_esd_csv(path) -> Spectrum:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["eigenvalue"]:
-            raise InvalidInputError(f"unexpected ESD header {header!r}")
-        vals = np.array([float(row[0]) for row in reader])
-    if np.any(np.diff(vals) < 0):
-        raise InvalidInputError("ESD file is not sorted ascending")
-    return Spectrum(eigenvalues=vals)

@@ -17,8 +17,6 @@ from mplab.cli.config import (
     EXPERIMENT_CODES,
     MAX_DIM,
     ExperimentConfig,
-    config_from_dict,
-    with_seed,
 )
 from mplab.cli.experiments import (
     dump_first_trial,
@@ -37,16 +35,15 @@ from mplab.cli.records import (
     write_report,
 )
 from mplab.conditions import (
-    draw_family_matrix,
     lindeberg_trial,
     parse_family_spec,
     quadform_sigma,
     quadform_trial,
 )
 from mplab.ensembles import derive_rng, parse_model_spec, sample_data_matrix
-from mplab.matcore import DomainError, InvalidInputError
+from mplab.matcore import DomainError, InvalidInputError, Spectrum
 from mplab.mp_law import MPLaw
-from mplab.spectra import ks_distance, read_esd_csv, sample_covariance
+from mplab.spectra import ks_distance, sample_covariance
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +64,14 @@ def test_config_dict_round_trip():
         hetero=("identity", "toeplitz:0.5"),
         eps=0.03,
     )
-    assert config_from_dict(cfg.to_dict()) == cfg
     law = ExperimentConfig(experiment="law-tables", rhos=(0.1, 2.0))
-    assert config_from_dict(law.to_dict()) == law
+    for c in (cfg, law):
+        # The summary's config block is strict JSON and loses nothing.
+        d = json.loads(json.dumps(c.to_dict(), allow_nan=False))
+        assert set(d) == set(ExperimentConfig.__dataclass_fields__)
+        back = dict(d, zs=tuple(complex(*z) for z in d["zs"]), hetero=tuple(d["hetero"]),
+                    rhos=tuple(d["rhos"]))
+        assert ExperimentConfig(**back) == c
 
 
 def test_config_validation_errors():
@@ -87,17 +89,6 @@ def test_config_validation_errors():
 
     with pytest.raises(ParseError):
         ExperimentConfig(experiment="esd", model="iid-bogus", p=8, n=8)
-
-
-def test_config_from_dict_rejects_unknown_keys():
-    with pytest.raises(InvalidInputError):
-        config_from_dict({"experiment": "facts", "colour": "red"})
-
-
-def test_with_seed_replaces_only_seed():
-    cfg = ExperimentConfig(experiment="facts", trials=5, seed=1)
-    cfg2 = with_seed(cfg, 99)
-    assert cfg2.seed == 99 and cfg2.trials == 5 and cfg2.experiment == "facts"
 
 
 def test_experiment_codes_are_distinct():
@@ -303,7 +294,10 @@ def test_dumped_esd_is_the_spectrum_trial_zero_grades(tmp_path, model, p, n):
     epath = tmp_path / "esd.csv"
     dump_first_trial(cfg, None, str(epath))
     record = run_experiment(cfg, rules=[]).records[0]
-    assert ks_distance(read_esd_csv(str(epath)), MPLaw(p / n)) == record.value
+    with open(epath) as fh:
+        assert fh.readline() == "eigenvalue\n"
+        dumped = Spectrum(np.loadtxt(fh, ndmin=1))
+    assert ks_distance(dumped, MPLaw(p / n)) == record.value
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +589,11 @@ _EQ = ["equivalence", "--model", "iid-gauss", "--p", "8", "--n", "8"]
           for stat in ("quadform", "lindeberg", "norm-drift", "chebyshev") for eps in _BAD_EPS),
         *(pytest.param([*_EQ, "--eps", eps], id=f"equivalence-eps={eps}") for eps in _BAD_EPS),
         *(pytest.param([*_EQ, "--z", z], id=f"equivalence-z={z}") for z in ("nan,1", "0,inf")),
+        *(pytest.param([*_EQ, flag, spec], id=f"equivalence{flag}={spec}")
+          for flag, spec in (("--b", "psd:-1"), ("--b", "id:nan"), ("--b", "id:inf"),
+                             ("--c", "const:nan"))),
+        *(pytest.param([*_COND, "--family", "sq-resolvent:" + z, "--eps", "0.5"],
+                       id=f"quadform-family=sq-resolvent:{z}") for z in ("nan,1", "0,inf")),
     ],
 )
 def test_main_rejects_non_finite_or_non_positive_eps_and_z(argv, tmp_path, capsys):
@@ -697,7 +696,7 @@ def test_conditions_records_match_library_trials(stat, model, family):
         if stat == "lindeberg":
             expected.append(lindeberg_trial(m, p, eps, rng))
         else:
-            fam = parse_family_spec(family)
-            a = draw_family_matrix(fam, p, rng if family == "random-psd" else derive_rng(0))
+            # A fixed family's draw consumes no stream.
+            a = parse_family_spec(family).draw(p, rng)
             expected.append(quadform_trial(m, a, quadform_sigma(m, p), rng))
     assert got == expected

@@ -29,10 +29,6 @@ from mplab.conditions import (
     SquaredResolventFamily,
     chebyshev_bound,
     cov_spread_stat,
-    draw_family_matrix,
-    family_is_random,
-    family_norm_bound,
-    family_spec_string,
     mp_property_trial,
     norm_drift_stat,
     parse_family_spec,
@@ -340,16 +336,16 @@ def test_mp_property_validates_frame_args():
 def test_family_draws_have_claimed_structure():
     rng = derive_rng(15)
     p = 12
-    assert np.array_equal(draw_family_matrix(IdentityFamily(), p, rng), np.eye(p))
-    half = draw_family_matrix(FixedHalfProjectorFamily(), p, rng)
+    assert np.array_equal(IdentityFamily().draw(p, None), np.eye(p))
+    half = FixedHalfProjectorFamily().draw(p, None)
     assert np.array_equal(np.diag(half), [1.0] * 6 + [0.0] * 6)
-    proj = draw_family_matrix(HaarProjectorFamily(5), p, rng)
+    proj = HaarProjectorFamily(5).draw(p, rng)
     assert np.allclose(proj @ proj, proj, atol=1e-12)
     assert np.trace(proj) == pytest.approx(5.0, abs=1e-10)
-    w = draw_family_matrix(RandomPSDFamily(), p, rng)
+    w = RandomPSDFamily().draw(p, rng)
     vals = np.linalg.eigvalsh(w)
     assert vals.min() > -1e-12 and vals.max() == pytest.approx(1.0, abs=1e-12)
-    sq = draw_family_matrix(SquaredResolventFamily(0.5 + 2.0j), p, rng)
+    sq = SquaredResolventFamily(0.5 + 2.0j).draw(p, rng)
     assert np.max(np.abs(np.linalg.eigvalsh(sq))) <= 1.0 / 4.0 + 1e-12
 
 
@@ -358,7 +354,7 @@ def test_gram_family_draws_are_exactly_symmetric_and_unchanged():
     # triangle, as earlier versions did, changes no bit.
     for p in (1, 2, 7, 64, 65, 130):
         for family in (HaarProjectorFamily(max(1, p // 2)), RandomPSDFamily()):
-            got = draw_family_matrix(family, p, derive_rng(16, p))
+            got = family.draw(p, derive_rng(16, p))
             rng = derive_rng(16, p)
             if isinstance(family, HaarProjectorFamily):
                 c = haar_frame(family.q, p, rng)
@@ -372,17 +368,19 @@ def test_gram_family_draws_are_exactly_symmetric_and_unchanged():
 
 
 def test_family_norm_bounds():
-    assert family_norm_bound(IdentityFamily()) == 1.0
-    assert family_norm_bound(HaarProjectorFamily(3)) == 1.0
-    assert family_norm_bound(SquaredResolventFamily(1.0 + 0.5j)) == pytest.approx(4.0)
+    assert IdentityFamily().norm_bound == 1.0
+    assert FixedHalfProjectorFamily().norm_bound == 1.0
+    assert HaarProjectorFamily(3).norm_bound == 1.0
+    assert RandomPSDFamily().norm_bound == 1.0
+    assert SquaredResolventFamily(1.0 + 0.5j).norm_bound == pytest.approx(4.0)
 
 
 def test_family_randomness_flags():
-    assert not family_is_random(IdentityFamily())
-    assert not family_is_random(FixedHalfProjectorFamily())
-    assert family_is_random(HaarProjectorFamily(2))
-    assert family_is_random(RandomPSDFamily())
-    assert family_is_random(SquaredResolventFamily(1j))
+    assert not IdentityFamily().random
+    assert not FixedHalfProjectorFamily().random
+    assert HaarProjectorFamily(2).random
+    assert RandomPSDFamily().random
+    assert SquaredResolventFamily(1j).random
 
 
 @pytest.mark.parametrize(
@@ -393,11 +391,13 @@ def test_family_randomness_flags():
         FixedHalfProjectorFamily(),
         RandomPSDFamily(),
         SquaredResolventFamily(0.5 + 2.0j),
+        SquaredResolventFamily(0.1234567 + 1.0000001j),
     ],
-    ids=family_spec_string,
+    ids=["identity", "haar-proj:8", "fixed-half", "random-psd", "sq-resolvent:0.5,2",
+         "sq-resolvent:0.1234567,1.0000001"],
 )
 def test_family_spec_round_trip(family):
-    assert parse_family_spec(family_spec_string(family)) == family
+    assert parse_family_spec(family.spec()) == family
 
 
 def test_family_parse_errors_name_token():
@@ -407,10 +407,14 @@ def test_family_parse_errors_name_token():
         parse_family_spec("haar-proj:two")
     with pytest.raises(ParseError):
         parse_family_spec("sq-resolvent:1.0")
-    with pytest.raises(ParseError):
-        parse_family_spec("identity:1")
+    with pytest.raises(ParseError, match="takes no arguments"):
+        parse_family_spec("identity:3")
+    for text in ("sq-resolvent:nan,1", "sq-resolvent:0,inf"):
+        with pytest.raises(ParseError):
+            parse_family_spec(text)
 
 
 def test_sq_resolvent_requires_upper_half_z():
-    with pytest.raises(DomainError):
-        SquaredResolventFamily(1.0 - 0.5j)
+    for z in (1.0 - 0.5j, complex(float("nan"), 1.0), complex(0.0, float("inf"))):
+        with pytest.raises(DomainError):
+            SquaredResolventFamily(z)

@@ -24,15 +24,10 @@ from mplab.ensembles import (
 )
 from mplab.equivalence import (
     ConstantColumns,
-    HeteroGapResult,
     RandomPSDUnitNorm,
     ScaledIdentity,
     SwapConfig,
     average_spread,
-    column_offset,
-    column_spec_string,
-    offset_matrix,
-    offset_spec_string,
     parse_column_spec,
     parse_offset_spec,
     resolvent_gap,
@@ -61,15 +56,15 @@ def test_paired_gaussian_mappings():
 
 
 def test_offset_matrix_scaled_identity():
-    b = offset_matrix(ScaledIdentity(0.5), 4)
+    b = ScaledIdentity(0.5).build(4)
     assert np.array_equal(b, 0.5 * np.eye(4))
-    assert offset_matrix(None, 4) is None
+    assert swap_offsets(SwapConfig(IIDGaussian(), 4, 3, 1j)) == (None, None)
 
 
 def test_offset_matrix_psd_is_deterministic_unit_norm():
-    b1 = offset_matrix(RandomPSDUnitNorm(7), 16)
-    b2 = offset_matrix(RandomPSDUnitNorm(7), 16)
-    b3 = offset_matrix(RandomPSDUnitNorm(8), 16)
+    b1 = RandomPSDUnitNorm(7).build(16)
+    b2 = RandomPSDUnitNorm(7).build(16)
+    b3 = RandomPSDUnitNorm(8).build(16)
     assert np.array_equal(b1, b2)
     assert not np.array_equal(b1, b3)
     assert spectral_norm(b1) == pytest.approx(1.0, abs=1e-12)
@@ -77,29 +72,41 @@ def test_offset_matrix_psd_is_deterministic_unit_norm():
 
 
 def test_column_offset_constant_columns():
-    c = column_offset(ConstantColumns(2.0), 4, 3)
+    c = ConstantColumns(2.0).build(4, 3)
     assert c.shape == (4, 3)
     assert np.allclose(c, 2.0 / np.sqrt(4.0))
     assert np.allclose(np.linalg.norm(c[:, 0]) ** 2, 4.0)  # gamma^2 per column
-    assert column_offset(None, 4, 3) is None
 
 
 def test_offset_grammar_round_trips():
-    for spec in (ScaledIdentity(0.5), ScaledIdentity(1.0 / 3.0), RandomPSDUnitNorm(12)):
-        assert parse_offset_spec(offset_spec_string(spec)) == spec
-    c = ConstantColumns(1.0 / 3.0)
-    assert parse_column_spec(column_spec_string(c)) == c
+    for spec in (ScaledIdentity(0.5), ScaledIdentity(1.0 / 3.0), ScaledIdentity(-2.5e-300),
+                 RandomPSDUnitNorm(0), RandomPSDUnitNorm(12), RandomPSDUnitNorm(2**62)):
+        assert parse_offset_spec(spec.spec()) == spec
+    for c in (ConstantColumns(1.0 / 3.0), ConstantColumns(0.1 + 0.2), ConstantColumns(-0.0)):
+        assert parse_column_spec(c.spec()) == c
+
+
+def test_offsets_reject_negative_seed_and_non_finite_scale():
+    with pytest.raises(DomainError):
+        RandomPSDUnitNorm(-1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError):
+            ScaledIdentity(bad)
+        with pytest.raises(DomainError):
+            ConstantColumns(bad)
 
 
 def test_offset_grammar_errors():
     with pytest.raises(ParseError):
         parse_offset_spec("diag:1,2")
-    with pytest.raises(ParseError):
-        parse_offset_spec("id:one")
+    for text in ("id:one", "psd:-1", "id:nan", "id:inf"):
+        with pytest.raises(ParseError):
+            parse_offset_spec(text)
     with pytest.raises(ParseError):
         parse_column_spec("rows:0.5")
-    with pytest.raises(ParseError):
-        parse_column_spec("const:x")
+    for text in ("const:x", "const:nan"):
+        with pytest.raises(ParseError):
+            parse_column_spec(text)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +120,10 @@ def test_swap_config_validation():
         SwapConfig(IIDGaussian(), 8, 8, 1.0 - 1j)
     with pytest.raises(DomainError):
         SwapConfig(IIDGaussian(), 8, 4, 1j, hetero=(Identity(),) * 3)
+    nan, inf = float("nan"), float("inf")
+    for z in (complex(nan, 1.0), complex(0.0, inf), complex(inf, 1.0), complex(0.0, nan)):
+        with pytest.raises(DomainError):
+            SwapConfig(IIDGaussian(), 8, 8, z)
 
 
 def test_gap_entry_points_reject_wrong_variant():
@@ -187,12 +198,13 @@ def test_offsets_are_built_once_per_run_and_shared_read_only(monkeypatch):
     assert resolvent_gap(cfg, derive_rng(9), offsets) == resolvent_gap(cfg, derive_rng(9))
 
     calls = []
+    build = RandomPSDUnitNorm.build
 
-    def counted(*args):
-        calls.append(args)
-        return offset_matrix(*args)
+    def counted(self, p):
+        calls.append(p)
+        return build(self, p)
 
-    monkeypatch.setattr(equivalence, "offset_matrix", counted)
+    monkeypatch.setattr(RandomPSDUnitNorm, "build", counted)
     run = ExperimentConfig(experiment="equivalence", model="iid-rademacher", p=16, n=32,
                            trials=3, seed=1, zs=(1j, -1 + 0.5j), b_spec="psd:3")
     assert len(run_experiment(run, rules=[]).records) == 6
@@ -208,10 +220,8 @@ def test_hetero_identity_matches_homogeneous_gap_bitwise():
     homo = SwapConfig(IIDGaussian(), p, n, 1j)
     het = SwapConfig(IIDGaussian(), p, n, 1j, hetero=(Identity(),) * n)
     d_homo = resolvent_gap(homo, derive_rng(6))
-    out = resolvent_gap_hetero(het, derive_rng(6))
-    assert isinstance(out, HeteroGapResult)
-    assert out.delta == d_homo
-    assert out.avg_spread == pytest.approx(1.0 / p, rel=1e-15)
+    assert resolvent_gap_hetero(het, derive_rng(6)) == d_homo
+    assert average_spread(het.hetero, p) == pytest.approx(1.0 / p, rel=1e-15)
 
 
 def test_hetero_avg_spread_hand_formula():
@@ -219,13 +229,11 @@ def test_hetero_avg_spread_hand_formula():
     phi = 0.5
     specs = tuple(Identity() if k % 2 == 0 else Toeplitz(phi) for k in range(n))
     cfg = SwapConfig(IIDGaussian(), p, n, 1j, hetero=specs)
-    out = resolvent_gap_hetero(cfg, derive_rng(7))
     # tr(I^2) = p; tr(Toeplitz^2) = p + 2 sum_{h=1}^{p-1} (p - h) phi^{2h}.
     tr_toep = p + 2 * sum((p - h) * phi ** (2 * h) for h in range(1, p))
     expected = (3 * p + 3 * tr_toep) / (n * p * p)
-    assert out.avg_spread == pytest.approx(expected, rel=1e-12)
-    assert out.avg_spread == average_spread(specs, p)
-    assert abs(out.delta) <= 2.0 + 1e-12
+    assert average_spread(specs, p) == pytest.approx(expected, rel=1e-12)
+    assert abs(resolvent_gap_hetero(cfg, derive_rng(7))) <= 2.0 + 1e-12
 
 
 def test_hetero_gap_bound_holds_for_spiked_columns():
@@ -233,8 +241,7 @@ def test_hetero_gap_bound_holds_for_spiked_columns():
     cfg = SwapConfig(
         IIDRademacher(), p, n, 0.5 + 0.5j, hetero=(Spiked(1, 4.0),) * n
     )
-    out = resolvent_gap_hetero(cfg, derive_rng(8))
-    assert abs(out.delta) <= 2.0 / 0.5 + 1e-12
+    assert abs(resolvent_gap_hetero(cfg, derive_rng(8))) <= 2.0 / 0.5 + 1e-12
 
 
 def test_grouped_column_scaling_matches_per_column_products():
@@ -266,4 +273,4 @@ def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
         x[:, k : k + 1] = scale_columns(spec, x[:, k : k + 1])
         zmat[:, k : k + 1] = scale_columns(spec, zmat[:, k : k + 1])
     want = equivalence._gap_from_matrices(x, zmat, cfg, None)
-    assert resolvent_gap_hetero(cfg, derive_rng(22)).delta == want
+    assert resolvent_gap_hetero(cfg, derive_rng(22)) == want

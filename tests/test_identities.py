@@ -10,7 +10,6 @@ from mplab.identities import (
     CHECKS,
     CheckResult,
     run_check,
-    run_suite,
 )
 
 
@@ -23,7 +22,7 @@ def test_every_registered_check_passes_individually():
 
 
 def test_suite_zero_violations_small_dimensions():
-    results = run_suite(trials=200, seed=5, p_max=24)
+    results = [run_check(name, trials=200, seed=5, p_max=24) for name in CHECKS]
     assert [r.name for r in results] == list(CHECKS)
     for r in results:
         assert isinstance(r, CheckResult)
@@ -56,7 +55,7 @@ def test_unknown_check_name_raises():
 def test_checks_respect_dimension_cap():
     # p_max = 2 forces every drawn instance to dimension 2; the suite must
     # still hold there (the inequalities are dimension-free).
-    results = run_suite(trials=50, seed=11, p_max=2)
+    results = [run_check(name, trials=50, seed=11, p_max=2) for name in CHECKS]
     assert all(r.violations == 0 for r in results)
 
 

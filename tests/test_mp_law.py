@@ -44,8 +44,6 @@ def test_support_endpoints():
     law = MPLaw(0.25)
     assert law.a == pytest.approx(0.25)
     assert law.b == pytest.approx(2.25)
-    lo, hi, atom = law.support()
-    assert (lo, hi, atom) == (law.a, law.b, law.atom0)
 
 
 def test_atom_mass():
