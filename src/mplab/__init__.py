@@ -58,7 +58,6 @@ from .equivalence import (
     ScaledIdentity,
     SwapConfig,
     resolvent_gap,
-    resolvent_gap_hetero,
 )
 from .identities import run_check
 
@@ -104,7 +103,6 @@ __all__ = [
     "psd_sqrt",
     "rank_one_trace_update",
     "resolvent_gap",
-    "resolvent_gap_hetero",
     "resolvent_trace",
     "run_check",
     "sample_covariance",

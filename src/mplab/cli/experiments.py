@@ -50,7 +50,6 @@ from ..equivalence import (
     parse_column_spec,
     parse_offset_spec,
     resolvent_gap,
-    resolvent_gap_hetero,
     swap_offsets,
 )
 from ..identities import CHECKS, run_check
@@ -270,36 +269,26 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
 
 def _build_equivalence(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
     _require(cfg, "model", "p", "n")
-    model = parse_model_spec(cfg.model)
-    zs = cfg.zs or (1j,)
-    b_spec = parse_offset_spec(cfg.b_spec) if cfg.b_spec else None
-    c_spec = parse_column_spec(cfg.c_spec) if cfg.c_spec else None
-    hetero = None
-    avg_spread = None
-    if cfg.hetero:
-        pattern = [parse_cov_spec(s) for s in cfg.hetero]
-        hetero = tuple(islice(cycle(pattern), cfg.n))
-        avg_spread = average_spread(hetero, cfg.p)
-
-    swap_cfgs = [
-        SwapConfig(model, cfg.p, cfg.n, z, b_spec=b_spec, c_spec=c_spec, hetero=hetero)
-        for z in zs
-    ]
-    offsets = swap_offsets(swap_cfgs[0])  # shared by every z and trial
+    pattern = [parse_cov_spec(s) for s in cfg.hetero]
+    hetero = tuple(islice(cycle(pattern), cfg.n)) if pattern else None
+    swap = SwapConfig(
+        parse_model_spec(cfg.model), cfg.p, cfg.n, cfg.zs or (1j,),
+        b_spec=parse_offset_spec(cfg.b_spec) if cfg.b_spec else None,
+        c_spec=parse_column_spec(cfg.c_spec) if cfg.c_spec else None,
+        hetero=hetero,
+    )
+    avg_spread = None if hetero is None else average_spread(hetero, cfg.p)
+    offsets = swap_offsets(swap)  # shared by every trial
     base = {"model": cfg.model, "p": cfg.p, "n": cfg.n,
             "b_spec": cfg.b_spec, "c_spec": cfg.c_spec}
 
-    def make_fn(sc: SwapConfig) -> RowFn:
-        def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-            if sc.hetero is None:
-                delta = resolvent_gap(sc, rng, offsets)
-            else:
-                delta = resolvent_gap_hetero(sc, rng, offsets)
-            return [dict(base, statistic="resolvent_gap", value=delta.real,
-                         value_im=delta.imag, z_re=sc.z.real, z_im=sc.z.imag)]
-        return fn
-
-    fns = [make_fn(sc) for _ in range(cfg.trials) for sc in swap_cfgs]
+    def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
+        # One draw per trial, read at every z: one record per z.
+        return [
+            dict(base, statistic="resolvent_gap", value=delta.real, value_im=delta.imag,
+                 z_re=z.real, z_im=z.imag)
+            for z, delta in zip(swap.zs, resolvent_gap(swap, rng, offsets))
+        ]
 
     def summarize(records: list[TrialRecord]) -> dict[str, Any]:
         gaps = np.array([abs(complex(r.value, r.value_im or 0.0)) for r in records])
@@ -320,7 +309,7 @@ def _build_equivalence(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
             metrics["avg_spread"] = float(avg_spread)
         return metrics
 
-    return fns, summarize
+    return [fn] * cfg.trials, summarize
 
 
 def _build_law_tables(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:

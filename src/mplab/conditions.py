@@ -110,7 +110,10 @@ class SquaredResolventFamily(_Family):
     z: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "z", matcore.require_upper_half(self.z))
+        z = matcore.require_upper_half(self.z)
+        if z.imag ** 2 == 0.0:
+            raise DomainError(f"im(z)^2 underflows to 0 for z={z}; the norm bound is undefined")
+        object.__setattr__(self, "z", z)
 
     @property
     def norm_bound(self) -> float:

@@ -11,8 +11,9 @@ covariance, B is a fixed symmetric offset and C a fixed column offset.  When
 the model's quadratic forms concentrate and its covariance spread vanishes,
 Delta tends to zero as p grows; models violating those conditions keep a
 visible gap.  Whatever the model, |Delta| <= 2 / im(z) deterministically.
+One draw of X and Z gives Delta at every point z of a config.
 
-A heterogeneous variant assigns each column its own covariance;
+A heterogeneous config assigns each column its own covariance;
 ``average_spread`` gives the averaged covariance-spread statistic
 (1/(n p^2)) sum_k tr(Sigma_k^2), since that quantity controls whether the
 swap is valid.
@@ -107,12 +108,12 @@ CSpec = None | ConstantColumns
 
 @dataclass(frozen=True)
 class SwapConfig:
-    """Configuration of one Gaussian-swap comparison."""
+    """Configuration of one Gaussian-swap comparison, read at the points ``zs``."""
 
     model: VectorModel
     p: int
     n: int
-    z: complex
+    zs: tuple[complex, ...]
     b_spec: BSpec = None
     c_spec: CSpec = None
     hetero: tuple[CovSpec, ...] | None = None
@@ -120,11 +121,16 @@ class SwapConfig:
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
             raise DomainError(f"need positive dimensions, got p={self.p}, n={self.n}")
-        matcore.require_upper_half(self.z)
-        if self.hetero is not None and len(self.hetero) != self.n:
-            raise DomainError(
-                f"per-column covariance list has length {len(self.hetero)}, need n={self.n}"
-            )
+        if not self.zs:
+            raise DomainError("need at least one resolvent point")
+        object.__setattr__(self, "zs", tuple(map(matcore.require_upper_half, self.zs)))
+        if self.hetero is not None:
+            if len(self.hetero) != self.n:
+                raise DomainError(
+                    f"per-column covariance list has length {len(self.hetero)}, need n={self.n}"
+                )
+            if not self.model.isotropic:
+                raise DomainError("per-column covariances require an isotropic base model")
 
 
 def parse_offset_spec(text: str) -> BSpec:
@@ -170,56 +176,44 @@ def swap_offsets(cfg: SwapConfig) -> Offsets:
     return built
 
 
-def _gap_from_matrices(
+def resolvent_gap(
+    cfg: SwapConfig, rng: np.random.Generator, offsets: Offsets | None = None
+) -> tuple[complex, ...]:
+    """One draw of the swap gap Delta, read at every point of cfg.zs in order.
+
+    X is drawn from cfg.model and then Z, sequentially from the given stream.
+    Z is the model's Gaussian twin.  With per-column covariances, column k of
+    X is Sigma_k^{1/2} u_k for an isotropic base draw u_k of cfg.model and
+    column k of Z is Sigma_k^{1/2} g_k for standard Gaussian g_k, so both
+    sides share the per-column population covariances exactly; with all
+    columns Identity that is the homogeneous gap bit for bit.  The two
+    spectra are solved once; |Delta| <= 2 / im(z) holds at each z.
+    ``offsets`` is ``swap_offsets(cfg)``, built here when not given.
+    """
+    x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
+    if cfg.hetero is None:
+        zmat = sample_data_matrix(cfg.model.twin(), cfg.p, cfg.n, rng)
+    else:
+        zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
+        _scale_each_column(cfg.hetero, x)
+        _scale_each_column(cfg.hetero, zmat)
+    return _gaps_from_matrices(x, zmat, cfg, offsets)
+
+
+def _gaps_from_matrices(
     x: np.ndarray, zmat: np.ndarray, cfg: SwapConfig, offsets: Offsets | None
-) -> complex:
+) -> tuple[complex, ...]:
     b, c = swap_offsets(cfg) if offsets is None else offsets
-    traces = []
+    solved = []
     for data in (x, zmat):
         s = spectra.sample_covariance(data if c is None else data + c)
         if b is not None:
             s += b
-        spec = matcore.eigh(s, want_vectors=False)
-        traces.append(matcore.resolvent_trace(spec, cfg.z))
-    return traces[0] - traces[1]
-
-
-def resolvent_gap(
-    cfg: SwapConfig, rng: np.random.Generator, offsets: Offsets | None = None
-) -> complex:
-    """One draw of the swap gap Delta for a homogeneous column model.
-
-    X is drawn from cfg.model and Z from its Gaussian twin, sequentially from
-    the given stream; |Delta| <= 2 / im(z) always holds.  ``offsets`` is
-    ``swap_offsets(cfg)``, built here when not given.
-    """
-    if cfg.hetero is not None:
-        raise DomainError("config carries per-column covariances; use resolvent_gap_hetero")
-    x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
-    zmat = sample_data_matrix(cfg.model.twin(), cfg.p, cfg.n, rng)
-    return _gap_from_matrices(x, zmat, cfg, offsets)
-
-
-def resolvent_gap_hetero(
-    cfg: SwapConfig, rng: np.random.Generator, offsets: Offsets | None = None
-) -> complex:
-    """Swap gap with one covariance spec per column.
-
-    Column k of X is Sigma_k^{1/2} u_k for an isotropic base draw u_k of
-    cfg.model; column k of Z is Sigma_k^{1/2} g_k for standard Gaussian g_k.
-    Both sides then share the per-column population covariances exactly.
-    With all columns Identity this consumes the stream exactly like
-    ``resolvent_gap`` on the same config.  ``offsets`` is as there.
-    """
-    if cfg.hetero is None:
-        raise DomainError("config has no per-column covariances; use resolvent_gap")
-    if not cfg.model.isotropic:
-        raise DomainError("per-column covariances require an isotropic base model")
-    x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
-    zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
-    _scale_each_column(cfg.hetero, x)
-    _scale_each_column(cfg.hetero, zmat)
-    return _gap_from_matrices(x, zmat, cfg, offsets)
+        solved.append(matcore.eigh(s, want_vectors=False))
+    spec_x, spec_z = solved
+    return tuple(
+        matcore.resolvent_trace(spec_x, z) - matcore.resolvent_trace(spec_z, z) for z in cfg.zs
+    )
 
 
 def _scale_each_column(covs: tuple[CovSpec, ...], m: np.ndarray) -> None:

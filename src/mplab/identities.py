@@ -191,6 +191,8 @@ CHECKS: dict[str, Callable[[np.random.Generator, int], tuple[float, float]]] = {
 
 
 def run_check(name: str, trials: int, seed: int, p_max: int = 40) -> CheckResult:
+    if p_max < 2:
+        raise matcore.DomainError(f"largest matrix dimension must be at least 2, got {p_max}")
     fn = CHECKS[name]
     idx = list(CHECKS).index(name)
     violations = 0

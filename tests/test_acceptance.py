@@ -241,10 +241,10 @@ def test_criterion_07_swap_gap_scaling_and_shift_identity(capsys):
 
     shift_err = 0.0
     for t in range(3):
-        with_b = SwapConfig(IIDRademacher(), 256, 512, 1j, b_spec=ScaledIdentity(0.5))
-        without = SwapConfig(IIDRademacher(), 256, 512, -0.5 + 1j)
-        d1 = resolvent_gap(with_b, derive_rng(31, t))
-        d2 = resolvent_gap(without, derive_rng(31, t))
+        with_b = SwapConfig(IIDRademacher(), 256, 512, (1j,), b_spec=ScaledIdentity(0.5))
+        without = SwapConfig(IIDRademacher(), 256, 512, (-0.5 + 1j,))
+        d1 = resolvent_gap(with_b, derive_rng(31, t))[0]
+        d2 = resolvent_gap(without, derive_rng(31, t))[0]
         shift_err = max(shift_err, abs(d1 - d2))
     dt = time.perf_counter() - t0
 
@@ -330,6 +330,9 @@ def test_criterion_10_byte_determinism_across_worker_counts(capsys, tmp_path):
         "equivalence": ["equivalence", "--model", "iid-rademacher", "--p", "128",
                         "--n", "256", "--trials", "8", "--seed", "42",
                         "--z", "0.5,1", "--format", "json"],
+        "equivalence-multi-z": ["equivalence", "--model", "iid-rademacher", "--p", "128",
+                                "--n", "256", "--trials", "8", "--seed", "42",
+                                "--z", "0.5,1", "--z=-1,0.5", "--format", "json"],
     }
     all_ok = True
     for name, argv in cases.items():
@@ -343,7 +346,7 @@ def test_criterion_10_byte_determinism_across_worker_counts(capsys, tmp_path):
     report(
         capsys, "10", all_ok,
         "records and summaries byte-identical across reruns and "
-        "MPLAB_THREADS in {1, 8} for esd and equivalence",
+        "MPLAB_THREADS in {1, 8} for esd and equivalence at one and two z",
     )
 
 

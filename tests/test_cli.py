@@ -500,6 +500,15 @@ def test_main_facts_experiment_passes(capsys):
     assert summary["metrics"]["violations_total"] == 0
 
 
+def test_main_facts_rejects_dimension_cap_below_two(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code, stdout, err = run_main(["facts", "--trials", "2", "--p-max", "1",
+                                  "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_law_tables_single_rho(capsys):
     code, out, err = run_main(["law-tables", "--rho", "0.5", "--no-thresholds"], capsys)
     assert code == 0
@@ -594,6 +603,8 @@ _EQ = ["equivalence", "--model", "iid-gauss", "--p", "8", "--n", "8"]
                              ("--c", "const:nan"))),
         *(pytest.param([*_COND, "--family", "sq-resolvent:" + z, "--eps", "0.5"],
                        id=f"quadform-family=sq-resolvent:{z}") for z in ("nan,1", "0,inf")),
+        pytest.param([*_COND, "--stat", "chebyshev", "--family", "sq-resolvent:0,1e-200",
+                      "--eps", "0.5"], id="chebyshev-family=sq-resolvent:0,1e-200"),
     ],
 )
 def test_main_rejects_non_finite_or_non_positive_eps_and_z(argv, tmp_path, capsys):

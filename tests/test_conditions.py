@@ -409,12 +409,14 @@ def test_family_parse_errors_name_token():
         parse_family_spec("sq-resolvent:1.0")
     with pytest.raises(ParseError, match="takes no arguments"):
         parse_family_spec("identity:3")
-    for text in ("sq-resolvent:nan,1", "sq-resolvent:0,inf"):
+    for text in ("sq-resolvent:nan,1", "sq-resolvent:0,inf", "sq-resolvent:0,1e-200"):
         with pytest.raises(ParseError):
             parse_family_spec(text)
 
 
 def test_sq_resolvent_requires_upper_half_z():
-    for z in (1.0 - 0.5j, complex(float("nan"), 1.0), complex(0.0, float("inf"))):
+    # im(z) = 1e-200 squares to 0.0, where the norm bound 1 / im(z)^2 divides by zero.
+    for z in (1.0 - 0.5j, complex(float("nan"), 1.0), complex(0.0, float("inf")),
+              complex(0.0, 1e-200)):
         with pytest.raises(DomainError):
             SquaredResolventFamily(z)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mplab.equivalence as equivalence
-from mplab.cli.config import ExperimentConfig
+from mplab.cli.config import EXPERIMENT_CODES, ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
     BandToeplitz,
@@ -31,7 +31,6 @@ from mplab.equivalence import (
     parse_column_spec,
     parse_offset_spec,
     resolvent_gap,
-    resolvent_gap_hetero,
     swap_offsets,
 )
 from mplab.equivalence import _scale_each_column
@@ -58,7 +57,7 @@ def test_paired_gaussian_mappings():
 def test_offset_matrix_scaled_identity():
     b = ScaledIdentity(0.5).build(4)
     assert np.array_equal(b, 0.5 * np.eye(4))
-    assert swap_offsets(SwapConfig(IIDGaussian(), 4, 3, 1j)) == (None, None)
+    assert swap_offsets(SwapConfig(IIDGaussian(), 4, 3, (1j,))) == (None, None)
 
 
 def test_offset_matrix_psd_is_deterministic_unit_norm():
@@ -115,29 +114,21 @@ def test_offset_grammar_errors():
 
 def test_swap_config_validation():
     with pytest.raises(DomainError):
-        SwapConfig(IIDGaussian(), 0, 8, 1j)
+        SwapConfig(IIDGaussian(), 0, 8, (1j,))
     with pytest.raises(DomainError):
-        SwapConfig(IIDGaussian(), 8, 8, 1.0 - 1j)
+        SwapConfig(IIDGaussian(), 8, 8, (1.0 - 1j,))
     with pytest.raises(DomainError):
-        SwapConfig(IIDGaussian(), 8, 4, 1j, hetero=(Identity(),) * 3)
+        SwapConfig(IIDGaussian(), 8, 8, ())
+    with pytest.raises(DomainError):
+        SwapConfig(IIDGaussian(), 8, 8, (1j, 0.5 + 0.0j))
+    with pytest.raises(DomainError):
+        SwapConfig(IIDGaussian(), 8, 4, (1j,), hetero=(Identity(),) * 3)
+    with pytest.raises(DomainError):  # per-column covariances need an isotropic base
+        SwapConfig(GaussianCov(Toeplitz(0.5)), 8, 4, (1j,), hetero=(Identity(),) * 4)
     nan, inf = float("nan"), float("inf")
     for z in (complex(nan, 1.0), complex(0.0, inf), complex(inf, 1.0), complex(0.0, nan)):
         with pytest.raises(DomainError):
-            SwapConfig(IIDGaussian(), 8, 8, z)
-
-
-def test_gap_entry_points_reject_wrong_variant():
-    homo = SwapConfig(IIDGaussian(), 8, 8, 1j)
-    het = SwapConfig(IIDGaussian(), 8, 4, 1j, hetero=(Identity(),) * 4)
-    with pytest.raises(DomainError):
-        resolvent_gap(het, derive_rng(0))
-    with pytest.raises(DomainError):
-        resolvent_gap_hetero(homo, derive_rng(0))
-    with pytest.raises(DomainError):
-        resolvent_gap_hetero(
-            SwapConfig(GaussianCov(Toeplitz(0.5)), 8, 4, 1j, hetero=(Identity(),) * 4),
-            derive_rng(0),
-        )
+            SwapConfig(IIDGaussian(), 8, 8, (z,))
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +136,20 @@ def test_gap_entry_points_reject_wrong_variant():
 
 
 def test_gap_respects_deterministic_norm_bound():
-    for z in (1j, 0.5 + 0.25j, -1.0 + 2.0j):
-        cfg = SwapConfig(IIDSparseSpike(), 32, 64, z)
-        for t in range(5):
-            d = resolvent_gap(cfg, derive_rng(1, t))
-            assert abs(d) <= 2.0 / complex(z).imag + 1e-12
+    zs = (1j, 0.5 + 0.25j, -1.0 + 2.0j)
+    cfg = SwapConfig(IIDSparseSpike(), 32, 64, zs)
+    for t in range(5):
+        gaps = resolvent_gap(cfg, derive_rng(1, t))
+        assert len(gaps) == len(zs)
+        for z, d in zip(zs, gaps):
+            assert abs(d) <= 2.0 / z.imag + 1e-12
 
 
 def test_gap_of_gaussian_against_itself_is_small_not_zero():
     # The twin of iid-gauss is an independent Gaussian draw: the gap is a
     # nonzero random variable, just a concentrating one.
-    cfg = SwapConfig(IIDGaussian(), 64, 128, 1j)
-    d = resolvent_gap(cfg, derive_rng(2))
+    cfg = SwapConfig(IIDGaussian(), 64, 128, (1j,))
+    d = resolvent_gap(cfg, derive_rng(2))[0]
     assert d != 0
     assert abs(d) < 0.2
 
@@ -164,8 +157,8 @@ def test_gap_of_gaussian_against_itself_is_small_not_zero():
 def test_gap_shrinks_with_dimension_for_rademacher():
     meds = []
     for p in (64, 256):
-        cfg = SwapConfig(IIDRademacher(), p, 2 * p, 1j)
-        gaps = [abs(resolvent_gap(cfg, derive_rng(3, p, t))) for t in range(5)]
+        cfg = SwapConfig(IIDRademacher(), p, 2 * p, (1j,))
+        gaps = [abs(resolvent_gap(cfg, derive_rng(3, p, t))[0]) for t in range(5)]
         meds.append(float(np.median(gaps)))
     assert meds[1] < meds[0]
 
@@ -176,26 +169,26 @@ def test_gap_identity_offset_matches_shifted_z():
     # roundoff.
     beta, z = 0.5, 0.3 + 1j
     base = dict(model=IIDRademacher(), p=24, n=48)
-    with_b = SwapConfig(**base, z=z, b_spec=ScaledIdentity(beta))
-    without = SwapConfig(**base, z=z - beta)
-    d1 = resolvent_gap(with_b, derive_rng(4))
-    d2 = resolvent_gap(without, derive_rng(4))
+    with_b = SwapConfig(**base, zs=(z,), b_spec=ScaledIdentity(beta))
+    without = SwapConfig(**base, zs=(z - beta,))
+    d1 = resolvent_gap(with_b, derive_rng(4))[0]
+    d2 = resolvent_gap(without, derive_rng(4))[0]
     assert abs(d1 - d2) < 1e-10
 
 
 def test_gap_reproducible_and_column_offset_changes_it():
-    cfg = SwapConfig(IIDGaussian(), 16, 32, 1j)
-    assert resolvent_gap(cfg, derive_rng(5)) == resolvent_gap(cfg, derive_rng(5))
-    shifted = SwapConfig(IIDGaussian(), 16, 32, 1j, c_spec=ConstantColumns(1.0))
-    assert resolvent_gap(shifted, derive_rng(5)) != resolvent_gap(cfg, derive_rng(5))
+    cfg = SwapConfig(IIDGaussian(), 16, 32, (1j,))
+    assert resolvent_gap(cfg, derive_rng(5))[0] == resolvent_gap(cfg, derive_rng(5))[0]
+    shifted = SwapConfig(IIDGaussian(), 16, 32, (1j,), c_spec=ConstantColumns(1.0))
+    assert resolvent_gap(shifted, derive_rng(5))[0] != resolvent_gap(cfg, derive_rng(5))[0]
 
 
 def test_offsets_are_built_once_per_run_and_shared_read_only(monkeypatch):
-    cfg = SwapConfig(IIDRademacher(), 16, 32, 1j, b_spec=RandomPSDUnitNorm(3),
+    cfg = SwapConfig(IIDRademacher(), 16, 32, (1j,), b_spec=RandomPSDUnitNorm(3),
                      c_spec=ConstantColumns(0.5))
     offsets = swap_offsets(cfg)
     assert all(not m.flags.writeable for m in offsets)
-    assert resolvent_gap(cfg, derive_rng(9), offsets) == resolvent_gap(cfg, derive_rng(9))
+    assert resolvent_gap(cfg, derive_rng(9), offsets)[0] == resolvent_gap(cfg, derive_rng(9))[0]
 
     calls = []
     build = RandomPSDUnitNorm.build
@@ -211,16 +204,32 @@ def test_offsets_are_built_once_per_run_and_shared_read_only(monkeypatch):
     assert len(calls) == 1
 
 
+def test_multi_z_records_come_from_one_draw_per_trial():
+    zs = (1j, -1 + 0.5j)
+    run = ExperimentConfig(experiment="equivalence", model="iid-rademacher", p=16, n=32,
+                           trials=3, seed=5, zs=zs)
+    result = run_experiment(run, rules=[])
+    assert len(result.records) == 6 and result.summary["trials"] == 3
+    for t in range(3):
+        rows = result.records[2 * t : 2 * t + 2]
+        assert [r.trial for r in rows] == [t, t]
+        for z, r in zip(zs, rows):
+            one = SwapConfig(IIDRademacher(), 16, 32, (z,))
+            d = resolvent_gap(one, derive_rng(5, EXPERIMENT_CODES["equivalence"], t))[0]
+            assert (r.z_re, r.z_im) == (z.real, z.imag)
+            assert (r.value, r.value_im) == (d.real, d.imag)
+
+
 # ---------------------------------------------------------------------------
 # heterogeneous columns
 
 
 def test_hetero_identity_matches_homogeneous_gap_bitwise():
     p, n = 16, 32
-    homo = SwapConfig(IIDGaussian(), p, n, 1j)
-    het = SwapConfig(IIDGaussian(), p, n, 1j, hetero=(Identity(),) * n)
-    d_homo = resolvent_gap(homo, derive_rng(6))
-    assert resolvent_gap_hetero(het, derive_rng(6)) == d_homo
+    homo = SwapConfig(IIDGaussian(), p, n, (1j,))
+    het = SwapConfig(IIDGaussian(), p, n, (1j,), hetero=(Identity(),) * n)
+    d_homo = resolvent_gap(homo, derive_rng(6))[0]
+    assert resolvent_gap(het, derive_rng(6))[0] == d_homo
     assert average_spread(het.hetero, p) == pytest.approx(1.0 / p, rel=1e-15)
 
 
@@ -228,20 +237,20 @@ def test_hetero_avg_spread_hand_formula():
     p, n = 8, 6
     phi = 0.5
     specs = tuple(Identity() if k % 2 == 0 else Toeplitz(phi) for k in range(n))
-    cfg = SwapConfig(IIDGaussian(), p, n, 1j, hetero=specs)
+    cfg = SwapConfig(IIDGaussian(), p, n, (1j,), hetero=specs)
     # tr(I^2) = p; tr(Toeplitz^2) = p + 2 sum_{h=1}^{p-1} (p - h) phi^{2h}.
     tr_toep = p + 2 * sum((p - h) * phi ** (2 * h) for h in range(1, p))
     expected = (3 * p + 3 * tr_toep) / (n * p * p)
     assert average_spread(specs, p) == pytest.approx(expected, rel=1e-12)
-    assert abs(resolvent_gap_hetero(cfg, derive_rng(7))) <= 2.0 + 1e-12
+    assert abs(resolvent_gap(cfg, derive_rng(7))[0]) <= 2.0 + 1e-12
 
 
 def test_hetero_gap_bound_holds_for_spiked_columns():
     p, n = 16, 8
     cfg = SwapConfig(
-        IIDRademacher(), p, n, 0.5 + 0.5j, hetero=(Spiked(1, 4.0),) * n
+        IIDRademacher(), p, n, (0.5 + 0.5j,), hetero=(Spiked(1, 4.0),) * n
     )
-    assert abs(resolvent_gap_hetero(cfg, derive_rng(8))) <= 2.0 / 0.5 + 1e-12
+    assert abs(resolvent_gap(cfg, derive_rng(8))[0]) <= 2.0 / 0.5 + 1e-12
 
 
 def test_grouped_column_scaling_matches_per_column_products():
@@ -265,12 +274,12 @@ def test_grouped_column_scaling_matches_per_column_products():
 def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
     p, n = 16, 12
     covs = tuple((Identity(), Spiked(3, 2.5))[k % 2] for k in range(n))
-    cfg = SwapConfig(IIDRademacher(), p, n, 0.5 + 1j, hetero=covs)
+    cfg = SwapConfig(IIDRademacher(), p, n, (0.5 + 1j,), hetero=covs)
     rng = derive_rng(22)
     x = IIDRademacher().sample(p, n, rng)
     zmat = IIDGaussian().sample(p, n, rng)
     for k, spec in enumerate(covs):
         x[:, k : k + 1] = scale_columns(spec, x[:, k : k + 1])
         zmat[:, k : k + 1] = scale_columns(spec, zmat[:, k : k + 1])
-    want = equivalence._gap_from_matrices(x, zmat, cfg, None)
-    assert resolvent_gap_hetero(cfg, derive_rng(22)) == want
+    want = equivalence._gaps_from_matrices(x, zmat, cfg, None)[0]
+    assert resolvent_gap(cfg, derive_rng(22))[0] == want

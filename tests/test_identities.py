@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mplab.ensembles import derive_rng
+from mplab.matcore import DomainError
 from mplab.identities import (
     CHECKS,
     CheckResult,
@@ -50,6 +51,11 @@ def test_run_check_counts_violations(monkeypatch):
 def test_unknown_check_name_raises():
     with pytest.raises(KeyError):
         run_check("perpetual-motion", trials=1, seed=0)
+
+
+def test_run_check_rejects_dimension_cap_below_two():
+    with pytest.raises(DomainError):
+        run_check("trace-product", trials=1, seed=0, p_max=1)
 
 
 def test_checks_respect_dimension_cap():
