@@ -196,7 +196,8 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
             raise InvalidInputError("the chebyshev statistic requires a gauss-cov model")
         family = parse_family_spec(cfg.family or "identity")
         sigma = quadform_sigma(model, p)
-        spread = cov_spread_stat(np.eye(p) if sigma is None else sigma)
+        # tr(I_p^2) / p^2 is 1/p, bit for bit what cov_spread_stat(np.eye(p)) gives.
+        spread = 1.0 / p if sigma is None else cov_spread_stat(sigma)
         fixed = None if family.random else family.draw(p, None)
 
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:

@@ -33,10 +33,12 @@ from .mp_law import MPLaw
 # ---------------------------------------------------------------------------
 # test-matrix families
 #
-# A family owns its behaviour: ``draw(p, rng)`` is one dense symmetric draw in
-# dimension p, ``random`` says whether draws consume the stream (a fixed
-# family ignores ``rng``, so None will do), ``norm_bound`` is the uniform
-# operator-norm bound every draw satisfies and ``spec()`` its grammar string.
+# A family owns its behaviour: ``draw(p, rng)`` is one symmetric draw in
+# dimension p in its cheapest exact form (the diagonal as a 1-d array for the
+# fixed families, otherwise dense), ``random`` says whether draws consume the
+# stream (a fixed family ignores ``rng``, so None will do), ``norm_bound`` is
+# the uniform operator-norm bound every draw satisfies and ``spec()`` its
+# grammar string.
 
 
 class _Family:
@@ -57,7 +59,7 @@ class IdentityFamily(_Family):
     random = False
 
     def draw(self, p: int, rng: np.random.Generator | None) -> np.ndarray:
-        return np.eye(p)
+        return np.ones(p)
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class FixedHalfProjectorFamily(_Family):
     def draw(self, p: int, rng: np.random.Generator | None) -> np.ndarray:
         d = np.zeros(p)
         d[: p // 2] = 1.0
-        return np.diag(d)
+        return d
 
 
 @dataclass(frozen=True)
@@ -181,12 +183,18 @@ def quadform_trial(
 ) -> float:
     """One draw of the centered quadratic form (x^T A x - tr(Sigma A)) / p.
 
+    ``a`` is dense or, for a diagonal A, its 1-d diagonal (an O(p) trial).
     ``sigma`` comes from ``quadform_sigma``; None centers by tr(A).
     """
     p = a.shape[0]
     x = sample_vector(model, p, rng)
-    centering = float(np.trace(a)) if sigma is None else float(np.tensordot(sigma, a))
-    return (float(x @ (a @ x)) - centering) / p
+    if a.ndim == 1:
+        ax = a * x
+        centering = np.sum(a) if sigma is None else np.diagonal(sigma) @ a
+    else:
+        ax = a @ x
+        centering = np.trace(a) if sigma is None else np.tensordot(sigma, a)
+    return (float(x @ ax) - float(centering)) / p
 
 
 def cov_spread_stat(sigma) -> float:

@@ -182,24 +182,28 @@ def scale_columns(cov: CovSpec, g: np.ndarray) -> np.ndarray:
 # which validates the dimensions.
 
 
-#: Size of one row block in ``_columns``, so the n-by-p draw is never held
-#: whole.  Freed blocks stay resident in each worker thread's malloc arena:
-#: with 1 MiB blocks, esd sparse-spike at p=1024, n=2048 on two workers
-#: peaked 1.5 MiB higher.
+#: Size of one row block of an n-by-p draw, so the draw is never held whole.
+#: Freed blocks stay resident in each worker thread's malloc arena: with
+#: 1 MiB blocks, esd sparse-spike at p=1024, n=2048 on two workers peaked
+#: 1.5 MiB higher.
 _BLOCK_BYTES = 256 << 10
+
+
+def _row_blocks(p: int, n: int):
+    """(start, stop) bounds of the row blocks of an n-by-p draw, about 256 KiB each."""
+    step = max(1, _BLOCK_BYTES // (8 * p))
+    return ((start, min(n, start + step)) for start in range(0, n, step))
 
 
 def _columns(p: int, n: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
     """C-contiguous p-by-n matrix whose columns are the rows of successive draws.
 
-    ``draw(m)`` returns the next m-by-p block of the stream, about 256 KiB at
-    a time, and its rows are written into the next m columns; the result equals
-    one n-by-p draw transposed, bit for bit.
+    ``draw(m)`` returns the next m-by-p row block of the stream, and its rows
+    are written into the next m columns; the result equals one n-by-p draw
+    transposed, bit for bit.
     """
     out = np.empty((p, n))
-    step = max(1, _BLOCK_BYTES // (8 * p))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
+    for start, stop in _row_blocks(p, n):
         out[:, start:stop] = draw(stop - start).T
     return out
 
@@ -258,15 +262,16 @@ class IIDSparseSpike(_Isotropic):
 
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         scale = np.sqrt(float(p))
-
-        def draw(m: int) -> np.ndarray:
-            u = rng.random((m, p))
-            x = np.zeros((m, p))
-            x[u < 0.5 / p] = scale
-            x[u >= 1.0 - 0.5 / p] = -scale
-            return x
-
-        return _columns(p, n, draw)
+        lo, hi = 0.5 / p, 1.0 - 0.5 / p
+        out = np.zeros((p, n))
+        # Only the spikes are written, straight into the columns through the
+        # transposed view; the zeros are never copied.
+        for start, stop in _row_blocks(p, n):
+            u = rng.random((stop - start, p))
+            block = out.T[start:stop]
+            block[u < lo] = scale
+            block[u >= hi] = -scale
+        return out
 
 
 @dataclass(frozen=True)

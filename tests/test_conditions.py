@@ -15,6 +15,8 @@ The Monte Carlo estimates go through ``run_experiment``, the one trial loop.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chi2, norm
@@ -164,6 +166,47 @@ def test_quadform_nonisotropic_centering():
     vals = np.array([r.value for r in run_experiment(cfg, rules=[]).records])
     assert vals.size == trials
     assert abs(vals.mean()) < 4 * standard_error(vals)
+
+
+@pytest.mark.parametrize("family", [IdentityFamily(), FixedHalfProjectorFamily()])
+def test_diagonal_draw_trial_matches_dense_trial(family):
+    # A fixed family's 1-d draw takes the O(p) path of quadform_trial; its
+    # dense np.diag takes the matrix path on the same stream.  Where diag(Sigma)
+    # sums exactly the two agree bit for bit; elsewhere tr(Sigma A) may be
+    # summed in another order, so they agree to rounding of tr(Sigma).
+    exact = ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
+             "gauss-cov:spiked:1,{p}"]
+    rounded = ["gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,2.7", "weak-ma:1,0.5"]
+    eps = np.finfo(np.float64).eps
+    for p in (1, 2, 63, 64, 1025):
+        assert 1.0 / p == cov_spread_stat(np.eye(p))
+        for spec in exact + rounded:
+            if (spec == "block-xi" and p % 2) or (spec.endswith("3,2.7") and p < 3):
+                continue
+            model = parse_model_spec(spec.format(p=p))
+            sigma = quadform_sigma(model, p)
+            draw = family.draw(p, None)
+            got = quadform_trial(model, draw, sigma, derive_rng(17, p))
+            want = quadform_trial(model, np.diag(draw), sigma, derive_rng(17, p))
+            if spec in exact:
+                assert got == want, (spec, p)
+            else:
+                assert abs(got - want) <= 2 * eps * abs(np.trace(sigma)) / p, (spec, p)
+
+
+@pytest.mark.parametrize("model, family", [("gauss-cov:identity", "identity"),
+                                           ("block-xi", "fixed-half")])
+def test_fixed_family_quadform_run_builds_no_dense_matrix(model, family):
+    p = 2048
+    cfg = ExperimentConfig(experiment="conditions", model=model, stat="quadform", family=family,
+                           p=p, eps=0.5, trials=3, seed=18)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, rules=[])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p * p  # one p-by-p float64
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +379,13 @@ def test_mp_property_validates_frame_args():
 def test_family_draws_have_claimed_structure():
     rng = derive_rng(15)
     p = 12
-    assert np.array_equal(IdentityFamily().draw(p, None), np.eye(p))
+    # The fixed families draw their diagonal; np.diag of it is the dense matrix.
+    ident = IdentityFamily().draw(p, None)
+    assert np.array_equal(ident, np.ones(p))
+    assert np.array_equal(np.diag(ident), np.eye(p))
     half = FixedHalfProjectorFamily().draw(p, None)
-    assert np.array_equal(np.diag(half), [1.0] * 6 + [0.0] * 6)
+    assert np.array_equal(half, [1.0] * 6 + [0.0] * 6)
+    assert np.array_equal(np.diag(half), np.diag([1.0] * 6 + [0.0] * 6))
     proj = HaarProjectorFamily(5).draw(p, rng)
     assert np.allclose(proj @ proj, proj, atol=1e-12)
     assert np.trace(proj) == pytest.approx(5.0, abs=1e-10)
