@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def scale_columns(cov: CovSpec, g: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 256 << 10
 
 
-def _row_blocks(p: int, n: int):
+def _row_blocks(p: int, n: int) -> Iterator[tuple[int, int]]:
     """(start, stop) bounds of the row blocks of an n-by-p draw, about 256 KiB each."""
     step = max(1, _BLOCK_BYTES // (8 * p))
     return ((start, min(n, start + step)) for start in range(0, n, step))
