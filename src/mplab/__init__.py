@@ -16,7 +16,6 @@ from .matcore import (
     Spectrum,
     as_frame,
     as_symmetric,
-    coordinate_frame,
     eigh,
     haar_frame,
     psd_sqrt,
@@ -88,7 +87,6 @@ __all__ = [
     "WeakDependent",
     "as_frame",
     "as_symmetric",
-    "coordinate_frame",
     "cov_spread_stat",
     "derive_rng",
     "eigh",

@@ -9,13 +9,14 @@ threshold rule passes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
 
 from ..matcore import DomainError, InvalidInputError
 from ..ensembles import ParseError
-from .config import CONDITION_STATS, EXPERIMENTS, FRAME_MODES, ExperimentConfig
+from .config import CONDITION_STATS, FRAME_MODES, ExperimentConfig
 from .experiments import (
     RunResult,
     dump_first_trial,
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--model", required=True)
     p_eq.add_argument("--p", type=int, required=True)
     p_eq.add_argument("--n", type=int, required=True)
-    p_eq.add_argument("--z", type=_parse_z, action="append", default=None,
+    p_eq.add_argument("--z", dest="zs", type=_parse_z, action="append", default=None,
                       metavar="RE,IM", help="resolvent point (repeatable; default 0,1)")
     p_eq.add_argument("--b", dest="b_spec", metavar="SPEC",
                       help="additive offset, id:<beta> or psd:<seed>")
@@ -115,47 +116,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_law = sub.add_parser("law-tables", parents=[common],
                            help="self-consistency tables of the analytic law")
-    p_law.add_argument("--rho", type=float, action="append", default=None,
+    p_law.add_argument("--rho", dest="rhos", type=float, action="append", default=None,
                        metavar="RHO", help="aspect ratio (repeatable)")
 
     p_facts = sub.add_parser("facts", parents=[common],
                              help="randomized matrix-inequality suite")
-    p_facts.add_argument("--p-max", type=int, default=40,
+    p_facts.add_argument("--p-max", dest="p", metavar="P_MAX", type=int, default=40,
                          help="largest matrix dimension drawn")
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    kwargs = {
-        "experiment": args.experiment,
-        "trials": args.trials,
-        "seed": args.seed,
-        "timing": args.timing,
-    }
-    if args.experiment in ("esd", "conditions", "mp-property", "equivalence"):
-        kwargs["model"] = args.model
-        kwargs["p"] = args.p
-    if args.experiment in ("esd", "mp-property", "equivalence"):
-        kwargs["n"] = args.n
-    if args.experiment == "conditions":
-        kwargs["stat"] = args.stat
-        kwargs["family"] = args.family
-        kwargs["eps"] = args.eps
-    if args.experiment == "mp-property":
-        kwargs["q"] = args.q
-        kwargs["frame"] = args.frame
-    if args.experiment == "equivalence":
-        kwargs["zs"] = tuple(args.z) if args.z else ()
-        kwargs["b_spec"] = args.b_spec
-        kwargs["c_spec"] = args.c_spec
-        kwargs["hetero"] = tuple(args.hetero) if args.hetero else ()
-        kwargs["eps"] = args.eps
-    if args.experiment == "law-tables":
-        kwargs["rhos"] = tuple(args.rho) if args.rho else ()
-    if args.experiment == "facts":
-        kwargs["p"] = args.p_max
-    return ExperimentConfig(**kwargs)
+    """The config fields among the flags' dests; a repeated flag gives a tuple.
+
+    A flag left at ``None`` was not given and takes the field's default.
+    """
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(**{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in vars(args).items()
+        if name in names and value is not None
+    })
 
 
 def main(argv: Sequence[str] | None = None) -> int:

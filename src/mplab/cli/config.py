@@ -10,15 +10,14 @@ long before producing anything useful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from ..matcore import DomainError, InvalidInputError, require_upper_half
+from ..mp_law import MPLaw
 from ..ensembles import parse_model_spec
 from ..conditions import parse_family_spec
 from ..equivalence import parse_column_spec, parse_offset_spec
-
-EXPERIMENTS = ("esd", "conditions", "mp-property", "equivalence", "law-tables", "facts")
 
 #: Experiment id -> stream code mixed into every per-trial RNG derivation.
 EXPERIMENT_CODES = {
@@ -29,6 +28,7 @@ EXPERIMENT_CODES = {
     "law-tables": 5,
     "facts": 6,
 }
+EXPERIMENTS = tuple(EXPERIMENT_CODES)
 
 #: Hard ceiling on any matrix dimension accepted by the command line.
 MAX_DIM = 4096
@@ -94,27 +94,10 @@ class ExperimentConfig:
         for spec in self.hetero:
             parse_model_spec("gauss-cov:" + spec)
         for rho in self.rhos:
-            if not rho > 0.0:
-                raise DomainError("aspect ratios must be positive")
+            MPLaw(rho)  # raises DomainError where the law is undefined
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "trials": self.trials,
-            "seed": self.seed,
-            "model": self.model,
-            "p": self.p,
-            "n": self.n,
-            "q": self.q,
-            "eps": self.eps,
-            "zs": [[z.real, z.imag] for z in self.zs],
-            "stat": self.stat,
-            "family": self.family,
-            "frame": self.frame,
-            "b_spec": self.b_spec,
-            "c_spec": self.c_spec,
-            "hetero": list(self.hetero),
-            "rhos": list(self.rhos),
-            "timing": self.timing,
-        }
-
+        """The fields in declaration order, tuples as lists and each z as [re, im]."""
+        out = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        out["zs"] = [[z.real, z.imag] for z in self.zs]
+        return out

@@ -463,25 +463,12 @@ def load_threshold_rules(path: str | None = None) -> list[dict[str, Any]]:
 
 
 def _rule_params(cfg: ExperimentConfig) -> dict[str, Any]:
-    z = None
+    """The summary's config block plus the rule strings z ("re,im") and hetero."""
+    params = cfg.to_dict()
+    params["hetero"] = ";".join(cfg.hetero) or None
     if len(cfg.zs) == 1:
-        z = "%g,%g" % (cfg.zs[0].real, cfg.zs[0].imag)
-    return {
-        "experiment": cfg.experiment,
-        "model": cfg.model,
-        "p": cfg.p,
-        "n": cfg.n,
-        "q": cfg.q,
-        "eps": cfg.eps,
-        "stat": cfg.stat,
-        "family": cfg.family,
-        "frame": cfg.frame,
-        "b_spec": cfg.b_spec,
-        "c_spec": cfg.c_spec,
-        "hetero": ";".join(cfg.hetero) if cfg.hetero else None,
-        "trials": cfg.trials,
-        "z": z,
-    }
+        params["z"] = "%g,%g" % (cfg.zs[0].real, cfg.zs[0].imag)
+    return params
 
 
 def _strict_metrics(metrics: dict[str, Any]) -> dict[str, Any]:

@@ -46,7 +46,6 @@ _INT_COLS = frozenset({"trial", "seed", "p", "n", "q"})
 _FLOAT_COLS = frozenset(
     {"eps", "rho", "z_re", "z_im", "value", "value_im", "se", "wall_ms"}
 )
-_STR_COLS = frozenset({"experiment", "model", "b_spec", "c_spec", "statistic"})
 
 
 @dataclass(frozen=True)

@@ -196,13 +196,6 @@ def haar_frame(q: int, p: int, rng: np.random.Generator) -> np.ndarray:
     return (qmat * signs).T
 
 
-def coordinate_frame(q: int, p: int) -> np.ndarray:
-    """The fixed frame selecting the first q coordinates: rows of I_p."""
-    if not (1 <= q <= p):
-        raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
-    return np.eye(q, p)
-
-
 def spectral_norm(m) -> float:
     """Largest singular value of a real rectangular matrix."""
     a = np.asarray(m, dtype=np.float64)

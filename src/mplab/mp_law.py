@@ -39,6 +39,9 @@ class MPLaw:
     def __post_init__(self):
         if not (self.rho > 0 and np.isfinite(self.rho)):
             raise DomainError(f"aspect ratio must be positive and finite, got {self.rho}")
+        if not self.b - self.a > 0.0:
+            # Far from 1 the edges (1 -+ sqrt(rho))^2 round to one float.
+            raise DomainError(f"aspect ratio {self.rho} leaves no support width in float64")
 
     @property
     def a(self) -> float:

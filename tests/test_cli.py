@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import io
 import json
 import os
@@ -343,6 +345,23 @@ def test_threshold_z_matching_uses_compact_form():
     assert len(checks) == 1 and checks[0]["pass"]
 
 
+def test_threshold_hetero_matches_joined_pattern_and_multi_z_matches_no_z():
+    rules = [
+        {"name": "hetero", "experiment": "equivalence",
+         "when": {"hetero": "identity;toeplitz:0.5"},
+         "metric": "abs_gap_median", "op": "<=", "value": 10.0},
+        {"name": "z", "experiment": "equivalence", "when": {"z": "0,1"},
+         "metric": "abs_gap_median", "op": "<=", "value": 10.0},
+    ]
+    hetero = ExperimentConfig(experiment="equivalence", model="iid-gauss", p=16, n=32,
+                              hetero=("identity", "toeplitz:0.5"))
+    two_z = ExperimentConfig(experiment="equivalence", model="iid-gauss", p=16, n=32,
+                             zs=(1j, 2j))
+    metrics = {"abs_gap_median": 0.0}
+    assert [c["name"] for c in evaluate_thresholds(hetero, metrics, rules)] == ["hetero"]
+    assert evaluate_thresholds(two_z, metrics, rules) == []
+
+
 def test_bad_threshold_files_rejected(tmp_path):
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json")
@@ -396,6 +415,49 @@ def test_parser_equivalence_z_values():
     )
     cfg = config_from_args(args)
     assert cfg.zs == (0.5 + 1j, 2j)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["conditions", "--model", "block-xi", "--p", "8"],
+     ExperimentConfig(experiment="conditions", model="block-xi", p=8,
+                      stat="quadform", family="identity", eps=0.5)),
+    (["conditions", "--model", "gauss-cov:identity", "--p", "8", "--stat", "chebyshev",
+      "--family", "haar-proj:4", "--eps", "0.25", "--timing"],
+     ExperimentConfig(experiment="conditions", model="gauss-cov:identity", p=8,
+                      stat="chebyshev", family="haar-proj:4", eps=0.25, timing=True)),
+    (["mp-property", "--model", "iid-gauss", "--p", "8", "--n", "16", "--q", "4"],
+     ExperimentConfig(experiment="mp-property", model="iid-gauss", p=8, n=16, q=4,
+                      frame="haar")),
+    (["equivalence", "--model", "iid-gauss", "--p", "8", "--n", "16",
+      "--z", "0.5,1", "--z", "0,2", "--b", "psd:3", "--c", "const:1.0",
+      "--hetero", "identity", "--hetero", "toeplitz:0.5"],
+     ExperimentConfig(experiment="equivalence", model="iid-gauss", p=8, n=16,
+                      zs=(0.5 + 1j, 2j), b_spec="psd:3", c_spec="const:1.0",
+                      hetero=("identity", "toeplitz:0.5"), eps=None)),
+    (["law-tables", "--rho", "0.5", "--rho", "2", "--trials", "3", "--seed", "9"],
+     ExperimentConfig(experiment="law-tables", rhos=(0.5, 2.0), trials=3, seed=9)),
+    (["law-tables"], ExperimentConfig(experiment="law-tables")),
+    (["facts"], ExperimentConfig(experiment="facts", p=40)),
+    (["facts", "--p-max", "10"], ExperimentConfig(experiment="facts", p=10)),
+])
+def test_flags_map_to_config_fields(argv, expected):
+    assert config_from_args(build_parser().parse_args(argv)) == expected
+
+
+def test_every_flag_sets_a_config_field_or_the_front_end():
+    # config_from_args keeps only dests that name a config field, so a
+    # misnamed dest would be dropped silently.
+    front_end = {"out", "format", "thresholds", "no_thresholds", "dump_matrix",
+                 "dump_esd", "help"}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    set_by_flags = {sub.dest}
+    for name, subparser in sub.choices.items():
+        dests = {a.dest for a in subparser._actions}
+        assert dests <= fields | front_end, (name, dests - fields - front_end)
+        set_by_flags |= dests & fields
+    assert set_by_flags == fields
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +748,18 @@ def test_cli_import_and_esd_run_leave_scipy_unloaded(tmp_path):
 def test_main_oversized_spike_is_exit_2(argv, capsys):
     code, out, err = run_main(argv + ["--trials", "2"], capsys)
     assert code == 2 and "spike count 5 exceeds dimension 3" in err and out == ""
+
+
+@pytest.mark.parametrize("rho", ["1e40", "1e-40", "inf", "0"])
+def test_main_law_tables_rho_without_a_law_is_exit_2(rho, tmp_path, capsys):
+    # The config rejects exactly the aspect ratios MPLaw rejects, before any trial.
+    with pytest.raises(DomainError):
+        ExperimentConfig(experiment="law-tables", rhos=(float(rho),))
+    path = tmp_path / "rows.csv"
+    code, out, err = run_main(["law-tables", "--rho", "0.5", "--rho", rho,
+                               "--out", str(path)], capsys)
+    assert code == 2 and err.startswith("error: aspect ratio") and out == ""
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

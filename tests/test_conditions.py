@@ -56,7 +56,6 @@ from mplab.matcore import (
     InvalidInputError,
     as_frame,
     as_symmetric,
-    coordinate_frame,
     haar_frame,
     spectral_norm,
 )
@@ -338,7 +337,7 @@ def test_mp_property_fixed_half_matches_coordinate_frame(spec):
         for seed in (13, 14):
             got = mp_property_trial(model, p, n, q, derive_rng(seed), frame_mode="fixed-half")
             x = sample_data_matrix(model, p, n, derive_rng(seed))
-            e = gram_esd(*gram(as_frame(coordinate_frame(q, p)) @ x))
+            e = gram_esd(*gram(as_frame(np.eye(q, p)) @ x))
             assert got == ks_distance(e, MPLaw(q / n)), (p, n, q, seed)
 
 
@@ -350,7 +349,7 @@ def test_mp_property_matches_projected_covariance_oracle(frame_mode):
     for seed in range(5):
         got = mp_property_trial(model, p, n, q, derive_rng(seed), frame_mode=frame_mode)
         rng = derive_rng(seed)
-        frame = haar_frame(q, p, rng) if frame_mode == "haar" else coordinate_frame(q, p)
+        frame = haar_frame(q, p, rng) if frame_mode == "haar" else np.eye(q, p)
         s = sample_covariance(sample_data_matrix(model, p, n, rng))
         e = esd(projected_covariance(frame, s), psd=True)
         assert abs(got - ks_distance(e, MPLaw(q / n))) <= 1e-12

@@ -14,7 +14,6 @@ from mplab.matcore import (
     Spectrum,
     as_frame,
     as_symmetric,
-    coordinate_frame,
     eigh,
     haar_frame,
     psd_sqrt,
@@ -233,12 +232,6 @@ def test_haar_frame_rejects_bad_dims():
         haar_frame(5, 4, _rng(0))
     with pytest.raises(DomainError):
         haar_frame(0, 4, _rng(0))
-
-
-def test_coordinate_frame_selects_leading_rows():
-    f = coordinate_frame(2, 4)
-    assert np.array_equal(f, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
-    as_frame(f)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def test_invalid_rho():
             MPLaw(rho)
 
 
+def test_rho_with_no_float_support_width_rejected():
+    # Far enough from 1, (1 -+ sqrt(rho))^2 round to the same float, so b - a
+    # is 0 and the quadrature's boundary-layer split would divide by it.
+    for rho in (1e40, 1e-40):
+        with pytest.raises(DomainError, match="support width"):
+            MPLaw(rho)
+    for rho in (1e30, 1e-30):
+        assert MPLaw(rho).b > MPLaw(rho).a
+
+
 # ---------------------------------------------------------------------------
 # cdf
 

@@ -21,7 +21,6 @@ from mplab.matcore import (
     InvalidInputError,
     Spectrum,
     as_symmetric,
-    coordinate_frame,
     haar_frame,
     resolvent_trace,
 )
@@ -384,7 +383,7 @@ def test_empirical_stieltjes_near_law_for_large_p():
 def test_projected_covariance_coordinate_block():
     m = np.arange(16, dtype=np.float64).reshape(4, 4)
     m = (m + m.T) / 2
-    c = coordinate_frame(2, 4)
+    c = np.eye(2, 4)
     assert np.array_equal(projected_covariance(c, m), m[:2, :2])
 
 
@@ -403,7 +402,7 @@ def test_projected_covariance_haar_preserves_trace_on_average():
 
 def test_projected_covariance_dimension_mismatch():
     with pytest.raises(DomainError):
-        projected_covariance(coordinate_frame(2, 5), np.eye(4))
+        projected_covariance(np.eye(2, 5), np.eye(4))
 
 
 # ---------------------------------------------------------------------------
