@@ -50,7 +50,7 @@ from .spectra import (
     projected_covariance,
     sample_covariance,
 )
-from .conditions import cov_spread_stat, mp_property_trial, norm_drift_stat
+from .conditions import mp_property_trial, norm_drift_stat
 from .equivalence import (
     ConstantColumns,
     RandomPSDUnitNorm,
@@ -87,7 +87,6 @@ __all__ = [
     "WeakDependent",
     "as_frame",
     "as_symmetric",
-    "cov_spread_stat",
     "derive_rng",
     "eigh",
     "esd",

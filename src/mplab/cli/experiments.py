@@ -34,7 +34,6 @@ from ..ensembles import (
 from ..spectra import gram, gram_esd, ks_distance, sample_covariance, write_esd_csv
 from ..conditions import (
     chebyshev_bound,
-    cov_spread_stat,
     lindeberg_trial,
     mp_property_trial,
     norm_drift_stat,
@@ -195,9 +194,8 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
         if stat == "chebyshev" and not isinstance(model, GaussianCov):
             raise InvalidInputError("the chebyshev statistic requires a gauss-cov model")
         family = parse_family_spec(cfg.family or "identity")
-        sigma = quadform_sigma(model, p)
-        # tr(I_p^2) / p^2 is 1/p, bit for bit what cov_spread_stat(np.eye(p)) gives.
-        spread = 1.0 / p if sigma is None else cov_spread_stat(sigma)
+        sigma = quadform_sigma(model, family, p)
+        spread = model.cov.square_trace(p) / (p * p)
         fixed = None if family.random else family.draw(p, None)
 
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:

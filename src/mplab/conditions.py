@@ -10,8 +10,8 @@ of each; the Monte Carlo loop over draws is the CLI's trial runner
   iid-entry dividing line;
 * centered quadratic forms (x^T A x - tr(Sigma A)) / p over families of test
   matrices with a uniform operator-norm bound;
-* the covariance-spread statistic tr(Sigma^2) / p^2 and the Chebyshev-type
-  exceedance bound it implies for Gaussian columns;
+* the Chebyshev-type exceedance bound for Gaussian columns implied by the
+  covariance spread tr(Sigma^2) / p^2 = ``model.cov.square_trace(p) / p**2``;
 * the squared-norm drift (x^T x - p) / p for isotropic models;
 * single trials of the projected-spectrum experiment: compress a sample
   covariance along a frame and measure the Kolmogorov distance to the limit
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matcore, spectra
 from .ensembles import ParseError, VectorModel, sample_data_matrix, sample_vector
-from .matcore import DomainError, InvalidInputError
+from .matcore import DomainError
 from .mp_law import MPLaw
 
 
@@ -173,9 +173,11 @@ def lindeberg_trial(model: VectorModel, p: int, eps: float, rng: np.random.Gener
     return float(np.sum(x2[np.abs(x) > eps * np.sqrt(float(p))])) / p
 
 
-def quadform_sigma(model: VectorModel, p: int) -> np.ndarray | None:
-    """Population covariance for quadratic-form centering; None stands for I."""
-    return None if model.isotropic else model.covariance(p)
+def quadform_sigma(model: VectorModel, family: MatrixFamily, p: int) -> np.ndarray | None:
+    """Sigma to center family's draws: None for I, diag(Sigma) for a fixed family, else dense."""
+    if model.isotropic:
+        return None
+    return model.cov.matrix(p) if family.random else model.cov.diagonal(p)
 
 
 def quadform_trial(
@@ -184,26 +186,17 @@ def quadform_trial(
     """One draw of the centered quadratic form (x^T A x - tr(Sigma A)) / p.
 
     ``a`` is dense or, for a diagonal A, its 1-d diagonal (an O(p) trial).
-    ``sigma`` comes from ``quadform_sigma``; None centers by tr(A).
+    ``sigma`` comes from ``quadform_sigma``, in the form of ``a``; None centers by tr(A).
     """
     p = a.shape[0]
     x = sample_vector(model, p, rng)
     if a.ndim == 1:
         ax = a * x
-        centering = np.sum(a) if sigma is None else np.diagonal(sigma) @ a
+        centering = np.sum(a) if sigma is None else sigma @ a
     else:
         ax = a @ x
         centering = np.trace(a) if sigma is None else np.tensordot(sigma, a)
     return (float(x @ ax) - float(centering)) / p
-
-
-def cov_spread_stat(sigma) -> float:
-    """Covariance-spread statistic tr(Sigma^2) / p^2 of a symmetric Sigma."""
-    s = matcore.as_square(sigma)
-    if not np.array_equal(s, s.T):
-        raise InvalidInputError("covariance matrix is not symmetric")
-    p = s.shape[0]
-    return float(np.sum(s * s)) / (p * p)
 
 
 def chebyshev_bound(family: MatrixFamily, spread: float, eps: float) -> float:

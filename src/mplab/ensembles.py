@@ -16,10 +16,11 @@ sample-covariance universality:
   normalized to unit marginal variance.
 
 A model is one class that owns its behaviour: ``sample`` draws a whole data
-matrix, ``covariance`` is the exact E[x x^T], ``twin`` the Gaussian model
-with that covariance, ``spec`` its grammar string and ``isotropic`` whether
-the covariance is the identity.  Covariance specs own ``matrix``, ``root``
-and ``spec`` the same way.
+matrix, ``cov`` is the covariance spec of the exact E[x x^T] (its Gaussian
+twin is ``GaussianCov(model.cov)``), ``spec`` its grammar string and
+``isotropic`` whether the covariance is the identity.  Covariance specs own
+the algebra of Sigma the same way: ``matrix``, ``root``, ``diagonal``,
+``square_trace`` (tr Sigma^2) and ``spec``.
 
 All sampling is driven by explicit counter-based generators derived from
 (seed, label path) so that any trial of any experiment can be replayed in
@@ -58,7 +59,8 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 #
 # ``root(p)`` is a square root of ``matrix(p)`` in its cheapest exact form:
 # None for the identity, a 1-d array for a diagonal scaling, otherwise the
-# dense principal root (read-only, cached per (spec, p)).
+# dense principal root (read-only, cached per (spec, p)).  ``diagonal(p)`` and
+# ``square_trace(p)`` = tr Sigma^2 are closed forms: no p-by-p array is built.
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,12 @@ class Identity:
 
     def root(self, p: int) -> None:
         return None
+
+    def diagonal(self, p: int) -> np.ndarray:
+        return np.ones(p)
+
+    def square_trace(self, p: int) -> float:
+        return float(p)
 
     def spec(self) -> str:
         return "identity"
@@ -85,21 +93,25 @@ class Spiked:
     def __post_init__(self):
         if self.k < 1:
             raise DomainError(f"spike count must be >= 1, got {self.k}")
-        if not (self.s >= 0):
-            raise DomainError(f"spike size must be >= 0, got {self.s}")
+        if not (0 <= self.s < np.inf):
+            raise DomainError(f"spike size must be finite and >= 0, got {self.s}")
 
-    def _diagonal(self, p: int) -> np.ndarray:
+    def diagonal(self, p: int) -> np.ndarray:
         if self.k > p:
             raise DomainError(f"spike count {self.k} exceeds dimension {p}")
         d = np.ones(p)
         d[: self.k] = self.s
         return d
 
+    def square_trace(self, p: int) -> float:
+        d = self.diagonal(p)
+        return float(d @ d)
+
     def matrix(self, p: int) -> np.ndarray:
-        return np.diag(self._diagonal(p))
+        return np.diag(self.diagonal(p))
 
     def root(self, p: int) -> np.ndarray:
-        return np.sqrt(self._diagonal(p))
+        return np.sqrt(self.diagonal(p))
 
     def spec(self) -> str:
         return f"spiked:{self.k},{self.s!r}"
@@ -122,6 +134,12 @@ class Toeplitz:
     def root(self, p: int) -> np.ndarray:
         return _dense_root(self, p)
 
+    def diagonal(self, p: int) -> np.ndarray:
+        return np.ones(p)
+
+    def square_trace(self, p: int) -> float:
+        return _band_square_trace(p, 1.0, self.phi ** np.arange(1, p))
+
     def spec(self) -> str:
         return f"toeplitz:{self.phi!r}"
 
@@ -139,6 +157,8 @@ class BandToeplitz:
     def __post_init__(self):
         if len(self.gammas) == 0:
             raise DomainError("need at least gamma_0")
+        if not np.all(np.isfinite(self.gammas)):
+            raise DomainError(f"autocovariances must be finite, got {self.gammas}")
 
     def matrix(self, p: int) -> np.ndarray:
         sig = np.zeros((p, p))
@@ -149,11 +169,23 @@ class BandToeplitz:
     def root(self, p: int) -> np.ndarray:
         return _dense_root(self, p)
 
+    def diagonal(self, p: int) -> np.ndarray:
+        return np.full(p, self.gammas[0])
+
+    def square_trace(self, p: int) -> float:
+        return _band_square_trace(p, self.gammas[0], np.asarray(self.gammas[1:p]))
+
     def spec(self) -> str:
         return "band:" + ",".join(repr(g) for g in self.gammas)
 
 
 CovSpec = Identity | Spiked | Toeplitz | BandToeplitz
+
+
+def _band_square_trace(p: int, gamma0: float, lags: np.ndarray) -> float:
+    """tr Sigma^2 = p gamma_0^2 + 2 sum_h (p - h) gamma_h^2 for lags = (gamma_1, gamma_2, ...)."""
+    h = np.arange(1, lags.size + 1)
+    return float(p * (gamma0 * gamma0) + 2.0 * np.sum((p - h) * (lags * lags)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -223,12 +255,7 @@ class _Isotropic:
     """Models with identity covariance; subclasses set ``name`` and ``sample``."""
 
     isotropic = True
-
-    def covariance(self, p: int) -> np.ndarray:
-        return np.eye(p)
-
-    def twin(self) -> GaussianCov:
-        return GaussianCov(Identity())
+    cov = Identity()
 
     def spec(self) -> str:
         return self.name
@@ -285,10 +312,6 @@ class BlockXi(_Isotropic):
 
     name = "block-xi"
 
-    def covariance(self, p: int) -> np.ndarray:
-        _half(p)
-        return np.eye(p)
-
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         q = _half(p)
         out = np.zeros((p, n))
@@ -312,12 +335,6 @@ class GaussianCov:
 
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return scale_columns(self.cov, IIDGaussian().sample(p, n, rng))
-
-    def covariance(self, p: int) -> np.ndarray:
-        return self.cov.matrix(p)
-
-    def twin(self) -> GaussianCov:
-        return self
 
     def spec(self) -> str:
         return f"gauss-cov:{self.cov.spec()}"
@@ -364,6 +381,10 @@ class WeakDependent:
         c = np.asarray(self.coeffs)
         return tuple(float(np.sum(c[: c.size - h] * c[h:])) for h in range(c.size))
 
+    @property
+    def cov(self) -> BandToeplitz:
+        return BandToeplitz(self.autocovariances())
+
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         c = self.coeffs
         order = len(c) - 1
@@ -374,12 +395,6 @@ class WeakDependent:
         for k in range(1, order + 1):
             out += eps[k : k + p] * c[order - k]
         return out
-
-    def covariance(self, p: int) -> np.ndarray:
-        return self.twin().covariance(p)
-
-    def twin(self) -> GaussianCov:
-        return GaussianCov(BandToeplitz(self.autocovariances()))
 
     def spec(self) -> str:
         return "weak-ma:" + ",".join(repr(c) for c in self.coeffs)

@@ -21,7 +21,6 @@ swap is valid.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ from . import matcore, spectra
 from .conditions import RandomPSDFamily
 from .ensembles import (
     CovSpec,
+    GaussianCov,
     IIDGaussian,
     ParseError,
     VectorModel,
@@ -182,17 +182,17 @@ def resolvent_gap(
     """One draw of the swap gap Delta, read at every point of cfg.zs in order.
 
     X is drawn from cfg.model and then Z, sequentially from the given stream.
-    Z is the model's Gaussian twin.  With per-column covariances, column k of
-    X is Sigma_k^{1/2} u_k for an isotropic base draw u_k of cfg.model and
-    column k of Z is Sigma_k^{1/2} g_k for standard Gaussian g_k, so both
-    sides share the per-column population covariances exactly; with all
-    columns Identity that is the homogeneous gap bit for bit.  The two
-    spectra are solved once; |Delta| <= 2 / im(z) holds at each z.
+    Z is the Gaussian twin ``GaussianCov(cfg.model.cov)``.  With per-column
+    covariances, column k of X is Sigma_k^{1/2} u_k for an isotropic base
+    draw u_k of cfg.model and column k of Z is Sigma_k^{1/2} g_k for standard
+    Gaussian g_k, so both sides share the per-column population covariances
+    exactly; with all columns Identity that is the homogeneous gap bit for
+    bit.  The two spectra are solved once; |Delta| <= 2 / im(z) at each z.
     ``offsets`` is ``swap_offsets(cfg)``, built here when not given.
     """
     x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
     if cfg.hetero is None:
-        zmat = sample_data_matrix(cfg.model.twin(), cfg.p, cfg.n, rng)
+        zmat = sample_data_matrix(GaussianCov(cfg.model.cov), cfg.p, cfg.n, rng)
     else:
         zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
         _scale_each_column(cfg.hetero, x)
@@ -233,10 +233,4 @@ def _scale_each_column(covs: tuple[CovSpec, ...], m: np.ndarray) -> None:
 
 def average_spread(covs: tuple[CovSpec, ...], p: int) -> float:
     """Averaged covariance spread (1/(n p^2)) sum_k tr(Sigma_k^2) of n column covariances."""
-    return sum(_cov_square_trace(spec, p) for spec in covs) / (len(covs) * p * p)
-
-
-@functools.lru_cache(maxsize=16)
-def _cov_square_trace(spec: CovSpec, p: int) -> float:
-    sig = spec.matrix(p)
-    return float(np.sum(sig * sig))
+    return sum(spec.square_trace(p) for spec in covs) / (len(covs) * p * p)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -750,6 +751,28 @@ def test_main_oversized_spike_is_exit_2(argv, capsys):
     assert code == 2 and "spike count 5 exceeds dimension 3" in err and out == ""
 
 
+@pytest.mark.parametrize("cov", ["spiked:1,inf", "band:nan", "band:1,inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conditions", "--model", "gauss-cov:{cov}", "--stat", "quadform", "--p", "8",
+         "--eps", "0.5"],
+        ["conditions", "--model", "gauss-cov:{cov}", "--stat", "lindeberg", "--p", "8",
+         "--eps", "0.5"],
+        ["equivalence", "--model", "iid-gauss", "--p", "8", "--n", "8", "--hetero", "{cov}"],
+    ],
+    ids=["quadform", "lindeberg", "equivalence-hetero"],
+)
+def test_main_nonfinite_covariance_spec_is_exit_2(argv, cov, capsys):
+    # A non-finite spike or autocovariance is refused when the spec is parsed,
+    # before any trial runs or warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main([a.format(cov=cov) for a in argv] + ["--trials", "2"], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("rho", ["1e40", "1e-40", "inf", "0"])
 def test_main_law_tables_rho_without_a_law_is_exit_2(rho, tmp_path, capsys):
     # The config rejects exactly the aspect ratios MPLaw rejects, before any trial.
@@ -782,6 +805,7 @@ def test_conditions_records_match_library_trials(stat, model, family):
             expected.append(lindeberg_trial(m, p, eps, rng))
         else:
             # A fixed family's draw consumes no stream.
-            a = parse_family_spec(family).draw(p, rng)
-            expected.append(quadform_trial(m, a, quadform_sigma(m, p), rng))
+            fam = parse_family_spec(family)
+            a = fam.draw(p, rng)
+            expected.append(quadform_trial(m, a, quadform_sigma(m, fam, p), rng))
     assert got == expected

@@ -30,7 +30,6 @@ from mplab.conditions import (
     RandomPSDFamily,
     SquaredResolventFamily,
     chebyshev_bound,
-    cov_spread_stat,
     mp_property_trial,
     norm_drift_stat,
     parse_family_spec,
@@ -44,7 +43,6 @@ from mplab.ensembles import (
     IIDGaussian,
     IIDRademacher,
     ParseError,
-    Spiked,
     Toeplitz,
     WeakDependent,
     derive_rng,
@@ -139,7 +137,8 @@ def test_single_trial_estimate_has_infinite_se():
 def test_quadform_rademacher_identity_is_exactly_zero():
     p = 24
     model = IIDRademacher()
-    assert quadform_trial(model, np.eye(p), quadform_sigma(model, p), derive_rng(4)) == 0.0
+    sigma = quadform_sigma(model, RandomPSDFamily(), p)
+    assert quadform_trial(model, np.eye(p), sigma, derive_rng(4)) == 0.0
     m = conditions(4, model="iid-rademacher", stat="quadform", family="identity",
                    p=p, eps=1e-300, trials=5)
     assert m["abs_max"] == 0.0 and m["exceed_freq"] == 0.0
@@ -149,7 +148,7 @@ def test_quadform_gaussian_spiked_matrix_centers_correctly():
     p, trials = 16, 6000
     model = IIDGaussian()
     a = np.diag(np.concatenate([[2.0], np.ones(p - 1)]))
-    sigma = quadform_sigma(model, p)
+    sigma = quadform_sigma(model, RandomPSDFamily(), p)
     rng = derive_rng(5)
     vals = np.array([quadform_trial(model, a, sigma, rng) for _ in range(trials)])
     assert abs(vals.mean()) < 4 * standard_error(vals)
@@ -159,7 +158,7 @@ def test_quadform_nonisotropic_centering():
     # For GaussianCov the centering is tr(Sigma A), not tr(A).
     p, trials = 8, 6000
     model = GaussianCov(Toeplitz(0.5))
-    assert quadform_sigma(model, p) is not None
+    assert quadform_sigma(model, IdentityFamily(), p) is not None
     cfg = ExperimentConfig(experiment="conditions", model=model.spec(), stat="quadform",
                            family="identity", p=p, eps=0.5, trials=trials, seed=6)
     vals = np.array([r.value for r in run_experiment(cfg, rules=[]).records])
@@ -169,36 +168,45 @@ def test_quadform_nonisotropic_centering():
 
 @pytest.mark.parametrize("family", [IdentityFamily(), FixedHalfProjectorFamily()])
 def test_diagonal_draw_trial_matches_dense_trial(family):
-    # A fixed family's 1-d draw takes the O(p) path of quadform_trial; its
-    # dense np.diag takes the matrix path on the same stream.  Where diag(Sigma)
-    # sums exactly the two agree bit for bit; elsewhere tr(Sigma A) may be
-    # summed in another order, so they agree to rounding of tr(Sigma).
+    # A fixed family's 1-d draw takes the O(p) path of quadform_trial with
+    # diag(Sigma); its dense np.diag takes the matrix path with the dense Sigma
+    # a random family gets, on the same stream.  Where diag(Sigma) sums exactly
+    # the two agree bit for bit; elsewhere tr(Sigma A) may be summed in another
+    # order, so they agree to rounding of tr(Sigma).
     exact = ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
              "gauss-cov:spiked:1,{p}"]
     rounded = ["gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,2.7", "weak-ma:1,0.5"]
     eps = np.finfo(np.float64).eps
     for p in (1, 2, 63, 64, 1025):
-        assert 1.0 / p == cov_spread_stat(np.eye(p))
         for spec in exact + rounded:
             if (spec == "block-xi" and p % 2) or (spec.endswith("3,2.7") and p < 3):
                 continue
             model = parse_model_spec(spec.format(p=p))
-            sigma = quadform_sigma(model, p)
+            diag = quadform_sigma(model, family, p)
+            dense = quadform_sigma(model, RandomPSDFamily(), p)
+            assert (diag is None) == (dense is None) == model.isotropic
+            if diag is not None:
+                assert diag.ndim == 1 and np.array_equal(diag, np.diagonal(dense))
             draw = family.draw(p, None)
-            got = quadform_trial(model, draw, sigma, derive_rng(17, p))
-            want = quadform_trial(model, np.diag(draw), sigma, derive_rng(17, p))
+            got = quadform_trial(model, draw, diag, derive_rng(17, p))
+            want = quadform_trial(model, np.diag(draw), dense, derive_rng(17, p))
             if spec in exact:
                 assert got == want, (spec, p)
             else:
-                assert abs(got - want) <= 2 * eps * abs(np.trace(sigma)) / p, (spec, p)
+                assert abs(got - want) <= 2 * eps * abs(np.sum(diag)) / p, (spec, p)
 
 
 @pytest.mark.parametrize("model, family", [("gauss-cov:identity", "identity"),
-                                           ("block-xi", "fixed-half")])
+                                           ("block-xi", "fixed-half"),
+                                           ("gauss-cov:spiked:1,2048", "identity"),
+                                           ("gauss-cov:toeplitz:0.5", "fixed-half")])
 def test_fixed_family_quadform_run_builds_no_dense_matrix(model, family):
     p = 2048
     cfg = ExperimentConfig(experiment="conditions", model=model, stat="quadform", family=family,
                            p=p, eps=0.5, trials=3, seed=18)
+    # A non-diagonal Sigma is sampled through its dense root, which is p-by-p
+    # by nature and cached per (spec, p): build it first and trace the rest.
+    parse_model_spec(model).cov.root(p)
     tracemalloc.start()
     try:
         run_experiment(cfg, rules=[])
@@ -235,21 +243,7 @@ def test_probe_small_dimension_gaussian_exceeds_often():
 
 
 # ---------------------------------------------------------------------------
-# cov_spread_stat and the chebyshev bound
-
-
-def test_cov_spread_identity_and_spiked():
-    p = 256
-    assert cov_spread_stat(np.eye(p)) == 1.0 / p
-    s = Spiked(1, float(p)).matrix(p)
-    assert cov_spread_stat(s) == pytest.approx((p * p + p - 1) / p**2, rel=1e-14)
-
-
-def test_cov_spread_rejects_asymmetric_matrix():
-    s = np.eye(4)
-    s[3, 0] = 0.5
-    with pytest.raises(InvalidInputError):
-        cov_spread_stat(s)
+# the chebyshev bound
 
 
 def test_chebyshev_bound_hand_recompute_and_exact_frequency():

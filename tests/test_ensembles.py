@@ -113,7 +113,7 @@ def test_block_xi_needs_even_dimension():
     with pytest.raises(DomainError):
         sample_vector(BlockXi(), 7, derive_rng(0))
     with pytest.raises(DomainError):
-        BlockXi().covariance(7)
+        sample_data_matrix(BlockXi(), 7, 3, derive_rng(0))
 
 
 def test_weak_ma_normalizes_coefficients():
@@ -172,7 +172,7 @@ def test_isotropic_models_have_identity_covariance(model):
     # allow 4 sigma of the largest entry's Monte Carlo error.
     worst_se = np.sqrt((2.0 + p) / reps)
     assert np.max(np.abs(acc - np.eye(p))) < 4 * worst_se
-    assert np.array_equal(model.covariance(p), np.eye(p))
+    assert model.cov == Identity()
 
 
 def test_gaussian_cov_matches_spec():
@@ -248,15 +248,62 @@ def test_cov_spec_validation():
         Spiked(0, 1.0)
     with pytest.raises(DomainError):
         Spiked(1, -1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            Spiked(1, bad)
+        with pytest.raises(DomainError):
+            BandToeplitz((1.0, bad))
     with pytest.raises(DomainError):
         Toeplitz(1.0)
     with pytest.raises(DomainError):
         BandToeplitz(())
 
 
+# Every spec kind, with a band that has more lags than the smallest dimensions.
+ALL_COV_SPECS = (
+    Identity(),
+    Spiked(1, 2048.0),
+    Spiked(3, 2.0),
+    Spiked(3, 2.7),
+    Toeplitz(0.5),
+    Toeplitz(-0.7),
+    Toeplitz(0.99),
+    BandToeplitz((1.0, 0.3)),
+    BandToeplitz((2.0, -0.5, 0.25, 0.125, 0.1)),
+    WeakDependent((1.0, 0.5)).cov,
+)
+
+
+@pytest.mark.parametrize("spec", ALL_COV_SPECS, ids=lambda c: c.spec())
+def test_cov_spec_algebra_matches_dense_matrix(spec):
+    # The closed forms against the dense Sigma: diagonal(p) bit for bit, and
+    # square_trace(p) against the entrywise sum of Sigma * Sigma.  Identity and
+    # integer spikes sum exactly and phi = 1/2 has dyadic terms, so those agree
+    # bit for bit; elsewhere the two sums round differently.
+    exact = spec in (Identity(), Toeplitz(0.5)) or (
+        isinstance(spec, Spiked) and spec.s == int(spec.s)
+    )
+    for p in (1, 2, 3, 64, 1025):
+        if isinstance(spec, Spiked) and spec.k > p:
+            with pytest.raises(DomainError):
+                spec.square_trace(p)
+            continue
+        m = spec.matrix(p)
+        diag = spec.diagonal(p)
+        assert diag.tobytes() == np.diagonal(m).tobytes(), p
+        dense, closed = float(np.sum(m * m)), spec.square_trace(p)
+        assert type(closed) is float
+        if exact:
+            assert closed == dense, p
+        else:
+            assert abs(closed - dense) <= 1e-14 * dense, p
+        if spec == Identity():
+            assert closed / (p * p) == 1.0 / p  # the isotropic spread, bit for bit
+
+
 def test_population_covariance_weak_ma_is_banded():
     m = WeakDependent((1.0, 0.5))
-    sig = m.covariance(5)
+    sig = m.cov.matrix(5)
     g0, g1 = m.autocovariances()
     assert np.allclose(np.diag(sig), g0)
     assert np.allclose(np.diag(sig, 1), g1)
@@ -314,8 +361,6 @@ def test_data_matrix_shape_and_column_order(model):
         dims = (2, 63, 64, 65)
     else:
         dims = (1, 63, 64, 65)
-    for p in dims:
-        assert np.array_equal(model.twin().covariance(p), model.covariance(p))
     cases = [(p, n) for p in dims for n in (1, 2, 7)]
     if isinstance(model, (IIDGaussian, IIDRademacher, IIDSparseSpike, WeakDependent)):
         # These fill the matrix from row blocks of an n-by-p draw: span at

@@ -42,12 +42,12 @@ from mplab.matcore import DomainError, spectral_norm
 
 
 def test_paired_gaussian_mappings():
-    assert IIDGaussian().twin() == GaussianCov(Identity())
-    assert IIDRademacher().twin() == GaussianCov(Identity())
+    assert GaussianCov(IIDGaussian().cov) == GaussianCov(Identity())
+    assert GaussianCov(IIDRademacher().cov) == GaussianCov(Identity())
     g = GaussianCov(Toeplitz(0.3))
-    assert g.twin() is g
+    assert GaussianCov(g.cov) == g
     m = WeakDependent((1.0, 0.5))
-    assert m.twin() == GaussianCov(BandToeplitz(m.autocovariances()))
+    assert GaussianCov(m.cov) == GaussianCov(BandToeplitz(m.autocovariances()))
 
 
 # ---------------------------------------------------------------------------
