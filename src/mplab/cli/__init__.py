@@ -17,28 +17,8 @@ from typing import Sequence
 from ..matcore import DomainError, InvalidInputError
 from ..ensembles import ParseError
 from .config import CONDITION_STATS, FRAME_MODES, ExperimentConfig
-from .experiments import (
-    RunResult,
-    dump_first_trial,
-    evaluate_thresholds,
-    load_threshold_rules,
-    run_experiment,
-    worker_count,
-)
-from .records import TrialRecord, emit_report, read_records, write_report
-
-__all__ = [
-    "ExperimentConfig",
-    "RunResult",
-    "TrialRecord",
-    "emit_report",
-    "evaluate_thresholds",
-    "load_threshold_rules",
-    "main",
-    "read_records",
-    "run_experiment",
-    "worker_count",
-]
+from .experiments import dump_first_trial, load_threshold_rules, run_experiment
+from .records import emit_report, write_report
 
 
 def _parse_z(text: str) -> complex:

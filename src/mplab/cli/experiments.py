@@ -31,7 +31,7 @@ from ..ensembles import (
     parse_model_spec,
     sample_data_matrix,
 )
-from ..spectra import gram, gram_esd, ks_distance, sample_covariance, write_esd_csv
+from ..spectra import gram, gram_esd, ks_distance, sample_covariance
 from ..conditions import (
     chebyshev_bound,
     lindeberg_trial,
@@ -53,7 +53,7 @@ from ..equivalence import (
 )
 from ..identities import CHECKS, run_check
 from .config import EXPERIMENT_CODES, ExperimentConfig
-from .records import TrialRecord, write_matrix_dump
+from .records import TrialRecord, write_esd_csv, write_matrix_dump
 
 RowFn = Callable[[np.random.Generator], list[dict[str, Any]]]
 Summarize = Callable[[list[TrialRecord]], dict[str, Any]]

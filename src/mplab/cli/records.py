@@ -18,7 +18,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from ..matcore import InvalidInputError
+from ..matcore import InvalidInputError, Spectrum
 
 #: Column order of every report, independent of experiment type.
 COLUMNS = (
@@ -176,6 +176,15 @@ def write_matrix_dump(path: str, m: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(a.astype("<f8", copy=False).tobytes(order="C"))
+
+
+def write_esd_csv(path: str, e: Spectrum) -> None:
+    """Serialize an ESD as a one-column CSV of ascending eigenvalues."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["eigenvalue"])
+        for v in e.eigenvalues:
+            writer.writerow([f"{float(v):.17g}"])
 
 
 def read_matrix_dump(path: str) -> np.ndarray:

@@ -241,8 +241,7 @@ def mp_property_trial(
     q-by-p frame (Haar-random or the fixed first-q-coordinates frame), and
     returns the Kolmogorov distance to the limit law with ratio q/n.  The
     data is compressed before the Gram is formed, so no p-by-p matrix is
-    built; ``spectra.projected_covariance`` gives the same matrix up to
-    rounding.
+    built: (C X)(C X)^T / n equals C (X X^T / n) C^T up to rounding.
     """
     if not (1 <= q <= p):
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")

@@ -163,7 +163,10 @@ class BandToeplitz:
     def matrix(self, p: int) -> np.ndarray:
         sig = np.zeros((p, p))
         for h, g in enumerate(self.gammas[:p]):
-            sig += g * (np.eye(p, k=h) + (np.eye(p, k=-h) if h else 0.0))
+            # Lag h is the main diagonal of both offset views; + 0.0 stores a
+            # -0.0 autocovariance as 0.0, as adding it into zeros did.
+            np.fill_diagonal(sig[:, h:], g + 0.0)
+            np.fill_diagonal(sig[h:, :], g + 0.0)
         return sig
 
     def root(self, p: int) -> np.ndarray:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Row-orthonormality tolerance for frames.
-ORTH_TOL = 1e-10
 # Guaranteed reconstruction accuracy ||Q diag(w) Q^T - A|| relative to ||A||.
 RECON_TOL = 1e-9
 # Eigenvalues of nominally PSD input may undershoot zero by this much
@@ -73,19 +71,6 @@ def as_symmetric(m) -> np.ndarray:
     a = as_square(m)
     lower = np.tril(a)
     return lower + np.tril(a, -1).T
-
-
-def as_frame(c) -> np.ndarray:
-    """Validate a q-by-p matrix with orthonormal rows (q <= p)."""
-    a = np.asarray(c, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] > a.shape[1]:
-        raise InvalidInputError(f"frame must be q-by-p with q <= p, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("frame has non-finite entries")
-    gram = a @ a.T
-    if np.max(np.abs(gram - np.eye(a.shape[0]))) > ORTH_TOL:
-        raise DomainError("frame rows are not orthonormal within tolerance")
-    return a
 
 
 def require_upper_half(z: complex) -> complex:

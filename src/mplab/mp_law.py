@@ -54,6 +54,11 @@ class MPLaw:
         return (1.0 + self.rho**0.5) ** 2
 
     @property
+    def _width(self) -> float:
+        """b - a, as 4 sqrt(rho): the difference of the edges cancels for small rho."""
+        return 4.0 * self.rho**0.5
+
+    @property
     def atom0(self) -> float:
         """Mass of the point atom at zero (nonzero only for rho > 1)."""
         return max(1.0 - 1.0 / self.rho, 0.0)
@@ -82,8 +87,7 @@ class MPLaw:
 
             dF = (b - a)^2 / (pi rho) * sin^2 cos^2 / x  dtheta.
         """
-        a, b = self.a, self.b
-        width = b - a
+        a, width = self.a, self._width
         coeff = width * width / (np.pi * self.rho)
 
         def integrand(theta: float) -> float:
@@ -113,7 +117,7 @@ class MPLaw:
         the origin — far below the default subdivision scale, so the
         adaptive rule needs seeding there.
         """
-        a, width = self.a, self.b - self.a
+        a, width = self.a, self._width
         if a <= 0.0:
             return None
         layer = float(np.arcsin(min(1.0, np.sqrt(a / width))))
@@ -167,7 +171,7 @@ class MPLaw:
             return self.atom0
         if x >= self.b:
             return self.atom0 + self._theta_integral(np.pi / 2.0, 0)
-        ratio = min(1.0, max(0.0, (x - self.a) / (self.b - self.a)))
+        ratio = min(1.0, max(0.0, (x - self.a) / self._width))
         theta = float(np.arcsin(np.sqrt(ratio)))
         return self.atom0 + self._theta_integral(theta, 0)
 
@@ -214,8 +218,7 @@ class MPLaw:
         from scipy.integrate import quad
 
         z = require_upper_half(z)
-        a, b = self.a, self.b
-        width = b - a
+        a, width = self.a, self._width
         coeff = width * width / (np.pi * self.rho)
 
         # 1/(x - z) = conj(x - z) / |x - z|^2, split into real and imaginary

@@ -3,16 +3,14 @@
 A data matrix X (p rows, n columns) is summarized by the normalized sample
 covariance S = X X^T / n; its sorted eigenvalue list is the empirical
 spectral distribution (ESD), held as a ``matcore.Spectrum``.  This module
-computes ESDs, the Kolmogorov sup-distance between an ESD and a limit law,
-and compressions C S C^T along row-orthonormal frames.  The ESD of a data
-matrix comes from the smaller of X X^T / n and X^T X / n, with the
-eigenvalues known exactly read off rather than solved for.  The empirical
-Cauchy-Stieltjes transform of an ESD is ``matcore.resolvent_trace``.
+computes sample covariances, the ESD of a data matrix and the Kolmogorov
+sup-distance between an ESD and a limit law.  The ESD comes from the
+smaller of X X^T / n and X^T X / n, with the eigenvalues known exactly read
+off rather than solved for.  The empirical Cauchy-Stieltjes transform of an
+ESD is ``matcore.resolvent_trace``.
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
@@ -73,9 +71,9 @@ def gram_esd(g, p: int) -> Spectrum:
     whose eigenvalues are not known exactly.  A coordinate whose row of g has
     no off-diagonal nonzero is an eigenvector, so its diagonal entry is an
     eigenvalue; this covers the zero rows of X.  The p - k eigenvalues that
-    a k-by-k Gram lacks are exact zeros.  Roundoff negatives are clamped as
-    by ``esd(..., psd=True)``, which gives the same bits when nothing is
-    deflated and g is p-by-p.
+    a k-by-k Gram lacks are exact zeros.  Roundoff negatives are clamped by
+    ``matcore.clamp_psd_eigenvalues``; when nothing is deflated and g is
+    p-by-p, the result is bit for bit the clamped eigenvalues of g.
     """
     a = matcore.as_square(g)
     k = a.shape[0]
@@ -89,19 +87,6 @@ def gram_esd(g, p: int) -> Spectrum:
     if rest.size < p:
         vals = np.sort(np.concatenate([diag[isolated], vals, np.zeros(p - k)]))
     return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(vals))
-
-
-def esd(m, psd: bool = False) -> Spectrum:
-    """Eigenvalue distribution of a symmetric matrix.
-
-    With ``psd=True`` tiny negative eigenvalues (roundoff from a Gram-type
-    construction) are clamped to zero; genuine negativity raises.  For a data
-    matrix, ``gram_esd(*gram(x))`` gives the same spectrum from less work.
-    """
-    spec = matcore.eigh(m, want_vectors=False)
-    if psd:
-        return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(spec.eigenvalues))
-    return spec
 
 
 def ks_distance(e: Spectrum, law: MPLaw) -> float:
@@ -125,22 +110,3 @@ def ks_distance(e: Spectrum, law: MPLaw) -> float:
     upper = np.abs(at_or_below / p - fvals)
     lower = np.abs(below / p - fleft)
     return float(max(np.max(upper), np.max(lower)))
-
-
-def projected_covariance(frame, m) -> np.ndarray:
-    """Compression C m C^T of a symmetric matrix along a row-orthonormal frame."""
-    c = matcore.as_frame(frame)
-    a = matcore.as_symmetric(m)
-    if c.shape[1] != a.shape[0]:
-        raise DomainError(f"frame width {c.shape[1]} != matrix dimension {a.shape[0]}")
-    return matcore.as_symmetric(c @ a @ c.T)
-
-
-def write_esd_csv(path, e: Spectrum) -> None:
-    """Serialize an ESD as a one-column CSV of ascending eigenvalues."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eigenvalue"])
-        for v in e.eigenvalues:
-            writer.writerow([f"{float(v):.17g}"])
-

@@ -52,20 +52,13 @@ from mplab.ensembles import (
 from mplab.matcore import (
     DomainError,
     InvalidInputError,
-    as_frame,
     as_symmetric,
     haar_frame,
     spectral_norm,
 )
 from mplab.mp_law import MPLaw
-from mplab.spectra import (
-    esd,
-    gram,
-    gram_esd,
-    ks_distance,
-    projected_covariance,
-    sample_covariance,
-)
+from mplab.spectra import gram, gram_esd, ks_distance, sample_covariance
+from oracles import as_frame, esd, projected_covariance
 
 
 def gaussian_tail_second_moment(c: float) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,39 @@ def test_covariance_matrix_values():
     assert np.allclose(toep, [[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]])
     band = BandToeplitz((1.0, 0.3)).matrix(3)
     assert np.allclose(band, [[1, 0.3, 0], [0.3, 1, 0.3], [0, 0.3, 1]])
+
+
+def _band_by_eye_sums(gammas, p):
+    """The band matrix summed from shifted identities, one lag at a time."""
+    sig = np.zeros((p, p))
+    for h, g in enumerate(gammas[:p]):
+        sig += g * (np.eye(p, k=h) + (np.eye(p, k=-h) if h else 0.0))
+    return sig
+
+
+@pytest.mark.parametrize("gammas, p", [
+    ((1.0,), 5),
+    ((1.0, 0.3), 7),
+    ((2.0, -0.5, 0.25, -0.0, 1e-300), 6),
+    ((-0.0, 3.0), 4),
+    ((1.0, 0.5, 0.25, 0.125), 2),  # more lags than the dimension
+    ((1.0, 0.2), 1),
+])
+def test_band_toeplitz_matrix_matches_eye_sums_bitwise(gammas, p):
+    got = BandToeplitz(gammas).matrix(p)
+    assert got.tobytes() == _band_by_eye_sums(gammas, p).tobytes()
+
+
+def test_band_toeplitz_matrix_builds_no_temporaries():
+    p = 512
+    band = BandToeplitz((1.0, 0.5, 0.25, 0.125, 0.1))
+    tracemalloc.start()
+    try:
+        band.matrix(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * p * p
 
 
 def test_covariance_matrix_rejects_oversized_spike():

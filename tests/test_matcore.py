@@ -12,7 +12,6 @@ from mplab.matcore import (
     DomainError,
     InvalidInputError,
     Spectrum,
-    as_frame,
     as_symmetric,
     eigh,
     haar_frame,
@@ -21,6 +20,7 @@ from mplab.matcore import (
     resolvent_trace,
     spectral_norm,
 )
+from oracles import as_frame
 
 
 def _rng(seed=0):

@@ -25,15 +25,9 @@ from mplab.matcore import (
     resolvent_trace,
 )
 from mplab.mp_law import MPLaw
-from mplab.spectra import (
-    esd,
-    gram,
-    gram_esd,
-    ks_distance,
-    projected_covariance,
-    sample_covariance,
-    write_esd_csv,
-)
+from mplab.cli.records import write_esd_csv
+from mplab.spectra import gram, gram_esd, ks_distance, sample_covariance
+from oracles import esd, projected_covariance
 
 
 def law_quantiles(law: MPLaw, p: int) -> np.ndarray:
