@@ -4,6 +4,8 @@ Records go to ``--out`` (or stdout) in the fixed trial-record schema; the
 run summary, including pass/fail against the acceptance thresholds table,
 is printed as JSON.  The exit code is 0 exactly when every matched
 threshold rule passes.
+
+Importing this package loads no numpy; ``main`` pins BLAS before it does.
 """
 
 from __future__ import annotations
@@ -11,14 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Sequence
 
-from ..matcore import DomainError, InvalidInputError
-from ..ensembles import ParseError
 from .config import CONDITION_STATS, FRAME_MODES, ExperimentConfig
-from .experiments import dump_first_trial, load_threshold_rules, run_experiment
-from .records import emit_report, write_report
 
 
 def _parse_z(text: str) -> complex:
@@ -121,8 +120,16 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Trials are the parallel unit: one BLAS thread, set before numpy loads
+    # below.  A program that imported numpy earlier keeps its BLAS threads.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
+    from ..matcore import DomainError, InvalidInputError
+    from ..ensembles import ParseError
+    from .experiments import dump_first_trial, load_threshold_rules, run_experiment
+    from .records import emit_report, write_report
+
     try:
         cfg = config_from_args(args)
         rules = [] if args.no_thresholds else load_threshold_rules(args.thresholds)

@@ -1,10 +1,12 @@
 """Experiment configuration: validation and a JSON-able form.
 
-A config captures everything that determines a run except the worker
-count, so (config, seed) -> report is a pure function.  Dimensions are
-capped hard: the laboratory targets workstation-scale matrices, and a
-silently accepted ``p`` in the tens of thousands would thrash the host
-long before producing anything useful.
+A config captures everything that determines a run; neither the worker
+count nor the BLAS environment (``main`` pins it) reaches the report, so
+(config, seed) -> report is a pure function.  Dimensions are capped hard:
+the laboratory targets workstation-scale matrices, and a silently accepted
+``p`` in the tens of thousands would thrash the host long before producing
+anything useful.  The numpy-backed parsers load when a config validates,
+so the command line parses without numpy.
 """
 
 from __future__ import annotations
@@ -12,12 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from typing import Any
-
-from ..matcore import DomainError, InvalidInputError, require_upper_half
-from ..mp_law import MPLaw
-from ..ensembles import parse_model_spec
-from ..conditions import parse_family_spec
-from ..equivalence import parse_column_spec, parse_offset_spec
 
 #: Experiment id -> stream code mixed into every per-trial RNG derivation.
 EXPERIMENT_CODES = {
@@ -58,6 +54,12 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self) -> None:
+        from ..matcore import DomainError, InvalidInputError, require_upper_half
+        from ..mp_law import MPLaw
+        from ..ensembles import parse_model_spec
+        from ..conditions import parse_family_spec
+        from ..equivalence import parse_column_spec, parse_offset_spec
+
         if self.experiment not in EXPERIMENTS:
             raise InvalidInputError("unknown experiment: %r" % (self.experiment,))
         if self.trials < 1:

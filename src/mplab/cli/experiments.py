@@ -18,7 +18,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import cycle, islice
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +58,15 @@ from .records import TrialRecord, write_esd_csv, write_matrix_dump
 RowFn = Callable[[np.random.Generator], list[dict[str, Any]]]
 Summarize = Callable[[list[TrialRecord]], dict[str, Any]]
 
+
+class Trials(NamedTuple):
+    """Trial closures, their summarizer, and whether each trial draws a matrix."""
+
+    fns: list[RowFn]
+    summarize: Summarize
+    draws_matrix: bool
+
+
 #: Fixed upper-half-plane grid for law self-checks (law-tables experiment).
 LAW_Z_GRID = tuple(
     complex(re, im)
@@ -82,35 +91,13 @@ class RunResult:
     summary: dict[str, Any]
 
 
-#: Variables that set the BLAS thread count, in the order they are read.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+def worker_count(draws_matrix: bool = True) -> int:
+    """Trial workers: MPLAB_THREADS when set, else the usable CPUs.
 
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _blas_threads(cpus: int) -> int:
-    """The first positive integer among the BLAS variables; else BLAS's default, all CPUs."""
-    for name in _BLAS_THREAD_VARS:
-        try:
-            value = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            return value
-    return cpus
-
-
-def worker_count() -> int:
-    """Trial workers: MPLAB_THREADS when set, else the CPUs that BLAS threads leave free.
-
-    Trials and BLAS share the cores: with BLAS pinned to one thread every
-    usable CPU runs a trial, and with BLAS at its default trials run one at
-    a time.  Records do not depend on the count.
+    ``main`` pins BLAS to one thread, so each worker is one core.  Without
+    MPLAB_THREADS, trials that draw no matrix run inline: they are a few
+    short numpy calls each, and threads would only contend for the GIL.
+    Records do not depend on the count.
     """
     raw = os.environ.get("MPLAB_THREADS", "").strip()
     if raw:
@@ -118,8 +105,12 @@ def worker_count() -> int:
             return max(1, int(raw))
         except ValueError:
             raise InvalidInputError("MPLAB_THREADS must be an integer") from None
-    cpus = _usable_cpus()
-    return max(1, cpus // _blas_threads(cpus))
+    if not draws_matrix:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _require(cfg: ExperimentConfig, *names: str) -> None:
@@ -141,10 +132,10 @@ def _frequency(hits: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# experiment builders: cfg -> (trial closures, summarizer)
+# experiment builders: cfg -> Trials
 
 
-def _build_esd(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
+def _build_esd(cfg: ExperimentConfig) -> Trials:
     _require(cfg, "model", "p", "n")
     model = parse_model_spec(cfg.model)
     law = MPLaw(cfg.p / cfg.n)
@@ -156,10 +147,10 @@ def _build_esd(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
         d = ks_distance(gram_esd(*g), law)
         return [dict(base, statistic="ks_distance", value=d)]
 
-    return [fn] * cfg.trials, _summarize_ks
+    return Trials([fn] * cfg.trials, _summarize_ks, draws_matrix=True)
 
 
-def _build_mp_property(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
+def _build_mp_property(cfg: ExperimentConfig) -> Trials:
     _require(cfg, "model", "p", "n", "q")
     model = parse_model_spec(cfg.model)
     frame = cfg.frame or "haar"
@@ -169,7 +160,7 @@ def _build_mp_property(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
         d = mp_property_trial(model, cfg.p, cfg.n, cfg.q, rng, frame_mode=frame)
         return [dict(base, statistic="ks_distance", value=d)]
 
-    return [fn] * cfg.trials, _summarize_ks
+    return Trials([fn] * cfg.trials, _summarize_ks, draws_matrix=True)
 
 
 def _summarize_ks(records: list[TrialRecord]) -> dict[str, Any]:
@@ -182,7 +173,7 @@ def _summarize_ks(records: list[TrialRecord]) -> dict[str, Any]:
     }
 
 
-def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
+def _build_conditions(cfg: ExperimentConfig) -> Trials:
     _require(cfg, "model", "p", "eps")
     stat = cfg.stat or "quadform"
     model = parse_model_spec(cfg.model)
@@ -219,7 +210,7 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
                 metrics["slack"] = bound + 4.0 * se - freq
             return metrics
 
-        return [fn] * cfg.trials, summarize
+        return Trials([fn] * cfg.trials, summarize, draws_matrix=family.random)
 
     if stat == "lindeberg":
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
@@ -242,7 +233,7 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
                 "tail_dev_from_one_sigmas": dev,
             }
 
-        return [fn] * cfg.trials, summarize
+        return Trials([fn] * cfg.trials, summarize, draws_matrix=False)
 
     if stat == "norm-drift":
         require_isotropic(model)
@@ -261,12 +252,12 @@ def _build_conditions(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
                 "abs_max": float(np.max(np.abs(vals))),
             }
 
-        return [fn] * cfg.trials, summarize
+        return Trials([fn] * cfg.trials, summarize, draws_matrix=False)
 
     raise InvalidInputError("unknown statistic: %r" % (stat,))
 
 
-def _build_equivalence(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
+def _build_equivalence(cfg: ExperimentConfig) -> Trials:
     _require(cfg, "model", "p", "n")
     pattern = [parse_cov_spec(s) for s in cfg.hetero]
     hetero = tuple(islice(cycle(pattern), cfg.n)) if pattern else None
@@ -308,10 +299,10 @@ def _build_equivalence(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
             metrics["avg_spread"] = float(avg_spread)
         return metrics
 
-    return [fn] * cfg.trials, summarize
+    return Trials([fn] * cfg.trials, summarize, draws_matrix=True)
 
 
-def _build_law_tables(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
+def _build_law_tables(cfg: ExperimentConfig) -> Trials:
     rhos = cfg.rhos or DEFAULT_RHOS
 
     def make_fn(rho: float) -> RowFn:
@@ -357,10 +348,10 @@ def _build_law_tables(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
             "stieltjes_tail_gap_max": float(np.max(_values(records, "stieltjes_tail_gap"))),
         }
 
-    return [make_fn(rho) for rho in rhos], summarize
+    return Trials([make_fn(rho) for rho in rhos], summarize, draws_matrix=False)
 
 
-def _build_facts(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
+def _build_facts(cfg: ExperimentConfig) -> Trials:
     p_max = cfg.p or 40
 
     def make_fn(name: str) -> RowFn:
@@ -381,10 +372,10 @@ def _build_facts(cfg: ExperimentConfig) -> tuple[list[RowFn], Summarize]:
             "worst_margin_max": float(max(margins)),
         }
 
-    return [make_fn(name) for name in CHECKS], summarize
+    return Trials([make_fn(name) for name in CHECKS], summarize, draws_matrix=False)
 
 
-_BUILDERS: dict[str, Callable[[ExperimentConfig], tuple[list[RowFn], Summarize]]] = {
+_BUILDERS: dict[str, Callable[[ExperimentConfig], Trials]] = {
     "esd": _build_esd,
     "conditions": _build_conditions,
     "mp-property": _build_mp_property,
@@ -398,7 +389,7 @@ _BUILDERS: dict[str, Callable[[ExperimentConfig], tuple[list[RowFn], Summarize]]
 # runner
 
 
-def _run_trials(cfg: ExperimentConfig, fns: list[RowFn]) -> list[TrialRecord]:
+def _run_trials(cfg: ExperimentConfig, trials: Trials) -> list[TrialRecord]:
     code = EXPERIMENT_CODES[cfg.experiment]
 
     def one(item: tuple[int, RowFn]) -> tuple[int, list[dict[str, Any]], float | None]:
@@ -409,8 +400,8 @@ def _run_trials(cfg: ExperimentConfig, fns: list[RowFn]) -> list[TrialRecord]:
         wall = (time.perf_counter() - start) * 1e3 if cfg.timing else None
         return idx, rows, wall
 
-    items = list(enumerate(fns))
-    workers = min(worker_count(), len(items))
+    items = list(enumerate(trials.fns))
+    workers = min(worker_count(trials.draws_matrix), len(items))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(one, items))
@@ -519,14 +510,14 @@ def run_experiment(
     """
     if rules is None:
         rules = load_threshold_rules()
-    fns, summarize = _BUILDERS[cfg.experiment](cfg)
-    records = _run_trials(cfg, fns)
-    metrics = _strict_metrics(summarize(records))
+    trials = _BUILDERS[cfg.experiment](cfg)
+    records = _run_trials(cfg, trials)
+    metrics = _strict_metrics(trials.summarize(records))
     checks = evaluate_thresholds(cfg, metrics, rules)
     summary = {
         "experiment": cfg.experiment,
         "config": cfg.to_dict(),
-        "trials": len(fns),
+        "trials": len(trials.fns),
         "metrics": metrics,
         "thresholds": checks,
         "pass": all(c["pass"] for c in checks),

@@ -308,21 +308,35 @@ def test_criterion_09_invariant_suite(capsys):
     assert dt < 30.0
 
 
+def run_cli(tmp_path, tag: str, env: dict[str, str | None],
+            argv: list[str]) -> tuple[bytes, bytes]:
+    """Report and summary bytes of ``python -m mplab.cli <argv>`` run in tmp_path.
+
+    ``env`` overrides the inherited environment; ``None`` removes a variable.
+    """
+    out_path = tmp_path / f"{tag}.out"
+    # The child runs in tmp_path, so a relative PYTHONPATH would not
+    # resolve; point it at the directory holding the imported package.
+    path = [os.path.dirname(os.path.dirname(mplab.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for name, value in env.items():
+        if value is None:
+            child.pop(name, None)
+        else:
+            child[name] = value
+    proc = subprocess.run(
+        [sys.executable, "-m", "mplab.cli", *argv, "--out", str(out_path)],
+        capture_output=True, env=child, cwd=str(tmp_path), check=False,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return out_path.read_bytes(), proc.stdout
+
+
 def test_criterion_10_byte_determinism_across_worker_counts(capsys, tmp_path):
     def run(tag: str, threads: str, argv: list[str]) -> tuple[bytes, bytes]:
-        out_path = tmp_path / f"{tag}.out"
-        # The child runs in tmp_path, so a relative PYTHONPATH would not
-        # resolve; point it at the directory holding the imported package.
-        path = [os.path.dirname(os.path.dirname(mplab.__file__))]
-        if os.environ.get("PYTHONPATH"):
-            path.append(os.environ["PYTHONPATH"])
-        env = dict(os.environ, MPLAB_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mplab.cli", *argv, "--out", str(out_path)],
-            capture_output=True, env=env, cwd=str(tmp_path), check=False,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        return out_path.read_bytes(), proc.stdout
+        return run_cli(tmp_path, tag, {"MPLAB_THREADS": threads}, argv)
 
     cases = {
         "esd": ["esd", "--model", "iid-gauss", "--p", "256", "--n", "512",
@@ -351,33 +365,41 @@ def test_criterion_10_byte_determinism_across_worker_counts(capsys, tmp_path):
 
 
 def test_default_worker_count_gives_the_sequential_bytes(tmp_path):
-    # With MPLAB_THREADS unset and BLAS pinned to one thread, trials fill
-    # every usable CPU; the bytes must be those of a one-worker run.
-    def run(tag: str, env: dict[str, str], argv: list[str]) -> tuple[bytes, bytes]:
-        out_path = tmp_path / f"{tag}.out"
-        path = [os.path.dirname(os.path.dirname(mplab.__file__))]
-        if os.environ.get("PYTHONPATH"):
-            path.append(os.environ["PYTHONPATH"])
-        child = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        for name in ("MPLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS"):
-            child.pop(name, None)
-        child.update(env)
-        proc = subprocess.run(
-            [sys.executable, "-m", "mplab.cli", *argv, "--out", str(out_path)],
-            capture_output=True, env=child, cwd=str(tmp_path), check=False,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        return out_path.read_bytes(), proc.stdout
-
+    # With MPLAB_THREADS unset, trials that draw a matrix fill every usable
+    # CPU; the bytes must be those of a one-worker run.
+    unset = dict.fromkeys(("MPLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                           "MKL_NUM_THREADS"))
     cases = {
         "esd": ["esd", "--model", "sparse-spike", "--p", "128", "--n", "256",
                 "--trials", "6", "--seed", "42", "--format", "csv"],
         "mp-property": ["mp-property", "--model", "iid-gauss", "--p", "128", "--n", "128",
                         "--q", "64", "--frame", "haar", "--trials", "6", "--seed", "42",
                         "--format", "json"],
+        "conditions": ["conditions", "--model", "iid-gauss", "--p", "128", "--stat",
+                       "quadform", "--family", "random-psd", "--eps", "0.5",
+                       "--trials", "6", "--seed", "42", "--format", "csv"],
     }
     for name, argv in cases.items():
-        sequential = run(f"{name}-t1", {"MPLAB_THREADS": "1"}, argv)
-        default = run(f"{name}-default", {"OPENBLAS_NUM_THREADS": "1"}, argv)
+        sequential = run_cli(tmp_path, f"{name}-t1", dict(unset, MPLAB_THREADS="1"), argv)
+        default = run_cli(tmp_path, f"{name}-default", unset, argv)
         assert default == sequential, f"{name}: default worker count changed the bytes"
+
+
+def test_blas_environment_does_not_change_the_bytes(tmp_path):
+    # main pins BLAS to one thread before numpy loads, so the BLAS variables
+    # a run inherits do not reach its bytes, at any worker count.
+    argv = ["esd", "--model", "iid-gauss", "--p", "512", "--n", "1024",
+            "--trials", "4", "--seed", "3"]
+    outputs = {
+        (blas, threads): run_cli(
+            tmp_path, f"blas-{blas}-t{threads}",
+            {"OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": None,
+             "MKL_NUM_THREADS": None, "MPLAB_THREADS": threads},
+            argv,
+        )
+        for blas in (None, "1", "2")
+        for threads in ("1", "2")
+    }
+    first = outputs[None, "1"]
+    differ = [key for key, out in outputs.items() if out != first]
+    assert differ == [], f"bytes differ from BLAS unset at one worker: {differ}"

@@ -21,6 +21,7 @@ from mplab.cli.config import (
     MAX_DIM,
     ExperimentConfig,
 )
+from mplab.cli import experiments
 from mplab.cli.experiments import (
     dump_first_trial,
     evaluate_thresholds,
@@ -239,21 +240,22 @@ def test_run_experiment_deterministic_across_workers(monkeypatch):
     "env, expected",
     [
         ({"OPENBLAS_NUM_THREADS": "1"}, 2),
-        ({"MKL_NUM_THREADS": "1"}, 2),
-        ({}, 1),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
-        ({"OMP_NUM_THREADS": "2,1"}, 1),
-        # A malformed or zero value counts as unset, so the next one is read.
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}, 2),
+        # An explicit MPLAB_THREADS wins, whatever the BLAS variables say.
+        ({"MPLAB_THREADS": "1"}, 1),
+        ({"MPLAB_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({"MPLAB_THREADS": "1", "OMP_NUM_THREADS": "many"}, 1),
+        ({"MPLAB_THREADS": "0"}, 1),
+        ({"MPLAB_THREADS": " 1 "}, 1),
+        ({}, 2),
         ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
-        # An explicit MPLAB_THREADS wins.
         ({"MPLAB_THREADS": "3"}, 3),
         ({"MPLAB_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}, 1),
     ],
 )
 def test_worker_count_fills_the_cpus_blas_leaves(monkeypatch, env, expected):
+    # main pins BLAS to one thread, so BLAS leaves every usable CPU to the
+    # pool and its variables no longer change the count.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for name in ("MPLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
@@ -264,8 +266,66 @@ def test_worker_count_fills_the_cpus_blas_leaves(monkeypatch, env, expected):
 
 def test_bad_worker_count_is_exit_2(monkeypatch, capsys):
     monkeypatch.setenv("MPLAB_THREADS", "two")
-    code, out, err = run_main(["esd", "--model", "iid-gauss", "--p", "8", "--n", "8"], capsys)
-    assert code == 2 and "MPLAB_THREADS" in err and out == ""
+    # Trials that draw no matrix run inline by default, yet still read it.
+    for argv in (["esd", "--model", "iid-gauss", "--p", "8", "--n", "8"],
+                 ["conditions", "--model", "iid-gauss", "--p", "8", "--stat", "lindeberg",
+                  "--eps", "0.5"]):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and "MPLAB_THREADS" in err and out == ""
+
+
+class _RecordingPool:
+    """Stands in for the trial pool: records its size, runs the trials inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.sizes.append(max_workers)
+
+    def __enter__(self) -> _RecordingPool:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+_MATRIX_RUNS = [
+    dict(experiment="esd", model="iid-gauss", p=8, n=8),
+    dict(experiment="mp-property", model="iid-gauss", p=8, n=8, q=4),
+    dict(experiment="equivalence", model="iid-rademacher", p=8, n=8),
+    dict(experiment="conditions", model="iid-gauss", p=8, eps=0.5, family="random-psd"),
+    dict(experiment="conditions", model="gauss-cov:identity", p=8, eps=0.5,
+         stat="chebyshev", family="haar-proj:2"),
+]
+_VECTOR_RUNS = [
+    dict(experiment="conditions", model="sparse-spike", p=8, eps=0.5, stat="lindeberg"),
+    dict(experiment="conditions", model="iid-gauss", p=8, eps=0.5, stat="norm-drift"),
+    dict(experiment="conditions", model="block-xi", p=8, eps=0.5, family="fixed-half"),
+    dict(experiment="conditions", model="gauss-cov:identity", p=8, eps=0.5,
+         stat="chebyshev", family="identity"),
+    dict(experiment="law-tables", rhos=(0.5, 2.0, 4.0)),
+    dict(experiment="facts", p=8),
+]
+
+
+@pytest.mark.parametrize("fields, draws_matrix",
+                         [(f, True) for f in _MATRIX_RUNS] + [(f, False) for f in _VECTOR_RUNS])
+def test_only_matrix_trials_fill_the_pool(monkeypatch, fields, draws_matrix):
+    # Four usable CPUs are patched in; the stand-in pool starts no thread.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.delenv("MPLAB_THREADS", raising=False)
+    cfg = ExperimentConfig(trials=5, seed=1, **fields)
+    records = run_experiment(cfg, rules=[]).records
+    assert _RecordingPool.sizes == ([4] if draws_matrix else [])
+    # An explicit MPLAB_THREADS pools every kind of trial, with the same records.
+    monkeypatch.setenv("MPLAB_THREADS", "2")
+    assert run_experiment(cfg, rules=[]).records == records
+    assert _RecordingPool.sizes == ([4, 2] if draws_matrix else [2])
 
 
 def test_timing_flag_controls_wall_ms():
@@ -758,6 +818,24 @@ def test_cli_import_and_esd_run_leave_scipy_unloaded(tmp_path):
                           env=env, cwd=str(tmp_path), check=False)
     assert proc.returncode == 0, proc.stderr.decode()
     assert (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["-c", "import mplab.cli"], 0),
+    (["-m", "mplab.cli", "--help"], 0),
+    (["-m", "mplab.cli", "esd", "--p", "8", "--n", "8"], 2),  # no --model: usage error
+])
+def test_cli_front_door_loads_no_numpy(args, code):
+    # main pins BLAS before numpy loads, so parsing must not load it.
+    # -X importtime lists every module the process imported.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mplab.__file__)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          env=env, text=True, check=False)
+    assert proc.returncode == code, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "mplab.cli" in imported
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
 
 
 @pytest.mark.parametrize(
