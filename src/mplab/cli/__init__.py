@@ -6,12 +6,14 @@ is printed as JSON.  The exit code is 0 exactly when every matched
 threshold rule passes.
 
 Importing this package loads no numpy; ``main`` pins BLAS before it does.
+``run`` is the console entry point: ``main`` plus a cheap process exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -151,5 +153,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0 if result.summary["pass"] else 1
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+def run() -> int:
+    """``main()`` on the process's argv, for a process that exits right after.
+
+    ``gc.freeze()`` moves every live object out of the collector's reach, so
+    interpreter shutdown does not walk numpy's and mplab's module-lifetime
+    objects cycle by cycle.  In-process callers of ``main`` keep normal
+    collection.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -1,5 +1,5 @@
 import sys
 
-from . import main
+from . import run
 
-sys.exit(main())
+sys.exit(run())

@@ -6,7 +6,8 @@ count nor the BLAS environment (``main`` pins it) reaches the report, so
 the laboratory targets workstation-scale matrices, and a silently accepted
 ``p`` in the tens of thousands would thrash the host long before producing
 anything useful.  The numpy-backed parsers load when a config validates,
-so the command line parses without numpy.
+so the command line parses without numpy; the offset parsers load only
+for a config that has an offset.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class ExperimentConfig:
         from ..mp_law import MPLaw
         from ..ensembles import parse_model_spec
         from ..conditions import parse_family_spec
-        from ..equivalence import parse_column_spec, parse_offset_spec
 
         if self.experiment not in EXPERIMENTS:
             raise InvalidInputError("unknown experiment: %r" % (self.experiment,))
@@ -86,8 +86,12 @@ class ExperimentConfig:
         if self.family is not None:
             parse_family_spec(self.family)
         if self.b_spec is not None:
+            from ..equivalence import parse_offset_spec
+
             parse_offset_spec(self.b_spec)
         if self.c_spec is not None:
+            from ..equivalence import parse_column_spec
+
             parse_column_spec(self.c_spec)
         if self.stat is not None and self.stat not in CONDITION_STATS:
             raise InvalidInputError("unknown statistic: %r" % (self.stat,))

@@ -5,17 +5,19 @@ draws from the stream ``derive_rng(seed, code, t)`` where ``code`` is the
 experiment's fixed stream code, so results are independent of how trials
 are scheduled across workers; records are re-ordered by trial index before
 emission.  Summaries compare against threshold rules shipped as data.
+
+A run imports only what its experiment uses: ``equivalence`` and
+``identities`` load in their own builders, and ``concurrent.futures`` only
+when trials go to a pool.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import operator
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import Any, Callable, NamedTuple
@@ -43,15 +45,6 @@ from ..conditions import (
     require_isotropic,
     standard_error,
 )
-from ..equivalence import (
-    SwapConfig,
-    average_spread,
-    parse_column_spec,
-    parse_offset_spec,
-    resolvent_gap,
-    swap_offsets,
-)
-from ..identities import CHECKS, run_check
 from .config import EXPERIMENT_CODES, ExperimentConfig
 from .records import TrialRecord, write_esd_csv, write_matrix_dump
 
@@ -75,6 +68,12 @@ LAW_Z_GRID = tuple(
 )
 
 DEFAULT_RHOS = (0.1, 0.5, 1.0, 2.0, 4.0)
+
+#: The acceptance table, installed in the package as ``mplab/data`` (package-data).
+PACKAGED_THRESHOLDS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "data", "acceptance_thresholds.json",
+)
 
 _OPS = {
     "<=": operator.le,
@@ -258,6 +257,15 @@ def _build_conditions(cfg: ExperimentConfig) -> Trials:
 
 
 def _build_equivalence(cfg: ExperimentConfig) -> Trials:
+    from ..equivalence import (
+        SwapConfig,
+        average_spread,
+        parse_column_spec,
+        parse_offset_spec,
+        resolvent_gap,
+        swap_offsets,
+    )
+
     _require(cfg, "model", "p", "n")
     pattern = [parse_cov_spec(s) for s in cfg.hetero]
     hetero = tuple(islice(cycle(pattern), cfg.n)) if pattern else None
@@ -352,6 +360,8 @@ def _build_law_tables(cfg: ExperimentConfig) -> Trials:
 
 
 def _build_facts(cfg: ExperimentConfig) -> Trials:
+    from ..identities import CHECKS, run_check
+
     p_max = cfg.p or 40
 
     def make_fn(name: str) -> RowFn:
@@ -403,6 +413,8 @@ def _run_trials(cfg: ExperimentConfig, trials: Trials) -> list[TrialRecord]:
     items = list(enumerate(trials.fns))
     workers = min(worker_count(trials.draws_matrix), len(items))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(one, items))
     else:
@@ -426,15 +438,11 @@ def _reject_constant(name: str) -> None:
 def load_threshold_rules(path: str | None = None) -> list[dict[str, Any]]:
     """Threshold rules from a JSON file; default to the table shipped as data."""
     if path is None:
-        resource = importlib.resources.files("mplab").joinpath(
-            "data", "acceptance_thresholds.json"
-        )
-        text = resource.read_text(encoding="utf-8")
-        label = "packaged threshold table"
+        path, label = PACKAGED_THRESHOLDS, "packaged threshold table"
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
         label = path
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
         data = json.loads(text, parse_constant=_reject_constant)
         rules = list(data["rules"])

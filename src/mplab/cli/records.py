@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable
 
@@ -101,8 +101,7 @@ def write_records_csv(records: Iterable[TrialRecord], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(COLUMNS)
     for rec in records:
-        row = asdict(rec)
-        writer.writerow([_csv_cell(name, row[name]) for name in COLUMNS])
+        writer.writerow([_csv_cell(name, getattr(rec, name)) for name in COLUMNS])
 
 
 def write_records_json(records: Iterable[TrialRecord], stream: IO[str]) -> None:
@@ -111,9 +110,8 @@ def write_records_json(records: Iterable[TrialRecord], stream: IO[str]) -> None:
     stream.write("[")
     first = True
     for rec in records:
-        row = asdict(rec)
         cells = ", ".join(
-            '"%s": %s' % (name, _json_cell(name, row[name])) for name in COLUMNS
+            '"%s": %s' % (name, _json_cell(name, getattr(rec, name))) for name in COLUMNS
         )
         stream.write(("\n" if first else ",\n") + "  {" + cells + "}")
         first = False

@@ -22,7 +22,7 @@ swap is valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,6 +117,10 @@ class SwapConfig:
     b_spec: BSpec = None
     c_spec: CSpec = None
     hetero: tuple[CovSpec, ...] | None = None
+    #: ``hetero`` grouped by spec, as ``_column_groups`` builds it.
+    column_groups: tuple[tuple[CovSpec, np.ndarray], ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
@@ -131,6 +135,7 @@ class SwapConfig:
                 )
             if not self.model.isotropic:
                 raise DomainError("per-column covariances require an isotropic base model")
+            object.__setattr__(self, "column_groups", _column_groups(self.hetero, self.p))
 
 
 def parse_offset_spec(text: str) -> BSpec:
@@ -195,8 +200,8 @@ def resolvent_gap(
         zmat = sample_data_matrix(GaussianCov(cfg.model.cov), cfg.p, cfg.n, rng)
     else:
         zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
-        _scale_each_column(cfg.hetero, x)
-        _scale_each_column(cfg.hetero, zmat)
+        _scale_each_column(cfg.column_groups, x)
+        _scale_each_column(cfg.column_groups, zmat)
     return _gaps_from_matrices(x, zmat, cfg, offsets)
 
 
@@ -204,30 +209,51 @@ def _gaps_from_matrices(
     x: np.ndarray, zmat: np.ndarray, cfg: SwapConfig, offsets: Offsets | None
 ) -> tuple[complex, ...]:
     b, c = swap_offsets(cfg) if offsets is None else offsets
-    solved = []
-    for data in (x, zmat):
-        s = spectra.sample_covariance(data if c is None else data + c)
-        if b is not None:
-            s += b
-        solved.append(matcore.eigh(s, want_vectors=False))
-    spec_x, spec_z = solved
+    spec_x, spec_z = (_spectrum(data, b, c) for data in (x, zmat))
     return tuple(
         matcore.resolvent_trace(spec_x, z) - matcore.resolvent_trace(spec_z, z) for z in cfg.zs
     )
 
 
-def _scale_each_column(covs: tuple[CovSpec, ...], m: np.ndarray) -> None:
-    """Replace column k of m by Sigma_k^{1/2} m[:, k], in place.
+def _spectrum(data: np.ndarray, b: np.ndarray | None, c: np.ndarray | None) -> matcore.Spectrum:
+    """Spectrum of (data + C)(data + C)^T / n + B.
 
-    Each distinct root is applied once, to all of its columns, in first-seen
-    order.  That is bitwise the per-column product for identity and diagonal
-    roots; a dense root becomes one matrix product, which can round
-    differently from one product per column in the last digits.
+    Without offsets it is the sample covariance's ESD from ``spectra.gram_esd``,
+    which solves only what it cannot read off; an offset needs the p-by-p matrix.
+    """
+    if b is None and c is None:
+        return spectra.gram_esd(*spectra.gram(data))
+    s = spectra.sample_covariance(data if c is None else data + c)
+    if b is not None:
+        s += b
+    return matcore.eigh(s, want_vectors=False)
+
+
+def _column_groups(
+    covs: tuple[CovSpec, ...], p: int
+) -> tuple[tuple[CovSpec, np.ndarray], ...]:
+    """Each distinct spec of ``covs`` that has a root, with its column indices.
+
+    Specs come in first-seen order; those whose root is None (the identity)
+    leave their columns as they are and are left out.
     """
     columns: dict[CovSpec, list[int]] = {}
     for k, spec in enumerate(covs):
         columns.setdefault(spec, []).append(k)
-    for spec, cols in columns.items():
+    return tuple(
+        (spec, np.array(cols)) for spec, cols in columns.items() if spec.root(p) is not None
+    )
+
+
+def _scale_each_column(groups: tuple[tuple[CovSpec, np.ndarray], ...], m: np.ndarray) -> None:
+    """Replace column k of m by Sigma_k^{1/2} m[:, k], in place, for ``_column_groups``.
+
+    Each distinct root is applied once, to all of its columns.  That is
+    bitwise the per-column product for identity and diagonal roots; a dense
+    root becomes one matrix product, which can round differently from one
+    product per column in the last digits.
+    """
+    for spec, cols in groups:
         m[:, cols] = scale_columns(spec, m[:, cols])
 
 

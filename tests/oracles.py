@@ -2,15 +2,16 @@
 
 The package computes spectra from data matrices (``spectra.gram_esd``) and
 compresses the data before forming a Gram.  These oracles take the long way
-instead: the ESD of an explicit symmetric matrix, and the compression
-C S C^T of a full sample covariance along a validated row-orthonormal frame.
+instead: the ESD of an explicit symmetric matrix, the compression C S C^T of
+a full sample covariance along a validated row-orthonormal frame, and swap
+gaps from two full p-by-p sample covariances.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mplab import matcore
+from mplab import matcore, spectra
 from mplab.matcore import DomainError, InvalidInputError, Spectrum
 
 # Row-orthonormality tolerance for frames.
@@ -49,3 +50,13 @@ def projected_covariance(frame, m) -> np.ndarray:
     if c.shape[1] != a.shape[0]:
         raise DomainError(f"frame width {c.shape[1]} != matrix dimension {a.shape[0]}")
     return matcore.as_symmetric(c @ a @ c.T)
+
+
+def swap_gaps_dense(x, zmat, zs) -> tuple[complex, ...]:
+    """Swap gaps with no offsets: each side's p-by-p sample covariance, solved whole."""
+    spec_x, spec_z = (
+        matcore.eigh(spectra.sample_covariance(m), want_vectors=False) for m in (x, zmat)
+    )
+    return tuple(
+        matcore.resolvent_trace(spec_x, z) - matcore.resolvent_trace(spec_z, z) for z in zs
+    )

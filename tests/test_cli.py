@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -21,7 +24,6 @@ from mplab.cli.config import (
     MAX_DIM,
     ExperimentConfig,
 )
-from mplab.cli import experiments
 from mplab.cli.experiments import (
     dump_first_trial,
     evaluate_thresholds,
@@ -29,6 +31,7 @@ from mplab.cli.experiments import (
     run_experiment,
     worker_count,
 )
+from mplab.cli import records as records_module
 from mplab.cli.records import (
     COLUMNS,
     TrialRecord,
@@ -181,6 +184,67 @@ def test_unknown_format_rejected():
         read_records(io.StringIO(""), "xml")
 
 
+def _asdict_report(recs: list[TrialRecord], fmt: str) -> str:
+    """The report as the encoders wrote it before: one ``dataclasses.asdict`` per record."""
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        for rec in recs:
+            row = dataclasses.asdict(rec)
+            writer.writerow([records_module._csv_cell(name, row[name]) for name in COLUMNS])
+        return buf.getvalue()
+    buf.write("[")
+    first = True
+    for rec in recs:
+        row = dataclasses.asdict(rec)
+        cells = ", ".join(
+            '"%s": %s' % (name, records_module._json_cell(name, row[name])) for name in COLUMNS
+        )
+        buf.write(("\n" if first else ",\n") + "  {" + cells + "}")
+        first = False
+    buf.write("\n]\n" if not first else "]\n")
+    return buf.getvalue()
+
+
+def _every_column_set() -> TrialRecord:
+    return TrialRecord(
+        experiment="equivalence", trial=3, seed=2**62, statistic="resolvent_gap",
+        value=-1.2345678901234567e-3, model='gauss-cov:spiked:1,"2"', p=64, n=128, q=32,
+        eps=0.25, rho=0.5, z_re=-1.0, z_im=0.5, b_spec="psd:1", c_spec="const:1.0",
+        value_im=4e-17, se=1e-300, wall_ms=12.5,
+    )
+
+
+_ENCODER_CASES = {
+    "every-column-set": [_every_column_set()],
+    "every-optional-none": [TrialRecord(experiment="facts", trial=0, seed=0,
+                                        statistic="margin:x", value=0.0)],
+    "sample": sample_records(),
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_ENCODER_CASES))
+def test_encoders_match_the_asdict_recipe(case, fmt):
+    recs = _ENCODER_CASES[case]
+    buf = io.StringIO()
+    write_report(recs, buf, fmt)
+    assert buf.getvalue() == _asdict_report(recs, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_encoders_match_the_asdict_recipe_with_timing(fmt):
+    cfg = ExperimentConfig(experiment="conditions", model="sparse-spike", p=16, eps=0.5,
+                           stat="lindeberg", trials=4, seed=3, timing=True)
+    recs = run_experiment(cfg, rules=[]).records
+    assert all(r.wall_ms is not None for r in recs)
+    buf = io.StringIO()
+    write_report(recs, buf, fmt)
+    assert buf.getvalue() == _asdict_report(recs, fmt)
+
+
 # ---------------------------------------------------------------------------
 # matrix dumps
 
@@ -315,8 +379,9 @@ _VECTOR_RUNS = [
                          [(f, True) for f in _MATRIX_RUNS] + [(f, False) for f in _VECTOR_RUNS])
 def test_only_matrix_trials_fill_the_pool(monkeypatch, fields, draws_matrix):
     # Four usable CPUs are patched in; the stand-in pool starts no thread.
+    # _run_trials imports the pool class from concurrent.futures when it pools.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.delenv("MPLAB_THREADS", raising=False)
     cfg = ExperimentConfig(trials=5, seed=1, **fields)
@@ -820,6 +885,29 @@ def test_cli_import_and_esd_run_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "rows.csv").exists()
 
 
+def _source_env(**overrides: str | None) -> dict[str, str]:
+    """This environment with mplab importable from the tree under test.
+
+    An override of None removes the variable.
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mplab.__file__)))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _imported(args: list[str], code: int, cwd=None, **env: str | None) -> list[str]:
+    """Every module ``python -X importtime <args>`` imported; it must exit with ``code``."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          env=_source_env(**env), cwd=cwd, text=True, check=False)
+    assert proc.returncode == code, proc.stderr
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
 @pytest.mark.parametrize("args, code", [
     (["-c", "import mplab.cli"], 0),
     (["-m", "mplab.cli", "--help"], 0),
@@ -827,15 +915,111 @@ def test_cli_import_and_esd_run_leave_scipy_unloaded(tmp_path):
 ])
 def test_cli_front_door_loads_no_numpy(args, code):
     # main pins BLAS before numpy loads, so parsing must not load it.
-    # -X importtime lists every module the process imported.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mplab.__file__)))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
-                          env=env, text=True, check=False)
-    assert proc.returncode == code, proc.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
+    imported = _imported(args, code)
     assert "mplab.cli" in imported
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+def _script_target() -> str:
+    """The ``mplab`` console-script target named in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pyproject.toml")
+    with open(path, "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["mplab"]
+
+
+_STRICT_RULES = {"version": 1, "rules": [
+    {"name": "impossible", "experiment": "esd", "when": {},
+     "metric": "ks_mean", "op": "<=", "value": 1e-12}
+]}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["conditions", "--model", "sparse-spike", "--stat", "lindeberg", "--eps", "0.5",
+      "--p", "16", "--trials", "5", "--seed", "1"], 0),
+    (["esd", "--model", "iid-gauss", "--p", "16", "--n", "32", "--trials", "2",
+      "--thresholds", "strict.json"], 1),
+    (["esd", "--model", "iid-bogus", "--p", "8", "--n", "8"], 2),
+])
+def test_console_script_and_python_m_give_the_same_run(tmp_path, argv, code):
+    # The script wrapper pip installs imports the target and exits with its result.
+    module, _, func = _script_target().partition(":")
+    launchers = {
+        "python-m": [sys.executable, "-m", "mplab.cli"],
+        "script": [sys.executable, "-c",
+                   "import sys\nfrom %s import %s\nsys.exit(%s())" % (module, func, func)],
+    }
+    runs = []
+    for name, head in launchers.items():
+        cwd = tmp_path / name
+        cwd.mkdir()
+        (cwd / "strict.json").write_text(json.dumps(_STRICT_RULES))
+        proc = subprocess.run([*head, *argv, "--out", "r.csv"], capture_output=True,
+                              env=_source_env(), cwd=str(cwd), check=False)
+        report = (cwd / "r.csv").read_bytes() if (cwd / "r.csv").exists() else None
+        runs.append((proc.returncode, proc.stdout, proc.stderr, report))
+    assert runs[0][0] == code, runs[0][2].decode()
+    assert runs[1] == runs[0]
+
+
+def test_run_freezes_the_heap_and_main_leaves_it(tmp_path, monkeypatch, capsys):
+    argv = ["conditions", "--model", "iid-gauss", "--stat", "lindeberg", "--eps", "0.5",
+            "--p", "8", "--trials", "2", "--out", "r.csv"]
+    monkeypatch.chdir(tmp_path)
+    frozen = gc.get_freeze_count()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+    script = (
+        "import gc, sys\n"
+        "import mplab.cli\n"
+        "sys.argv[1:] = %r\n"
+        "assert mplab.cli.run() == 0\n"
+        "assert gc.get_freeze_count() > 0\n" % (argv,)
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_source_env(), cwd=str(tmp_path), check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+#: Modules that only some runs need; each loads where it is first used.
+_PER_EXPERIMENT = frozenset({"mplab.equivalence", "mplab.identities", "concurrent.futures"})
+
+
+@pytest.mark.parametrize("argv, threads, loaded", [
+    (["conditions", "--model", "sparse-spike", "--stat", "lindeberg", "--eps", "0.5",
+      "--p", "8", "--trials", "3"], None, set()),
+    (["esd", "--model", "iid-gauss", "--p", "8", "--n", "8", "--trials", "1"], None, set()),
+    (["equivalence", "--model", "iid-rademacher", "--p", "8", "--n", "8", "--trials", "2"],
+     "2", {"mplab.equivalence", "concurrent.futures"}),
+    (["equivalence", "--model", "iid-rademacher", "--p", "8", "--n", "8", "--trials", "1",
+      "--b", "psd:1"], None, {"mplab.equivalence"}),
+    (["facts", "--p-max", "4", "--trials", "2"], None, {"mplab.identities"}),
+], ids=["conditions-lindeberg", "esd-one-trial", "equivalence-pooled", "equivalence-psd-offset",
+        "facts"])
+def test_a_run_imports_only_what_its_experiment_uses(tmp_path, argv, threads, loaded):
+    # Without MPLAB_THREADS, one-trial and one-vector runs do not pool.
+    imported = set(_imported(["-m", "mplab.cli", *argv, "--out", "r.csv", "--no-thresholds"],
+                             0, cwd=str(tmp_path), MPLAB_THREADS=threads))
+    assert "mplab.cli.experiments" in imported
+    assert imported & _PER_EXPERIMENT == loaded
+
+
+@pytest.mark.parametrize("fields, loads", [
+    ({}, False),
+    ({"b_spec": "psd:1"}, True),
+    ({"c_spec": "const:1.0"}, True),
+])
+def test_only_offset_configs_load_equivalence(fields, loads):
+    script = (
+        "import sys\n"
+        "from mplab.cli.config import ExperimentConfig\n"
+        "ExperimentConfig(experiment='esd', model='iid-gauss', p=4, n=4, **%r)\n"
+        "assert ('mplab.equivalence' in sys.modules) == %r\n" % (fields, loads)
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_source_env(), check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 @pytest.mark.parametrize(

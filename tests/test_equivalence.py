@@ -33,8 +33,9 @@ from mplab.equivalence import (
     resolvent_gap,
     swap_offsets,
 )
-from mplab.equivalence import _scale_each_column
+from mplab.equivalence import _column_groups, _scale_each_column
 from mplab.matcore import DomainError, spectral_norm
+from oracles import swap_gaps_dense
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,38 @@ def test_multi_z_records_come_from_one_draw_per_trial():
             assert (r.value, r.value_im) == (d.real, d.imag)
 
 
+#: |gap - dense-recipe gap| allowed where the spectra differ in roundoff only.
+GAP_PATH_TOL = 1e-13
+
+
+@pytest.mark.parametrize("model, p, n", [
+    (IIDSparseSpike(), 64, 128),  # zero rows of X deflate
+    (IIDSparseSpike(), 64, 16),   # the n-by-n Gram, and deflation
+    (IIDRademacher(), 48, 24),    # the n-by-n Gram
+    (WeakDependent((1.0, 0.5)), 32, 64),
+])
+def test_gap_without_offsets_matches_the_dense_recipe(model, p, n):
+    zs = (1j, 0.5 + 0.1j, -1.0 + 2.0j)
+    cfg = SwapConfig(model, p, n, zs)
+    for t in range(3):
+        rng = derive_rng(31, t)
+        x = model.sample(p, n, rng)
+        zmat = GaussianCov(model.cov).sample(p, n, rng)
+        want = swap_gaps_dense(x, zmat, zs)
+        got = resolvent_gap(cfg, derive_rng(31, t))
+        assert max(abs(g - w) for g, w in zip(got, want)) <= GAP_PATH_TOL
+
+
+def test_gap_without_offsets_is_the_dense_recipe_bitwise_when_nothing_deflates():
+    # p <= n and no zero rows: gram is sample_covariance and gram_esd solves it whole.
+    model, p, n, zs = IIDRademacher(), 32, 64, (1j, -1.0 + 0.5j)
+    rng = derive_rng(32)
+    x = model.sample(p, n, rng)
+    zmat = GaussianCov(model.cov).sample(p, n, rng)
+    assert resolvent_gap(SwapConfig(model, p, n, zs), derive_rng(32)) == swap_gaps_dense(
+        x, zmat, zs)
+
+
 # ---------------------------------------------------------------------------
 # heterogeneous columns
 
@@ -265,7 +298,7 @@ def test_grouped_column_scaling_matches_per_column_products():
     for k, spec in enumerate(covs):
         want[:, k : k + 1] = scale_columns(spec, m[:, k : k + 1])
     got = m.copy()
-    _scale_each_column(covs, got)
+    _scale_each_column(_column_groups(covs, p), got)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     exact = [k for k, spec in enumerate(covs) if isinstance(spec, (Identity, Spiked))]
     assert np.array_equal(got[:, exact].view(np.uint64), want[:, exact].view(np.uint64))
