@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Guaranteed reconstruction accuracy ||Q diag(w) Q^T - A|| relative to ||A||.
-RECON_TOL = 1e-9
 # Eigenvalues of nominally PSD input may undershoot zero by this much
 # (relative to the largest magnitude) before we call it an error.
 PSD_CLAMP_REL = 1e-10
@@ -98,7 +96,11 @@ def eigh(m, want_vectors: bool = True) -> Spectrum:
         Ascending eigenvalues, and orthonormal eigenvectors as columns when
         requested.  Identical input bits give identical output bits.
     """
-    a = as_square(m)
+    return _eigh(as_square(m), want_vectors)
+
+
+def _eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
+    """``eigh`` of a float64 matrix already validated by ``as_square``."""
     try:
         if want_vectors:
             vals, vecs = np.linalg.eigh(a)

@@ -5,9 +5,10 @@ covariance S = X X^T / n; its sorted eigenvalue list is the empirical
 spectral distribution (ESD), held as a ``matcore.Spectrum``.  This module
 computes sample covariances, the ESD of a data matrix and the Kolmogorov
 sup-distance between an ESD and a limit law.  The ESD comes from the
-smaller of X X^T / n and X^T X / n, with the eigenvalues known exactly read
-off rather than solved for.  The empirical Cauchy-Stieltjes transform of an
-ESD is ``matcore.resolvent_trace``.
+smallest Gram of X, formed from X's nonzeros when they are few and solved
+one connected block at a time, with the eigenvalues known exactly read off
+rather than solved for.  The empirical Cauchy-Stieltjes transform of an ESD
+is ``matcore.resolvent_trace``.
 """
 
 from __future__ import annotations
@@ -28,19 +29,74 @@ def _data_matrix(x) -> np.ndarray:
     return a
 
 
+# The nonzero route of ``_row_gram`` is taken when the same-column pairs of
+# nonzeros number at most 1/PAIR_RATIO of the multiply-adds of the dense
+# product, and it accumulates them PAIR_CHUNK at a time.
+PAIR_RATIO = 2048
+PAIR_CHUNK = 1 << 18
+
+
 def _row_gram(a: np.ndarray, n: int) -> np.ndarray:
-    """a a^T / n, exactly symmetric, for the rows of a (X or X^T)."""
-    # numpy forms a @ a.T with one symmetric rank-k update and mirrors the
-    # triangle, so the result is exactly symmetric.  A non-finite entry in
-    # row i, or an overflow in row i, makes s[i, i] non-finite: the diagonal
-    # check stands for a scan of the whole data matrix, and its error
-    # replaces the floating-point warnings.
+    """a a^T / n, exactly symmetric, for the rows of a (X or X^T).
+
+    With r rows, m columns and k_c nonzeros in column c, the Gram is formed
+    from the nonzeros when PAIR_RATIO * sum_c k_c**2 <= r * r * m, and by the
+    dense BLAS product otherwise.  The rule sits just on the dense side of the
+    measured crossover: with one OpenBLAS thread, the two routes cost the same
+    at r * r * m / sum_c k_c**2 of about 1500 for r = 1024, m = 2048 and for
+    r = 256, m = 512, and of about 2500 for r = 128, m = 256.  NaN and +-inf
+    count as nonzero on both routes.
+    """
+    # On either route a non-finite entry in row i, or an overflow in row i,
+    # makes s[i, i] non-finite: the diagonal check stands for a scan of the
+    # whole data matrix, and its error replaces the floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = a @ a.T
+        s = _nonzero_gram(a)
+        if s is None:
+            # One symmetric rank-k update, mirrored: exactly symmetric.
+            s = a @ a.T
         s /= n
     if not np.all(np.isfinite(np.diagonal(s))):
         raise InvalidInputError("data matrix has non-finite entries")
     return s
+
+
+def _nonzero_gram(a: np.ndarray) -> np.ndarray | None:
+    """a a^T from its nonzeros, or None when the rule picks the dense product.
+
+    Entry (i, j) is the sum of a[i, c] * a[j, c] over the columns c where both
+    factors are nonzero, added in column order.  Entries (i, j) and (j, i) get
+    the same products in the same order, so the result is exactly symmetric.
+    """
+    r, m = a.shape
+    nz = a != 0
+    # sum_c k_c**2 >= (sum_c k_c)**2 / m, so more than r * m / 32 nonzeros
+    # already break the rule (32 < sqrt(PAIR_RATIO)).
+    if np.count_nonzero(nz) * 32 > a.size:
+        return None
+    if nz.flags.f_contiguous:
+        cols, rows = np.divmod(np.flatnonzero(nz.T), r)
+    else:
+        rows, cols = np.divmod(np.flatnonzero(nz), m)
+        order = np.argsort(cols, kind="stable")
+        rows, cols = rows[order], cols[order]
+    del nz  # the mask is not held while the Gram is filled
+    per_col = np.bincount(cols, minlength=m)
+    if PAIR_RATIO * int(per_col @ per_col) > r * r * m:
+        return None
+    vals = a[rows, cols]
+    # Entry e pairs with the k[e] entries of its column, which start at first[e].
+    k = per_col[cols]
+    first = np.cumsum(per_col)[cols] - k
+    s = np.zeros(r * r)
+    step = max(1, PAIR_CHUNK // int(k.max(initial=1)))
+    for lo in range(0, rows.size, step):
+        e = slice(lo, lo + step)
+        ke = k[e]
+        partner = np.arange(ke.sum()) - np.repeat(np.cumsum(ke) - ke - first[e], ke)
+        np.add.at(s, np.repeat(rows[e] * r, ke) + rows[partner],
+                  np.repeat(vals[e], ke) * vals[partner])
+    return s.reshape(r, r)
 
 
 def sample_covariance(x) -> np.ndarray:
@@ -50,43 +106,85 @@ def sample_covariance(x) -> np.ndarray:
 
 
 def gram(x) -> tuple[np.ndarray, int]:
-    """The smaller Gram of a p-by-n data matrix, and p.
+    """A Gram of a p-by-n data matrix with the nonzero eigenvalues of S, and p.
 
-    X X^T / n (bit for bit ``sample_covariance(x)``) when p <= n, else
-    X^T X / n.  Both share the nonzero eigenvalues of X X^T / n, so
-    ``gram_esd`` recovers the ESD of the sample covariance from either;
-    the caller may free X before that eigensolve.
+    X X^T / n (bit for bit ``sample_covariance(x)``) when p <= n.  When
+    p > n it is R R^T / n for the r nonzero rows R of X if r < n, else
+    X^T X / n.  Each shares the nonzero eigenvalues of S = X X^T / n, so
+    ``gram_esd`` recovers the ESD of the sample covariance from it; the
+    caller may free X before that eigensolve.
     """
     a = _data_matrix(x)
     p, n = a.shape
     if p <= n:
         return sample_covariance(a), p
+    nonzero = a.any(axis=1)
+    if np.count_nonzero(nonzero) < n:
+        return _row_gram(a[nonzero], n), p
     return _row_gram(a.T, n), p
 
 
 def gram_esd(g, p: int) -> Spectrum:
     """ESD of a p-by-p sample covariance from its exactly symmetric Gram ``g``.
 
-    ``g`` is as ``gram`` returns it.  The eigensolve runs only on the block
-    whose eigenvalues are not known exactly.  A coordinate whose row of g has
-    no off-diagonal nonzero is an eigenvector, so its diagonal entry is an
-    eigenvalue; this covers the zero rows of X.  The p - k eigenvalues that
-    a k-by-k Gram lacks are exact zeros.  Roundoff negatives are clamped by
-    ``matcore.clamp_psd_eigenvalues``; when nothing is deflated and g is
-    p-by-p, the result is bit for bit the clamped eigenvalues of g.
+    ``g`` is as ``gram`` returns it, k-by-k.  Its eigenvalues are those of
+    the connected blocks of its off-diagonal nonzero pattern, so each block
+    is solved alone.  A coordinate with no off-diagonal nonzero is a block of
+    its own whose diagonal entry is read off; this covers the zero rows of X.
+    The p - k eigenvalues that g lacks are exact zeros.  Roundoff negatives
+    are clamped by ``matcore.clamp_psd_eigenvalues``.  When the pattern is
+    connected and g is p-by-p, the result is bit for bit the clamped
+    eigenvalues of g.
     """
     a = matcore.as_square(g)
     k = a.shape[0]
     if k > p:
         raise DomainError(f"a {k}-by-{k} Gram has no sample covariance of dimension {p}")
     diag = np.diagonal(a)
-    isolated = np.count_nonzero(a, axis=1) - (diag != 0) == 0
-    rest = np.flatnonzero(~isolated)
-    block = a if rest.size == k else a[np.ix_(rest, rest)]
-    vals = matcore.eigh(block, want_vectors=False).eigenvalues
-    if rest.size < p:
-        vals = np.sort(np.concatenate([diag[isolated], vals, np.zeros(p - k)]))
-    return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(vals))
+    degree = np.count_nonzero(a, axis=1) - (diag != 0)
+    blocks = _blocks(a, degree)
+    # g was validated above, so the blocks go to the eigensolver unchecked.
+    # a[b].take(b, axis=1) copies a block in about half the time of np.ix_.
+    vals = [matcore._eigh(a if b.size == k else a[b].take(b, axis=1), want_vectors=False)
+            .eigenvalues for b in blocks]
+    if len(blocks) == 1 and blocks[0].size == p:
+        lam = vals[0]
+    else:
+        lam = np.sort(np.concatenate([diag[degree == 0], *vals, np.zeros(p - k)]))
+    return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(lam))
+
+
+def _blocks(a: np.ndarray, degree: np.ndarray) -> list[np.ndarray]:
+    """Ascending coordinates of each connected block of more than one coordinate.
+
+    The blocks are those of the off-diagonal nonzero pattern of a symmetric
+    k-by-k matrix ``a``; ``degree`` counts the off-diagonal nonzeros in each
+    row.
+    """
+    k = degree.size
+    if k > 1 and 2 * int(degree.min()) >= k - 1:
+        # Two coordinates that are not neighbours have more than the k - 2
+        # others as neighbours between them, so they share one: connected.
+        return [np.arange(k)]
+    i, j = np.divmod(np.flatnonzero(a != 0), k)
+    j = j[i != j]
+    rest = np.flatnonzero(degree)
+    starts = np.cumsum(degree[rest]) - degree[rest]
+    # Each coordinate's label is the least coordinate known to share its
+    # block: take the least label among neighbours, then jump pointers to
+    # a fixed point; stop when a round changes nothing.
+    label = np.arange(k)
+    while True:
+        new = label.copy()
+        new[rest] = np.minimum(label[rest], np.minimum.reduceat(label[j], starts))
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            break
+        label = new
+    lab = label[rest]
+    order = np.argsort(lab, kind="stable")
+    return np.split(rest[order], np.flatnonzero(np.diff(lab[order])) + 1) if rest.size else []
 
 
 def ks_distance(e: Spectrum, law: MPLaw) -> float:

@@ -2,9 +2,10 @@
 
 The package computes spectra from data matrices (``spectra.gram_esd``) and
 compresses the data before forming a Gram.  These oracles take the long way
-instead: the ESD of an explicit symmetric matrix, the compression C S C^T of
-a full sample covariance along a validated row-orthonormal frame, and swap
-gaps from two full p-by-p sample covariances.
+instead: the ESD of an explicit symmetric matrix, a sample covariance summed
+one column at a time, the compression C S C^T of a full sample covariance
+along a validated row-orthonormal frame, and swap gaps from two full p-by-p
+sample covariances.
 """
 
 from __future__ import annotations
@@ -41,6 +42,20 @@ def esd(m, psd: bool = False) -> Spectrum:
     if psd:
         return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(spec.eigenvalues))
     return spec
+
+
+def column_outer_sum(x) -> np.ndarray:
+    """X X^T / n as the sum, in column order, of each column's outer product.
+
+    Each outer product covers the column's nonzero rows only, so adding it
+    never meets a zero factor.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    s = np.zeros((a.shape[0], a.shape[0]))
+    for col in a.T:
+        rows = np.flatnonzero(col)
+        s[np.ix_(rows, rows)] += np.outer(col[rows], col[rows])
+    return s / a.shape[1]
 
 
 def projected_covariance(frame, m) -> np.ndarray:

@@ -681,6 +681,21 @@ def test_main_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("p, n", [("128", "256"), ("256", "128")])
+def test_sparse_esd_bytes_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, p, n):
+    # sparse-spike Grams are formed from their nonzeros and solved block by
+    # block; neither step may depend on which worker runs the trial.
+    argv = ["esd", "--model", "sparse-spike", "--p", p, "--n", n,
+            "--trials", "6", "--seed", "8", "--no-thresholds"]
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MPLAB_THREADS", threads)
+        path = tmp_path / f"t{threads}.csv"
+        assert main(argv + ["--out", str(path)]) == 0
+        outputs.append((path.read_bytes(), capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
+
+
 def test_main_facts_experiment_passes(capsys):
     code, out, err = run_main(["facts", "--trials", "60", "--p-max", "12"], capsys)
     assert code == 0

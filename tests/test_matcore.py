@@ -22,6 +22,9 @@ from mplab.matcore import (
 )
 from oracles import as_frame
 
+# Guaranteed reconstruction accuracy ||Q diag(w) Q^T - A|| relative to ||A||.
+RECON_TOL = 1e-9
+
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
@@ -96,7 +99,7 @@ def test_eigh_ascending_and_orthonormal():
     assert np.allclose(s.eigenvectors.T @ s.eigenvectors, np.eye(17), atol=1e-10)
     recon = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.T
     scale = max(1.0, float(np.max(np.abs(m))))
-    assert np.max(np.abs(recon - m)) <= matcore.RECON_TOL * scale
+    assert np.max(np.abs(recon - m)) <= RECON_TOL * scale
 
 
 def test_eigh_values_only():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,8 @@ from mplab.matcore import (
 )
 from mplab.mp_law import MPLaw
 from mplab.cli.records import write_esd_csv
-from mplab.spectra import gram, gram_esd, ks_distance, sample_covariance
-from oracles import esd, projected_covariance
+from mplab.spectra import PAIR_RATIO, _blocks, gram, gram_esd, ks_distance, sample_covariance
+from oracles import column_outer_sum, esd, projected_covariance
 
 
 def law_quantiles(law: MPLaw, p: int) -> np.ndarray:
@@ -85,16 +87,26 @@ def test_sample_covariance_rejects_bad_input():
                     sample_covariance(a)
 
 
+def on_nonzero_route(x) -> bool:
+    """Whether ``_row_gram`` forms X X^T from X's nonzeros: its stated rule."""
+    k = np.count_nonzero(x, axis=0)
+    return PAIR_RATIO * int(k @ k) <= x.shape[0] ** 2 * x.shape[1]
+
+
 @pytest.mark.parametrize("p, n", [(5, 7), (1, 9), (9, 1), (64, 129), (257, 1000), (1024, 2048)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_sample_covariance_is_the_mirrored_product_bit_for_bit(p, n, order):
-    # The old construction symmetrized a @ a.T / n by mirroring its lower
-    # triangle; numpy's symmetric product must give the same bits unmirrored.
-    # Sparse entries with random signs make signed zeros in the products.
+    # Dense-route Grams are numpy's symmetric product, the same bits as the
+    # mirrored product a @ a.T / n.  Nonzero-route Grams add the same-column
+    # products in column order, the same bits as the column-by-column outer
+    # product sum.  Sparse entries with random signs make signed zeros in the
+    # products.
     rng = derive_rng(17, p, n)
     x = np.asarray(IIDSparseSpike().sample(p, n, rng) * rng.standard_normal((p, n)), order=order)
+    nonzero_route = (p, n) not in ((5, 7), (1, 9))
+    assert on_nonzero_route(x) == nonzero_route
     s = sample_covariance(x)
-    old = as_symmetric(x @ x.T / n)
+    old = column_outer_sum(x) if nonzero_route else as_symmetric(x @ x.T / n)
     assert np.array_equal(s.view(np.uint64), old.view(np.uint64))
     assert np.array_equal(s.view(np.uint64), s.T.view(np.uint64))
 
@@ -160,12 +172,47 @@ def check_gram_esd_against_full_eigensolve(model, p, n):
         assert np.count_nonzero(got == 0.0) >= max(p - n, zero_rows)
         if p <= n:
             assert np.array_equal(g.view(np.uint64), s.view(np.uint64))
-            off_diagonal = np.count_nonzero(s - np.diag(np.diagonal(s)), axis=1)
-            if np.all(off_diagonal > 0):  # nothing deflated: the same bits
+            if pattern_is_connected(s):  # one block, solved whole: the same bits
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         else:
-            assert g.shape == (n, n)
+            # X^T X / n, or the Gram of the nonzero rows when they are fewer.
+            k = min(n, p - zero_rows)
+            assert g.shape == (k, k)
             assert np.array_equal(g.view(np.uint64), g.T.view(np.uint64))
+
+
+def bfs_blocks(s) -> list[list[int]]:
+    """Connected blocks of the off-diagonal nonzero pattern of s, by breadth-first search."""
+    blocks, seen = [], set()
+    for root in range(s.shape[0]):
+        if root in seen:
+            continue
+        block, queue = [root], deque([root])
+        seen.add(root)
+        while queue:
+            for j in np.flatnonzero(s[queue.popleft()]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    block.append(j)
+                    queue.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def pattern_is_connected(s) -> bool:
+    return len(bfs_blocks(s)) == 1
+
+
+@pytest.mark.parametrize("k, density", [(1, 0.0), (2, 0.0), (2, 1.0), (9, 0.1), (40, 0.02),
+                                        (40, 0.05), (40, 0.6), (200, 0.004), (200, 0.01)])
+def test_blocks_are_the_breadth_first_components(k, density):
+    for seed in range(5):
+        rng = derive_rng(6, k, seed)
+        upper = np.triu(rng.random((k, k)) < density, 1)
+        s = np.diag(rng.random(k) + 0.5) + (upper | upper.T)
+        degree = np.count_nonzero(s, axis=1) - 1
+        got = [b.tolist() for b in _blocks(s, degree)]
+        assert got == [b for b in bfs_blocks(s) if len(b) > 1], (k, density, seed)
 
 
 @pytest.mark.parametrize("p, n", [(6, 4), (4, 6), (5, 5)])
@@ -233,6 +280,146 @@ def test_gram_esd_rejects_bad_input():
         gram_esd(np.eye(3), 2)
     with pytest.raises(InvalidInputError):
         gram_esd(np.diag([-1.0, 1.0]), 3)
+
+
+def block_hand_case(p: int, n: int) -> np.ndarray:
+    """A p-by-n X (p >= 7, n >= 7) whose S = X X^T / n is block diagonal up to a permutation.
+
+    Rows 0 and 3 form the block [[1, 1], [1, 2]], with eigenvalues
+    (3 -+ sqrt 5) / 2; rows 1, 4 and 5 form J + I, with eigenvalues 4, 1, 1;
+    row 2 is isolated with 9; every other row of X is zero.  All over n.
+    """
+    x = np.zeros((p, n))
+    x[[0, 3], 0] = 1.0
+    x[3, 1] = 1.0
+    x[[1, 4, 5], 2] = 1.0
+    x[[1, 4, 5], [3, 4, 5]] = 1.0
+    x[2, 6] = 3.0
+    return x
+
+
+@pytest.mark.parametrize("p, n, nonzero_route", [(7, 8, False), (64, 128, True),
+                                                 (128, 64, False)])
+def test_gram_esd_of_a_permuted_block_diagonal_hand_case(p, n, nonzero_route):
+    x = block_hand_case(p, n)
+    # Scatter the coordinates so that the blocks interleave.
+    x = x[derive_rng(5, p).permutation(p)]
+    g, dim = gram(x)
+    assert on_nonzero_route(gram_rows(x)) == nonzero_route
+    # At p > n only the 6 nonzero rows of X enter the Gram.
+    assert dim == p and g.shape == ((6, 6) if p > n else (p, p))
+    lam = gram_esd(g, dim).eigenvalues
+    r5 = np.sqrt(5.0)
+    solved = np.array([(3.0 - r5) / 2.0, 1.0, 1.0, (3.0 + r5) / 2.0, 4.0]) / n
+    want = np.sort(np.concatenate([np.zeros(p - 6), solved, [9.0 / n]]))
+    assert np.allclose(lam, want, rtol=0, atol=1e-15)
+    # The zero rows and the isolated row are exact.
+    assert np.count_nonzero(lam == 0.0) == p - 6
+    assert lam[-1] == 9.0 / n
+
+
+def test_gram_of_few_nonzero_rows_is_their_gram():
+    # p = 6 > n = 4 with two nonzero rows: the Gram is theirs, 2-by-2, and
+    # the other four eigenvalues are exact zeros, not roundoff.
+    x = np.zeros((6, 4))
+    x[1, 0], x[4, 2] = 1.0, 2.0
+    g, p = gram(x)
+    assert p == 6 and np.array_equal(g, [[0.25, 0.0], [0.0, 1.0]])
+    assert np.array_equal(gram_esd(g, p).eigenvalues, [0.0, 0.0, 0.0, 0.0, 0.25, 1.0])
+
+
+def test_gram_esd_labels_long_paths():
+    # Two interleaved path-shaped blocks of 40 coordinates each: a block's
+    # diameter is 39, far beyond one round of label propagation.
+    p, n = 80, 160
+    x = np.zeros((p, n))
+    for start in (0, 1):
+        path = np.arange(start, p, 2)
+        x[path[:-1], path[:-1] + 80] = 1.0
+        x[path[1:], path[:-1] + 80] = 1.0
+    x[:, :80] += 2.0 * np.eye(p)
+    # Shuffled, so that labels do not fall along each path in order.
+    x = x[derive_rng(7).permutation(p)]
+    g, dim = gram(x)
+    assert not pattern_is_connected(g)
+    got = gram_esd(g, dim).eigenvalues
+    want = esd(sample_covariance(x), psd=True).eigenvalues
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[-1]
+
+
+def gram_rows(x) -> np.ndarray:
+    """The matrix whose rows ``gram`` multiplies: X, X^T or X's nonzero rows."""
+    p, n = x.shape
+    nonzero = x.any(axis=1)
+    if p <= n:
+        return x
+    return x[nonzero] if np.count_nonzero(nonzero) < n else x.T
+
+
+def one_per_row(p: int, n: int) -> np.ndarray:
+    """A p-by-n X (p > n) with one nonzero per row, so X^T X / n is diagonal."""
+    x = np.zeros((p, n))
+    x[np.arange(p), np.arange(p) % n] = 1.0 + np.arange(p) % 3
+    return x
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("x, nonzero_route", [
+    (block_hand_case(64, 128), True),   # X X^T from X's nonzeros
+    (block_hand_case(7, 9), False),     # X X^T dense
+    (one_per_row(256, 64), True),       # X^T X from X's nonzeros
+    (block_hand_case(9, 7), False),     # the Gram of X's nonzero rows, dense
+], ids=["nonzero-XXt", "dense-XXt", "nonzero-XtX", "dense-rows"])
+def test_both_routes_reject_bad_entries_in_sparse_data(x, nonzero_route, bad):
+    assert on_nonzero_route(gram_rows(x)) == nonzero_route
+    p, n = x.shape
+    for i, j in ((0, 0), (2, 6), (p - 1, n - 1)):  # nonzero and zero entries of x
+        y = x.copy()
+        y[i, j] = bad
+        for a in (y, np.asfortranarray(y)):
+            with pytest.raises(InvalidInputError):
+                gram(a)
+            with pytest.raises(InvalidInputError):
+                sample_covariance(a)
+
+
+# E|x|^4 of each isotropic model at dimension p.
+FOURTH_MOMENT = {
+    "iid-gauss": lambda p: p * p + 2 * p,
+    "iid-rademacher": lambda p: p * p,
+    "sparse-spike": lambda p: 2 * p * p - p,
+    "block-xi": lambda p: p * p + 4 * p,
+}
+
+
+@pytest.mark.parametrize("spec, p, n", [("iid-gauss", 64, 128), ("iid-rademacher", 64, 128),
+                                        ("sparse-spike", 128, 256), ("block-xi", 64, 128)])
+def test_spectral_moments_match_their_exact_finite_n_values(spec, p, n):
+    # For iid columns with E x x^T = Sigma (Bai & Silverstein 2010, ch. 3):
+    #   E[tr S / p]   = tr Sigma / p,
+    #   E[tr S^2 / p] = E|x|^4 / (p n) + (1 - 1/n) tr Sigma^2 / p.
+    # The seed, the 800 trials and the |z| <= 4 bar were fixed before the
+    # first run.  Gaussian columns in place of Rademacher ones raise the
+    # second moment by 2/n, about 9 standard errors here.
+    model = parse_model_spec(spec)
+    trials = 800
+    m1, m2 = np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        x = sample_data_matrix(model, p, n, derive_rng(15, t))
+        g, dim = gram(x)
+        if spec == "sparse-spike":
+            assert on_nonzero_route(x)
+        if spec == "block-xi":
+            assert not pattern_is_connected(g)
+        lam = gram_esd(g, dim).eigenvalues
+        m1[t], m2[t] = lam.sum() / p, lam @ lam / p
+    tr1 = np.sum(model.cov.diagonal(p)) / p
+    tr2 = model.cov.square_trace(p) / p
+    want = (tr1, FOURTH_MOMENT[spec](p) / (p * n) + (1.0 - 1.0 / n) * tr2)
+    for got, exact in zip((m1, m2), want):
+        # Rademacher's tr S / p is 1 up to rounding, so the error is floored.
+        se = max(got.std(ddof=1) / np.sqrt(trials), 1e-12)
+        assert abs(got.mean() - exact) <= 4.0 * se, (spec, got.mean(), exact, se)
 
 
 def test_esd_experiment_above_ratio_one_grades_the_law():
