@@ -69,20 +69,23 @@ def _nonzero_gram(a: np.ndarray) -> np.ndarray | None:
     the same products in the same order, so the result is exactly symmetric.
     """
     r, m = a.shape
-    nz = a != 0
-    # sum_c k_c**2 >= (sum_c k_c)**2 / m, so more than r * m / 32 nonzeros
-    # already break the rule (32 < sqrt(PAIR_RATIO)).
-    if np.count_nonzero(nz) * 32 > a.size:
+    bound = r * r * m
+    # Any N nonzeros of a give sum_c k_c**2 >= N**2 / m, so the rule is
+    # already broken when PAIR_RATIO * N**2 > bound * m.  Counted first in
+    # the leading 1/16 of the rows, this turns data with more than
+    # 16 / sqrt(PAIR_RATIO) = 35% nonzeros away after that fraction of the
+    # scan, before anything is sorted.
+    if PAIR_RATIO * np.count_nonzero(a[: 1 + r // 16]) ** 2 > bound * m:
         return None
-    if nz.flags.f_contiguous:
-        cols, rows = np.divmod(np.flatnonzero(nz.T), r)
-    else:
-        rows, cols = np.divmod(np.flatnonzero(nz), m)
-        order = np.argsort(cols, kind="stable")
-        rows, cols = rows[order], cols[order]
+    nz = a != 0
+    if PAIR_RATIO * np.count_nonzero(nz) ** 2 > bound * m:
+        return None
+    rows, cols = np.divmod(np.flatnonzero(nz), m)
     del nz  # the mask is not held while the Gram is filled
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
     per_col = np.bincount(cols, minlength=m)
-    if PAIR_RATIO * int(per_col @ per_col) > r * r * m:
+    if PAIR_RATIO * int(per_col @ per_col) > bound:
         return None
     vals = a[rows, cols]
     # Entry e pairs with the k[e] entries of its column, which start at first[e].
@@ -140,9 +143,7 @@ def gram_esd(g, p: int) -> Spectrum:
     k = a.shape[0]
     if k > p:
         raise DomainError(f"a {k}-by-{k} Gram has no sample covariance of dimension {p}")
-    diag = np.diagonal(a)
-    degree = np.count_nonzero(a, axis=1) - (diag != 0)
-    blocks = _blocks(a, degree)
+    isolated, blocks = _blocks(a)
     # g was validated above, so the blocks go to the eigensolver unchecked.
     # a[b].take(b, axis=1) copies a block in about half the time of np.ix_.
     vals = [matcore._eigh(a if b.size == k else a[b].take(b, axis=1), want_vectors=False)
@@ -150,24 +151,27 @@ def gram_esd(g, p: int) -> Spectrum:
     if len(blocks) == 1 and blocks[0].size == p:
         lam = vals[0]
     else:
-        lam = np.sort(np.concatenate([diag[degree == 0], *vals, np.zeros(p - k)]))
+        lam = np.sort(np.concatenate([np.diagonal(a)[isolated], *vals, np.zeros(p - k)]))
     return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(lam))
 
 
-def _blocks(a: np.ndarray, degree: np.ndarray) -> list[np.ndarray]:
-    """Ascending coordinates of each connected block of more than one coordinate.
+def _blocks(a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The isolated coordinates and the larger connected blocks of ``a``.
 
     The blocks are those of the off-diagonal nonzero pattern of a symmetric
-    k-by-k matrix ``a``; ``degree`` counts the off-diagonal nonzeros in each
-    row.
+    k-by-k matrix: the coordinates with no off-diagonal nonzero, ascending,
+    and the ascending coordinates of each block of more than one coordinate.
     """
-    k = degree.size
+    k = a.shape[0]
+    edge = a != 0
+    np.fill_diagonal(edge, False)
+    degree = np.count_nonzero(edge, axis=1)
     if k > 1 and 2 * int(degree.min()) >= k - 1:
         # Two coordinates that are not neighbours have more than the k - 2
         # others as neighbours between them, so they share one: connected.
-        return [np.arange(k)]
-    i, j = np.divmod(np.flatnonzero(a != 0), k)
-    j = j[i != j]
+        return np.arange(0), [np.arange(k)]
+    j = np.flatnonzero(edge) % k
+    del edge
     rest = np.flatnonzero(degree)
     starts = np.cumsum(degree[rest]) - degree[rest]
     # Each coordinate's label is the least coordinate known to share its
@@ -184,7 +188,8 @@ def _blocks(a: np.ndarray, degree: np.ndarray) -> list[np.ndarray]:
         label = new
     lab = label[rest]
     order = np.argsort(lab, kind="stable")
-    return np.split(rest[order], np.flatnonzero(np.diff(lab[order])) + 1) if rest.size else []
+    blocks = np.split(rest[order], np.flatnonzero(np.diff(lab[order])) + 1) if rest.size else []
+    return np.flatnonzero(degree == 0), blocks
 
 
 def ks_distance(e: Spectrum, law: MPLaw) -> float:

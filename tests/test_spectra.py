@@ -210,9 +210,10 @@ def test_blocks_are_the_breadth_first_components(k, density):
         rng = derive_rng(6, k, seed)
         upper = np.triu(rng.random((k, k)) < density, 1)
         s = np.diag(rng.random(k) + 0.5) + (upper | upper.T)
-        degree = np.count_nonzero(s, axis=1) - 1
-        got = [b.tolist() for b in _blocks(s, degree)]
-        assert got == [b for b in bfs_blocks(s) if len(b) > 1], (k, density, seed)
+        isolated, blocks = _blocks(s)
+        want = bfs_blocks(s)
+        assert isolated.tolist() == [b[0] for b in want if len(b) == 1], (k, density, seed)
+        assert [b.tolist() for b in blocks] == [b for b in want if len(b) > 1], (k, density, seed)
 
 
 @pytest.mark.parametrize("p, n", [(6, 4), (4, 6), (5, 5)])
