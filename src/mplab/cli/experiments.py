@@ -315,35 +315,22 @@ def _build_law_tables(cfg: ExperimentConfig) -> Trials:
 
     def make_fn(rho: float) -> RowFn:
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-            # Quadrature cross-checks only; importing here keeps scipy off
-            # the CLI's start-up path.
-            from scipy.integrate import quad
-
             del rng  # the law table is deterministic
             law = MPLaw(rho)
-            base = {"rho": rho}
-            rows = [
-                dict(base, statistic="moment:%d" % k, value=law.moment(k))
-                for k in range(5)
-            ]
-            rows.append(dict(base, statistic="support_lo", value=law.a))
-            rows.append(dict(base, statistic="support_hi", value=law.b))
-            rows.append(dict(base, statistic="atom_zero", value=law.atom0))
-            density_mass, _ = quad(law.density, law.a, law.b, limit=400)
-            rows.append(dict(base, statistic="total_mass", value=law.atom0 + density_mass))
-            cdf_hi_err = abs(law.cdf_quadrature(law.b) - 1.0)
-            rows.append(dict(base, statistic="cdf_hi_err", value=cdf_hi_err))
-            gap = max(abs(law.stieltjes(z) - law.stieltjes_quadrature(z)) for z in LAW_Z_GRID)
-            rows.append(dict(base, statistic="stieltjes_quad_gap", value=gap))
-            resid = max(
-                abs(rho * z * m * m + (z + rho - 1.0) * m + 1.0)
-                for z, m in ((z, law.stieltjes(z)) for z in LAW_Z_GRID)
-            )
-            rows.append(dict(base, statistic="stieltjes_resid", value=resid))
             far = complex(0.0, 1e6)
-            rows.append(dict(base, statistic="stieltjes_tail_gap",
-                             value=abs(law.stieltjes(far) - (-1.0 / far))))
-            return rows
+            values = [("moment:%d" % k, law.moment(k)) for k in range(5)] + [
+                ("support_lo", law.a),
+                ("support_hi", law.b),
+                ("atom_zero", law.atom0),
+                ("total_mass", law.atom0 + law.mass_quadrature()),
+                ("cdf_hi_err", abs(law.cdf_quadrature(law.b) - 1.0)),
+                ("stieltjes_quad_gap",
+                 max(abs(law.stieltjes(z) - law.stieltjes_quadrature(z)) for z in LAW_Z_GRID)),
+                ("stieltjes_resid", max(abs(rho * z * m * m + (z + rho - 1.0) * m + 1.0)
+                                        for z, m in ((z, law.stieltjes(z)) for z in LAW_Z_GRID))),
+                ("stieltjes_tail_gap", abs(law.stieltjes(far) - (-1.0 / far))),
+            ]
+            return [{"rho": rho, "statistic": name, "value": value} for name, value in values]
         return fn
 
     def summarize(records: list[TrialRecord]) -> dict[str, Any]:

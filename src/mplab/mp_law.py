@@ -6,28 +6,36 @@ For aspect ratio rho = lim p/n the limit law on [0, infinity) has density
 
 with edges a = (1 - sqrt(rho))^2, b = (1 + sqrt(rho))^2, plus a point mass
 max(1 - 1/rho, 0) at zero when rho > 1.  The cumulative distribution has
-the closed form of Bai & Silverstein (2010, section 3.1) and the
-Cauchy-Stieltjes transform is a root of a quadratic; both are cross-checked
-against direct quadrature (``cdf_quadrature``, ``stieltjes_quadrature``) in
-the tests.  The moments are still integrated numerically.  scipy is imported
-only by the quadrature paths, so the closed forms load without it.
+the closed form of Bai & Silverstein (2010, section 3.1), the moments are
+Narayana polynomials in rho, and the Cauchy-Stieltjes transform is a root of
+a quadratic.  Quadrature serves only as a cross-check of these closed forms
+(``cdf_quadrature``, ``stieltjes_quadrature``, ``mass_quadrature``): one
+fixed Gauss-Legendre rule in the edge-regular variable theta, where
+x = a + (b - a) sin^2(theta), built from numpy alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .matcore import DomainError, require_upper_half
 
-# Quadrature accuracy for the cdf oracle and the moments; comfortably below
-# the 1e-8 the consumers rely on.
-_QUAD_EPS = 1e-11
-_QUAD_LIMIT = 200
+# Nodes per panel of the theta rule.
+_GL_NODES = 128
 
-MAX_MOMENT = 4
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    from numpy.polynomial.legendre import leggauss  # off the paths that never integrate
+
+    return leggauss(_GL_NODES)
 
 
 @dataclass(frozen=True)
@@ -79,50 +87,52 @@ class MPLaw:
             return 0.0
         return float(np.sqrt(rad) / (2.0 * np.pi * x * self.rho))
 
-    def _theta_integral(self, theta_hi: float, power: int) -> float:
-        """Integral of x^power dF over [a, x(theta_hi)] in edge-regular form.
+    @staticmethod
+    def _theta_rule(f: Callable[[np.ndarray], np.ndarray], theta_hi: float,
+                    points: Sequence[float]) -> float | complex:
+        """Integral of f over [0, theta_hi] by composite Gauss-Legendre.
 
-        Substituting x = a + (b - a) sin^2(theta) turns the square-root edge
-        singularities into a smooth integrand:
-
-            dF = (b - a)^2 / (pi rho) * sin^2 cos^2 / x  dtheta.
+        One panel of ``_GL_NODES`` nodes runs between consecutive split
+        points; points outside (0, theta_hi) are dropped.  ``f`` maps an
+        array of angles to the integrand's (real or complex) values there.
         """
-        a, width = self.a, self._width
-        coeff = width * width / (np.pi * self.rho)
+        nodes, weights = _gauss_legendre()
+        inner = [t for t in points if 0.0 < t < theta_hi]
+        edges = np.unique(np.array([0.0, *inner, theta_hi]))
+        half = np.diff(edges)[:, None] / 2.0
+        theta = edges[:-1, None] + half * (nodes + 1.0)
+        return np.sum(half * weights * f(theta)).item()
 
-        def integrand(theta: float) -> float:
-            s2 = np.sin(theta) ** 2
-            x = a + width * s2
-            base = coeff * s2 * (1.0 - s2)
-            if power == 0:
-                return base / x
-            return base * x ** (power - 1)
+    def _theta_weight(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dF/dtheta of the continuous part, and x(theta) = a + (b - a) sin^2(theta).
 
-        if theta_hi <= 0.0:
-            return 0.0
-        from scipy.integrate import quad
+        The substitution smooths the square-root edges:
+        dF = (b - a)^2 / (pi rho) * sin^2 cos^2 / x  dtheta.
+        """
+        width = self._width
+        s2 = np.sin(theta) ** 2
+        x = self.a + width * s2
+        return width * width / (np.pi * self.rho) * s2 * (1.0 - s2) / x, x
 
-        pts = self._layer_points(theta_hi) if power == 0 else None
-        val, _err = quad(
-            integrand, 0.0, theta_hi, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS,
-            limit=_QUAD_LIMIT, points=pts,
-        )
-        return val
+    def _layer_points(self) -> list[float]:
+        """Split points resolving the 1/x boundary layer.
 
-    def _layer_points(self, theta_hi: float) -> list[float] | None:
-        """Quadrature split points resolving the 1/x boundary layer.
-
-        For rho near 1 the lower edge a is tiny but positive, and integrands
-        carrying a 1/x factor turn over within theta ~ sqrt(a / (b - a)) of
-        the origin — far below the default subdivision scale, so the
-        adaptive rule needs seeding there.
+        For rho near 1 the lower edge a is tiny but positive, and a 1/x
+        factor turns over within theta ~ sqrt(a / (b - a)) of the origin,
+        far below the scale of one panel.  Its tail a / (a + (b - a) theta^2)
+        reaches to pi / 2, so the panels grow from the layer by factors of 8
+        all the way up; stopping at 64 layers would leave 4e-9 of the cdf at
+        rho = 0.99999.
         """
         a, width = self.a, self._width
         if a <= 0.0:
-            return None
+            return []
         layer = float(np.arcsin(min(1.0, np.sqrt(a / width))))
-        pts = [t for t in (layer, 8.0 * layer, 64.0 * layer) if 0.0 < t < theta_hi]
-        return pts or None
+        points = []
+        while layer < np.pi / 2.0:
+            points.append(layer)
+            layer *= 8.0
+        return points
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Right-continuous distribution function, atom at zero included.
@@ -138,6 +148,10 @@ class MPLaw:
         edges; ``arctan2`` gives the limits at s = 0, and at rho = 1 the
         second arctangent carries a zero weight.  A scalar argument returns a
         float and an array argument an array of the same shape.
+
+        Rounding is amplified by 1/rho: against :meth:`cdf_quadrature` the
+        error is about 2e-12 at rho = 1/4096 (the CLI's smallest ratio), 1.4e-8
+        at 1e-6 and 9e-3 at 1e-10, and near 1e-15 for rho >= 1.
         """
         xs = np.asarray(x, dtype=np.float64)
         if np.isnan(xs).any():
@@ -169,20 +183,38 @@ class MPLaw:
             return 0.0
         if x < self.a:
             return self.atom0
-        if x >= self.b:
-            return self.atom0 + self._theta_integral(np.pi / 2.0, 0)
         ratio = min(1.0, max(0.0, (x - self.a) / self._width))
-        theta = float(np.arcsin(np.sqrt(ratio)))
-        return self.atom0 + self._theta_integral(theta, 0)
+        theta = np.pi / 2.0 if x >= self.b else float(np.arcsin(np.sqrt(ratio)))
+        return self.atom0 + self._theta_rule(
+            lambda t: self._theta_weight(t)[0], theta, self._layer_points())
+
+    def mass_quadrature(self) -> float:
+        """Mass of the continuous part by quadrature of :meth:`density` itself.
+
+        The density is evaluated pointwise at x(theta), times dx/dtheta =
+        (b - a) sin(2 theta): a check of the density formula that shares no
+        weight with the other oracles.
+        """
+        width, density = self._width, np.vectorize(self.density, otypes=[float])
+
+        def integrand(theta: np.ndarray) -> np.ndarray:
+            return density(self.a + width * np.sin(theta) ** 2) * (width * np.sin(2.0 * theta))
+
+        return self._theta_rule(integrand, np.pi / 2.0, self._layer_points())
 
     def moment(self, k: int) -> float:
-        """k-th moment, 0 <= k <= 4, by quadrature plus the atom term."""
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-            raise DomainError(f"moment order must be an integer, got {k!r}")
-        if not (0 <= k <= MAX_MOMENT):
-            raise DomainError(f"moment order must be in [0, {MAX_MOMENT}], got {k}")
-        atom_part = self.atom0 if k == 0 else 0.0
-        return atom_part + self._theta_integral(np.pi / 2.0, int(k))
+        """k-th moment, for any integer k >= 0, as a Narayana polynomial in rho.
+
+        m_k = sum_{r < k} rho^r / (r + 1) * C(k, r) * C(k - 1, r) (Bai &
+        Silverstein 2010, section 3.1) holds for rho > 1 too, since the atom
+        at zero adds nothing for k >= 1; its r = 0 term is 1 = m_0.  A moment
+        past the float range raises OverflowError.
+        """
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+            raise DomainError(f"moment order must be an integer >= 0, got {k!r}")
+        # C(k, r) C(k - 1, r) / (r + 1) is the integer Narayana number N(k, r + 1).
+        return float(1 + sum(math.comb(k, r) * math.comb(k - 1, r) // (r + 1) * self.rho**r
+                             for r in range(1, k)))
 
     # -- Cauchy-Stieltjes transform -----------------------------------------
 
@@ -209,39 +241,25 @@ class MPLaw:
         return m
 
     def stieltjes_quadrature(self, z: complex) -> complex:
-        """Reference transform by direct integration; slow but closed-form-free.
+        """Reference transform by direct integration, the oracle of :meth:`stieltjes`.
 
-        Uses the same edge-regular substitution as the cdf and adds the atom
-        contribution atom0 / (0 - z).  Serves as an independent cross-check
-        of :meth:`stieltjes`.
+        Integrates dF / (x - z) in theta and adds the atom's atom0 / (0 - z).
+        For a < re(z) < b the integrand peaks at theta_0 = theta(re z) with
+        width delta = im(z) / ((b - a) sin 2 theta_0): panels are graded
+        toward it at theta_0 +- {0, 1, 8, 64} delta.
         """
-        from scipy.integrate import quad
-
         z = require_upper_half(z)
-        a, width = self.a, self._width
-        coeff = width * width / (np.pi * self.rho)
+        points = self._layer_points()
+        if self.a < z.real < self.b:
+            theta0 = float(np.arcsin(np.sqrt(min(1.0, (z.real - self.a) / self._width))))
+            delta = z.imag / (self._width * np.sin(2.0 * theta0))
+            points += [theta0 + k * delta for k in (-64, -8, -1, 0, 1, 8, 64)]
 
-        # 1/(x - z) = conj(x - z) / |x - z|^2, split into real and imaginary
-        # integrands so scipy's real quadrature applies to each.
-        def weight(theta: float) -> tuple[float, complex]:
-            s2 = np.sin(theta) ** 2
-            x = a + width * s2
-            return coeff * s2 * (1.0 - s2) / x, x - z
+        def integrand(theta: np.ndarray) -> np.ndarray:
+            weight, x = self._theta_weight(theta)
+            return weight / (x - z)
 
-        def real_part(theta: float) -> float:
-            w, dz = weight(theta)
-            return w * dz.real / (dz.real * dz.real + dz.imag * dz.imag)
-
-        def imag_part(theta: float) -> float:
-            w, dz = weight(theta)
-            return -w * dz.imag / (dz.real * dz.real + dz.imag * dz.imag)
-
-        pts = self._layer_points(np.pi / 2.0)
-        re_val, _ = quad(real_part, 0.0, np.pi / 2.0, epsabs=_QUAD_EPS,
-                         epsrel=_QUAD_EPS, limit=_QUAD_LIMIT, points=pts)
-        im_val, _ = quad(imag_part, 0.0, np.pi / 2.0, epsabs=_QUAD_EPS,
-                         epsrel=_QUAD_EPS, limit=_QUAD_LIMIT, points=pts)
-        m = complex(re_val, im_val)
+        m = complex(self._theta_rule(integrand, np.pi / 2.0, points))
         if self.atom0 > 0.0:
             m += self.atom0 / (0.0 - z)
         return m

@@ -6,14 +6,21 @@ instead: the ESD of an explicit symmetric matrix, a sample covariance summed
 one column at a time, the compression C S C^T of a full sample covariance
 along a validated row-orthonormal frame, and swap gaps from two full p-by-p
 sample covariances.
+
+The law's quadrature oracles (``quad_cdf``, ``quad_stieltjes``, ``quad_mass``,
+``quad_moment``) integrate with scipy's adaptive ``quad`` and their own
+edge-regular substitution, independently of the package's fixed
+Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 
 from mplab import matcore, spectra
 from mplab.matcore import DomainError, InvalidInputError, Spectrum
+from mplab.mp_law import MPLaw
 
 # Row-orthonormality tolerance for frames.
 ORTH_TOL = 1e-10
@@ -75,3 +82,69 @@ def swap_gaps_dense(x, zmat, zs) -> tuple[complex, ...]:
     return tuple(
         matcore.resolvent_trace(spec_x, z) - matcore.resolvent_trace(spec_z, z) for z in zs
     )
+
+
+# Tolerances and subdivision limit of the law's adaptive quadratures.
+QUAD_EPS = 1e-13
+QUAD_LIMIT = 400
+
+
+def _theta_quad(law: MPLaw, f, theta_hi: float) -> float:
+    """Adaptive quadrature of f over [0, theta_hi] in x = a + 4 sqrt(rho) sin^2(theta).
+
+    For rho near 1 the lower edge a is tiny and a 1/x factor turns over
+    within theta ~ sqrt(a / (b - a)) of the origin, so the subdivision is
+    seeded there.
+    """
+    width = 4.0 * np.sqrt(law.rho)
+    layer = float(np.arcsin(min(1.0, np.sqrt(law.a / width)))) if law.a > 0 else 0.0
+    pts = [t for t in (layer, 8.0 * layer, 64.0 * layer) if 0.0 < t < theta_hi]
+    val, _err = quad(f, 0.0, theta_hi, epsabs=QUAD_EPS, epsrel=QUAD_EPS,
+                     limit=QUAD_LIMIT, points=pts or None)
+    return val
+
+
+def _dF(law: MPLaw, theta: float) -> tuple[float, float]:
+    """dF/dtheta of the law's continuous part, and x(theta)."""
+    width = 4.0 * np.sqrt(law.rho)
+    s2 = np.sin(theta) ** 2
+    x = law.a + width * s2
+    return width * width / (np.pi * law.rho) * s2 * (1.0 - s2) / x, x
+
+
+def quad_cdf(law: MPLaw, x: float) -> float:
+    """F(x) for a <= x <= b: the atom plus the continuous mass below x."""
+    ratio = min(1.0, max(0.0, (x - law.a) / (4.0 * np.sqrt(law.rho))))
+    theta = float(np.arcsin(np.sqrt(ratio)))
+    return law.atom0 + _theta_quad(law, lambda t: _dF(law, t)[0], theta)
+
+
+def quad_stieltjes(law: MPLaw, z: complex) -> complex:
+    """m(z) = int dF(x) / (x - z), as two real quadratures plus the atom term."""
+    def part(take):
+        def f(t):
+            w, x = _dF(law, t)
+            return take(w / (x - z))
+        return _theta_quad(law, f, np.pi / 2.0)
+
+    m = complex(part(lambda v: v.real), part(lambda v: v.imag))
+    return m + law.atom0 / (0.0 - z)
+
+
+def quad_mass(law: MPLaw) -> float:
+    """Continuous mass from ``law.density`` evaluated at x(theta), times dx/dtheta."""
+    width = 4.0 * np.sqrt(law.rho)
+
+    def f(t):
+        return law.density(law.a + width * np.sin(t) ** 2) * width * np.sin(2.0 * t)
+
+    return _theta_quad(law, f, np.pi / 2.0)
+
+
+def quad_moment(law: MPLaw, k: int) -> float:
+    """int x^k dF(x), the atom at zero included."""
+    def f(t):
+        weight, x = _dF(law, t)
+        return weight * x**k
+
+    return (law.atom0 if k == 0 else 0.0) + _theta_quad(law, f, np.pi / 2.0)

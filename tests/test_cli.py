@@ -720,13 +720,13 @@ def test_main_law_tables_single_rho(capsys):
     assert summary["metrics"]["stieltjes_gap_max"] < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("rho", [1e-20, 1e-30])
 def test_law_tables_quadratures_exact_at_tiny_rho(rho):
-    # b - a has relative error about eps / sqrt(rho) here, so the cdf, moment
-    # and Stieltjes quadratures take the width as 4 sqrt(rho).  The
-    # total_mass row integrates density, whose (b - x)(x - a) cannot resolve
-    # the support in float64, so it is not among these.
+    # b - a has relative error about eps / sqrt(rho) here, so the cdf and
+    # Stieltjes quadratures take the width as 4 sqrt(rho); the moments are
+    # closed forms.  The total_mass row evaluates density, whose
+    # (b - x)(x - a) cannot resolve the support in float64, so it is not
+    # among these.
     cfg = ExperimentConfig(experiment="law-tables", rhos=(rho,))
     metrics = run_experiment(cfg, rules=[]).summary["metrics"]
     for name in ("cdf_err_max", "moment1_err_max", "stieltjes_gap_max"):
@@ -884,6 +884,8 @@ def test_main_norm_drift_rejects_non_isotropic_model(capsys):
 
 
 def test_cli_import_and_esd_run_leave_scipy_unloaded(tmp_path):
+    # The Gauss-Legendre nodes of the law's quadratures are built on first
+    # use, so an esd run does not load numpy.polynomial either.
     script = (
         "import sys\n"
         "import mplab.cli\n"
@@ -892,12 +894,41 @@ def test_cli_import_and_esd_run_leave_scipy_unloaded(tmp_path):
         "                       '--trials', '2', '--out', 'rows.csv'])\n"
         "assert code in (0, 1), code\n"
         "assert 'scipy' not in sys.modules, 'esd run'\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'esd run'\n"
+        "assert mplab.cli.main(['law-tables', '--out', 'law.csv']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'law-tables run'\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mplab.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=env, cwd=str(tmp_path), check=False)
     assert proc.returncode == 0, proc.stderr.decode()
     assert (tmp_path / "rows.csv").exists()
+    assert (tmp_path / "law.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["law-tables"],
+    ["esd", "--model", "iid-gauss", "--p", "16", "--n", "32", "--trials", "2"],
+], ids=["law-tables", "esd"])
+def test_runs_need_no_scipy(tmp_path, argv):
+    # None in sys.modules makes every import of scipy raise ImportError.
+    script = (
+        "import sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "import mplab.cli\n"
+        "sys.exit(mplab.cli.main(sys.argv[2:]))\n"
+    )
+    runs = []
+    for mode in ("blocked", "open"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, mode, *argv, "--out", "r.csv"],
+                              capture_output=True, env=_source_env(), cwd=str(cwd),
+                              check=False)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs.append((proc.stdout, proc.stderr, (cwd / "r.csv").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def _source_env(**overrides: str | None) -> dict[str, str]:

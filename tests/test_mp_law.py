@@ -2,7 +2,8 @@
 
 The oracles here are independent of the implementation: closed-form moment
 polynomials in rho, direct quadrature of the density without the internal
-substitution, and the defining quadratic of the transform.
+substitution, scipy's adaptive quadratures in ``oracles``, and the defining
+quadratic of the transform.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from scipy.integrate import quad
 
 from mplab.matcore import DomainError
 from mplab.mp_law import MPLaw
+from oracles import quad_cdf, quad_mass, quad_moment, quad_stieltjes
 
 RHOS = (0.1, 0.5, 1.0, 2.0, 4.0)
 
@@ -201,6 +203,31 @@ def test_cdf_rejects_nan_anywhere_in_array():
         law.cdf_quadrature(float("nan"))
 
 
+@pytest.mark.parametrize("rho", (1.0 / 4096, 4096.0))
+def test_cdf_closed_form_accurate_over_the_cli_ratio_range(rho):
+    # The closed form loses accuracy as 1/rho grows (about 2e-12 at
+    # rho = 1/4096, 1.4e-8 at 1e-6).  1/4096 and 4096 are the extreme ratios
+    # the CLI allows: p = 1 against n = MAX_DIM, and the reverse.
+    law = MPLaw(rho)
+    xs = edge_grid(law)
+    reference = np.array([law.cdf_quadrature(x) for x in xs])
+    assert np.max(np.abs(law.cdf(xs) - reference)) <= 1e-10
+
+
+@pytest.mark.parametrize("rho", CLOSED_FORM_RHOS)
+def test_cdf_rule_matches_adaptive_quadrature(rho):
+    law = MPLaw(rho)
+    for x in edge_grid(law):
+        assert abs(law.cdf_quadrature(x) - quad_cdf(law, x)) <= 1e-12, x
+
+
+@pytest.mark.parametrize("rho", CLOSED_FORM_RHOS)
+def test_mass_rule_matches_adaptive_quadrature(rho):
+    law = MPLaw(rho)
+    assert abs(law.mass_quadrature() - quad_mass(law)) <= 1e-12
+    assert abs(law.mass_quadrature() + law.atom0 - 1.0) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=0.01, max_value=10.0),
@@ -224,9 +251,24 @@ def test_moments_match_closed_forms(rho):
         assert law.moment(k) == pytest.approx(expected[k], abs=1e-9, rel=1e-9)
 
 
+@pytest.mark.parametrize("rho", (1e-6, 0.1, 1.0, 4.0, 1e6))
+def test_narayana_moments_match_adaptive_quadrature(rho):
+    law = MPLaw(rho)
+    for k in range(9):
+        reference = quad_moment(law, k)
+        assert abs(law.moment(k) - reference) <= 1e-12 * reference, k
+
+
+def test_moment_of_any_order():
+    law = MPLaw(1.0)
+    # At rho = 1 the moments are the Catalan numbers.
+    assert [law.moment(k) for k in range(9)] == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+    assert law.moment(np.int64(3)) == 5.0
+
+
 def test_moment_rejects_bad_order():
     law = MPLaw(1.0)
-    for k in (-1, 5, 1.5, True):
+    for k in (-1, 1.5, True):
         with pytest.raises(DomainError):
             law.moment(k)
 
@@ -242,6 +284,16 @@ def test_stieltjes_matches_quadrature(rho):
         closed = law.stieltjes(z)
         reference = law.stieltjes_quadrature(z)
         assert abs(closed - reference) < 1e-10
+
+
+@pytest.mark.parametrize("rho", CLOSED_FORM_RHOS)
+def test_stieltjes_rule_matches_adaptive_quadrature(rho):
+    # The law grid, and the same real parts close to the axis, where the
+    # integrand peaks sharply inside the support.
+    law = MPLaw(rho)
+    near_axis = tuple(complex(z.real, im) for z in Z_GRID[::4] for im in (1e-2, 1e-3))
+    for z in Z_GRID + near_axis:
+        assert abs(law.stieltjes_quadrature(z) - quad_stieltjes(law, z)) <= 1e-12, z
 
 
 @pytest.mark.parametrize("rho", RHOS)

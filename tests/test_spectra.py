@@ -384,24 +384,55 @@ def test_both_routes_reject_bad_entries_in_sparse_data(x, nonzero_route, bad):
                 sample_covariance(a)
 
 
-# E|x|^4 of each isotropic model at dimension p.
+def gaussian_fourth_moment(model, p: int) -> float:
+    """E|x|^4 = (tr Sigma)^2 + 2 tr Sigma^2 for x ~ N(0, Sigma)."""
+    tr = np.sum(model.cov.diagonal(p))
+    return tr * tr + 2.0 * model.cov.square_trace(p)
+
+
+def moving_average_fourth_moment(model, p: int) -> float:
+    """E|x|^4 for x = M eps with iid signs eps: the Gaussian value less 2 sum_k (M^T M)_kk^2.
+
+    Row i of M holds c_j at column i + order - j, as ``WeakDependent.sample``
+    sums its innovations.
+    """
+    c = model.coeffs
+    order = len(c) - 1
+    m = np.zeros((p, p + order))
+    for j, cj in enumerate(c):
+        m[np.arange(p), np.arange(p) + order - j] = cj
+    col_sq = np.sum(m * m, axis=0)
+    return gaussian_fourth_moment(model, p) - 2.0 * (col_sq @ col_sq)
+
+
+# E|x|^4 of each model at dimension p.
 FOURTH_MOMENT = {
-    "iid-gauss": lambda p: p * p + 2 * p,
-    "iid-rademacher": lambda p: p * p,
-    "sparse-spike": lambda p: 2 * p * p - p,
-    "block-xi": lambda p: p * p + 4 * p,
+    "iid-gauss": lambda model, p: p * p + 2 * p,
+    "iid-rademacher": lambda model, p: p * p,
+    "sparse-spike": lambda model, p: 2 * p * p - p,
+    "block-xi": lambda model, p: p * p + 4 * p,
+    "gauss-cov:identity": gaussian_fourth_moment,
+    "gauss-cov:toeplitz:0.5": gaussian_fourth_moment,
+    "gauss-cov:spiked:2,4": gaussian_fourth_moment,
+    "weak-ma:1,0.5": moving_average_fourth_moment,
 }
 
 
 @pytest.mark.parametrize("spec, p, n", [("iid-gauss", 64, 128), ("iid-rademacher", 64, 128),
-                                        ("sparse-spike", 128, 256), ("block-xi", 64, 128)])
+                                        ("sparse-spike", 128, 256), ("block-xi", 64, 128),
+                                        ("gauss-cov:identity", 64, 128),
+                                        ("gauss-cov:toeplitz:0.5", 64, 128),
+                                        ("gauss-cov:spiked:2,4", 64, 128),
+                                        ("weak-ma:1,0.5", 64, 128)])
 def test_spectral_moments_match_their_exact_finite_n_values(spec, p, n):
     # For iid columns with E x x^T = Sigma (Bai & Silverstein 2010, ch. 3):
     #   E[tr S / p]   = tr Sigma / p,
     #   E[tr S^2 / p] = E|x|^4 / (p n) + (1 - 1/n) tr Sigma^2 / p.
     # The seed, the 800 trials and the |z| <= 4 bar were fixed before the
-    # first run.  Gaussian columns in place of Rademacher ones raise the
-    # second moment by 2/n, about 9 standard errors here.
+    # first run of each model.  Gaussian columns in place of Rademacher ones
+    # raise the second moment by 2/n, about 9 standard errors here; sign
+    # innovations in place of Gaussian ones, or a mis-scaled moving average,
+    # fail the bar as well.
     model = parse_model_spec(spec)
     trials = 800
     m1, m2 = np.empty(trials), np.empty(trials)
@@ -416,7 +447,7 @@ def test_spectral_moments_match_their_exact_finite_n_values(spec, p, n):
         m1[t], m2[t] = lam.sum() / p, lam @ lam / p
     tr1 = np.sum(model.cov.diagonal(p)) / p
     tr2 = model.cov.square_trace(p) / p
-    want = (tr1, FOURTH_MOMENT[spec](p) / (p * n) + (1.0 - 1.0 / n) * tr2)
+    want = (tr1, FOURTH_MOMENT[spec](model, p) / (p * n) + (1.0 - 1.0 / n) * tr2)
     for got, exact in zip((m1, m2), want):
         # Rademacher's tr S / p is 1 up to rounding, so the error is floored.
         se = max(got.std(ddof=1) / np.sqrt(trials), 1e-12)
