@@ -19,8 +19,10 @@ A model is one class that owns its behaviour: ``sample`` draws a whole data
 matrix, ``cov`` is the covariance spec of the exact E[x x^T] (its Gaussian
 twin is ``GaussianCov(model.cov)``), ``spec`` its grammar string and
 ``isotropic`` whether the covariance is the identity.  Covariance specs own
-the algebra of Sigma the same way: ``matrix``, ``root``, ``diagonal``,
-``square_trace`` (tr Sigma^2) and ``spec``.
+the algebra of Sigma the same way: ``matrix``, ``color`` (F g for an exact
+factor F F^T = Sigma, which draws every non-isotropic model), ``width`` (the
+innovations F reads), ``diagonal``, ``square_trace`` (tr Sigma^2) and
+``spec``.
 
 All sampling is driven by explicit counter-based generators derived from
 (seed, label path) so that any trial of any experiment can be replayed in
@@ -29,13 +31,11 @@ isolation and parallel dispatch cannot perturb the draws.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from . import matcore
 from .matcore import DomainError
 
 
@@ -57,21 +57,30 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # covariance specs
 #
-# ``root(p)`` is a square root of ``matrix(p)`` in its cheapest exact form:
-# None for the identity, a 1-d array for a diagonal scaling, otherwise the
-# dense principal root (read-only, cached per (spec, p)).  ``diagonal(p)`` and
+# ``color(g)`` maps a standard draw g, a width(p)-by-n matrix of iid unit
+# innovations, to F g for an exact factor F F^T = Sigma, column by column:
+# g itself for the identity, a diagonal scaling, the AR(1) recursion of the
+# Toeplitz Cholesky factor, or a moving-average filter.  Only the filter reads
+# more innovations than rows (``width(p) > p``).  ``diagonal(p)`` and
 # ``square_trace(p)`` = tr Sigma^2 are closed forms: no p-by-p array is built.
 
 
+class _SquareFactor:
+    """Specs whose factor F is p-by-p."""
+
+    def width(self, p: int) -> int:
+        return p
+
+
 @dataclass(frozen=True)
-class Identity:
+class Identity(_SquareFactor):
     """Sigma = I_p."""
 
     def matrix(self, p: int) -> np.ndarray:
         return np.eye(p)
 
-    def root(self, p: int) -> None:
-        return None
+    def color(self, g: np.ndarray) -> np.ndarray:
+        return g
 
     def diagonal(self, p: int) -> np.ndarray:
         return np.ones(p)
@@ -84,7 +93,7 @@ class Identity:
 
 
 @dataclass(frozen=True)
-class Spiked:
+class Spiked(_SquareFactor):
     """Identity with k leading eigenvalues replaced by s >= 0."""
 
     k: int
@@ -110,15 +119,15 @@ class Spiked:
     def matrix(self, p: int) -> np.ndarray:
         return np.diag(self.diagonal(p))
 
-    def root(self, p: int) -> np.ndarray:
-        return np.sqrt(self.diagonal(p))
+    def color(self, g: np.ndarray) -> np.ndarray:
+        return np.sqrt(self.diagonal(g.shape[0]))[:, None] * g
 
     def spec(self) -> str:
         return f"spiked:{self.k},{self.s!r}"
 
 
 @dataclass(frozen=True)
-class Toeplitz:
+class Toeplitz(_SquareFactor):
     """Geometric Toeplitz covariance Sigma_ij = phi^|i-j| with |phi| < 1."""
 
     phi: float
@@ -131,8 +140,17 @@ class Toeplitz:
         idx = np.arange(p)
         return self.phi ** np.abs(idx[:, None] - idx[None, :])
 
-    def root(self, p: int) -> np.ndarray:
-        return _dense_root(self, p)
+    def color(self, g: np.ndarray) -> np.ndarray:
+        """L g for the lower Cholesky factor L, as the AR(1) recursion down the rows.
+
+        x_0 = g_0 and x_k = phi x_{k-1} + sqrt(1 - phi^2) g_k, so every x_k has
+        unit variance and x_k, x_j correlate by phi^|k-j|.
+        """
+        out = np.sqrt((1.0 - self.phi) * (1.0 + self.phi)) * g
+        out[0] = g[0]
+        for prev, row in zip(out, out[1:]):  # views: prev is the row just updated
+            row += self.phi * prev
+        return out
 
     def diagonal(self, p: int) -> np.ndarray:
         return np.ones(p)
@@ -145,67 +163,73 @@ class Toeplitz:
 
 
 @dataclass(frozen=True)
-class BandToeplitz:
-    """Banded Toeplitz covariance from autocovariances (gamma_0, ..., gamma_J).
+class MovingAverage:
+    """Covariance of x_i = sum_j c_j e_{i+J-j} over iid unit innovations e, J = order.
 
-    Used for the Gaussian twins of moving-average models; not part of the
-    command-line grammar.
+    Sigma is the banded Toeplitz matrix of the autocovariances
+    gamma_h = sum_j c_j c_{j+h}, and its factor is the filter itself, which
+    turns p + J innovations into p rows.  It is the covariance of
+    ``WeakDependent`` and not part of the command-line grammar.
     """
 
-    gammas: tuple[float, ...]
+    coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.gammas) == 0:
-            raise DomainError("need at least gamma_0")
-        if not np.all(np.isfinite(self.gammas)):
-            raise DomainError(f"autocovariances must be finite, got {self.gammas}")
+        if len(self.coeffs) == 0:
+            raise DomainError("need at least one moving-average coefficient")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise DomainError(f"moving-average coefficients must be finite, got {self.coeffs}")
+
+    def width(self, p: int) -> int:
+        return p + len(self.coeffs) - 1
+
+    def color(self, g: np.ndarray) -> np.ndarray:
+        c = self.coeffs
+        order = len(c) - 1
+        p = g.shape[0] - order
+        # x_i = sum_j c_j g_{i+order-j}, summed lag by lag in the order of
+        # np.convolve(g, c, "valid").
+        out = g[:p] * c[order]
+        for k in range(1, order + 1):
+            out += g[k : k + p] * c[order - k]
+        return out
+
+    def autocovariances(self) -> tuple[float, ...]:
+        c = np.asarray(self.coeffs)
+        return tuple(float(np.sum(c[: c.size - h] * c[h:])) for h in range(c.size))
 
     def matrix(self, p: int) -> np.ndarray:
-        sig = np.zeros((p, p))
-        for h, g in enumerate(self.gammas[:p]):
-            # Lag h is the main diagonal of both offset views; + 0.0 stores a
-            # -0.0 autocovariance as 0.0, as adding it into zeros did.
-            np.fill_diagonal(sig[:, h:], g + 0.0)
-            np.fill_diagonal(sig[h:, :], g + 0.0)
-        return sig
-
-    def root(self, p: int) -> np.ndarray:
-        return _dense_root(self, p)
+        return _band_matrix(self.autocovariances(), p)
 
     def diagonal(self, p: int) -> np.ndarray:
-        return np.full(p, self.gammas[0])
+        return np.full(p, self.autocovariances()[0])
 
     def square_trace(self, p: int) -> float:
-        return _band_square_trace(p, self.gammas[0], np.asarray(self.gammas[1:p]))
+        gammas = self.autocovariances()
+        return _band_square_trace(p, gammas[0], np.asarray(gammas[1:p]))
 
     def spec(self) -> str:
-        return "band:" + ",".join(repr(g) for g in self.gammas)
+        return "ma:" + ",".join(repr(c) for c in self.coeffs)
 
 
-CovSpec = Identity | Spiked | Toeplitz | BandToeplitz
+CovSpec = Identity | Spiked | Toeplitz | MovingAverage
+
+
+def _band_matrix(gammas: tuple[float, ...], p: int) -> np.ndarray:
+    """The p-by-p banded Toeplitz matrix with autocovariances (gamma_0, gamma_1, ...)."""
+    sig = np.zeros((p, p))
+    for h, g in enumerate(gammas[:p]):
+        # Lag h is the main diagonal of both offset views; + 0.0 stores a
+        # -0.0 autocovariance as 0.0, as adding it into zeros did.
+        np.fill_diagonal(sig[:, h:], g + 0.0)
+        np.fill_diagonal(sig[h:, :], g + 0.0)
+    return sig
 
 
 def _band_square_trace(p: int, gamma0: float, lags: np.ndarray) -> float:
     """tr Sigma^2 = p gamma_0^2 + 2 sum_h (p - h) gamma_h^2 for lags = (gamma_1, gamma_2, ...)."""
     h = np.arange(1, lags.size + 1)
     return float(p * (gamma0 * gamma0) + 2.0 * np.sum((p - h) * (lags * lags)))
-
-
-@functools.lru_cache(maxsize=16)
-def _dense_root(spec: CovSpec, p: int) -> np.ndarray:
-    root = matcore.psd_sqrt(spec.matrix(p))
-    root.flags.writeable = False  # shared by every caller of the cache
-    return root
-
-
-def scale_columns(cov: CovSpec, g: np.ndarray) -> np.ndarray:
-    """Sigma^{1/2} g for a p-by-n matrix g, through the cheapest form of the root."""
-    root = cov.root(g.shape[0])
-    if root is None:
-        return g
-    if root.ndim == 1:
-        return root[:, None] * g
-    return root @ g
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +352,7 @@ class BlockXi(_Isotropic):
 
 @dataclass(frozen=True)
 class GaussianCov:
-    """Centered Gaussian with covariance given by a CovSpec."""
+    """Centered Gaussian with covariance given by a CovSpec: its factor on Gaussian innovations."""
 
     cov: CovSpec
 
@@ -337,7 +361,7 @@ class GaussianCov:
         return self.cov == Identity()
 
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return scale_columns(self.cov, IIDGaussian().sample(p, n, rng))
+        return self.cov.color(IIDGaussian().sample(self.cov.width(p), n, rng))
 
     def spec(self) -> str:
         return f"gauss-cov:{self.cov.spec()}"
@@ -348,8 +372,9 @@ class WeakDependent:
     """Finite moving average X_k = sum_j c_j eps_{k-j} over iid sign innovations.
 
     Coefficients are normalized at construction so the marginal variance is
-    exactly 1; the population covariance is the banded Toeplitz matrix of the
-    autocovariances gamma_h = sum_j c_j c_{j+h}.
+    exactly 1.  The covariance is ``MovingAverage(coeffs)``, whose filter also
+    draws the model: applied to sign innovations here, and to Gaussian ones
+    in the twin ``GaussianCov(model.cov)``.
     """
 
     coeffs: tuple[float, ...]
@@ -380,24 +405,12 @@ class WeakDependent:
     def isotropic(self) -> bool:
         return len(self.coeffs) == 1
 
-    def autocovariances(self) -> tuple[float, ...]:
-        c = np.asarray(self.coeffs)
-        return tuple(float(np.sum(c[: c.size - h] * c[h:])) for h in range(c.size))
-
     @property
-    def cov(self) -> BandToeplitz:
-        return BandToeplitz(self.autocovariances())
+    def cov(self) -> MovingAverage:
+        return MovingAverage(self.coeffs)
 
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        c = self.coeffs
-        order = len(c) - 1
-        eps = _signs(p + order, n, rng)
-        # x_i = sum_j c_j eps_{i+order-j}, summed lag by lag in the order of
-        # np.convolve(eps, c, "valid").
-        out = eps[:p] * c[order]
-        for k in range(1, order + 1):
-            out += eps[k : k + p] * c[order - k]
-        return out
+        return self.cov.color(_signs(self.cov.width(p), n, rng))
 
     def spec(self) -> str:
         return "weak-ma:" + ",".join(repr(c) for c in self.coeffs)
@@ -451,12 +464,6 @@ def parse_cov_spec(text: str) -> CovSpec:
             return Toeplitz(float(rest))
         except ValueError as exc:
             raise ParseError(f"bad toeplitz argument {rest!r}") from exc
-    if head == "band":
-        # Internal extension used by Gaussian twins of moving averages.
-        try:
-            return BandToeplitz(tuple(float(tok) for tok in rest.split(",")))
-        except ValueError as exc:
-            raise ParseError(f"bad band argument {rest!r}") from exc
     raise ParseError(f"unknown covariance spec {head!r}")
 
 

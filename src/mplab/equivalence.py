@@ -32,11 +32,11 @@ from .ensembles import (
     CovSpec,
     GaussianCov,
     IIDGaussian,
+    Identity,
     ParseError,
     VectorModel,
     derive_rng,
     sample_data_matrix,
-    scale_columns,
 )
 from .matcore import DomainError
 
@@ -135,7 +135,9 @@ class SwapConfig:
                 )
             if not self.model.isotropic:
                 raise DomainError("per-column covariances require an isotropic base model")
-            object.__setattr__(self, "column_groups", _column_groups(self.hetero, self.p))
+            if any(spec.width(self.p) != self.p for spec in self.hetero):
+                raise DomainError("per-column covariances need a square factor")
+            object.__setattr__(self, "column_groups", _column_groups(self.hetero))
 
 
 def parse_offset_spec(text: str) -> BSpec:
@@ -188,9 +190,10 @@ def resolvent_gap(
 
     X is drawn from cfg.model and then Z, sequentially from the given stream.
     Z is the Gaussian twin ``GaussianCov(cfg.model.cov)``.  With per-column
-    covariances, column k of X is Sigma_k^{1/2} u_k for an isotropic base
-    draw u_k of cfg.model and column k of Z is Sigma_k^{1/2} g_k for standard
-    Gaussian g_k, so both sides share the per-column population covariances
+    covariances, column k of X is F_k u_k for an isotropic base draw u_k of
+    cfg.model and column k of Z is F_k g_k for standard Gaussian g_k, where
+    F_k is the exact factor F_k F_k^T = Sigma_k that ``Sigma_k.color``
+    applies.  Both sides share the per-column population covariances
     exactly; with all columns Identity that is the homogeneous gap bit for
     bit.  The two spectra are solved once; |Delta| <= 2 / im(z) at each z.
     ``offsets`` is ``swap_offsets(cfg)``, built here when not given.
@@ -229,32 +232,26 @@ def _spectrum(data: np.ndarray, b: np.ndarray | None, c: np.ndarray | None) -> m
     return matcore.eigh(s, want_vectors=False)
 
 
-def _column_groups(
-    covs: tuple[CovSpec, ...], p: int
-) -> tuple[tuple[CovSpec, np.ndarray], ...]:
-    """Each distinct spec of ``covs`` that has a root, with its column indices.
+def _column_groups(covs: tuple[CovSpec, ...]) -> tuple[tuple[CovSpec, np.ndarray], ...]:
+    """Each distinct spec of ``covs`` but the identity, with its column indices.
 
-    Specs come in first-seen order; those whose root is None (the identity)
-    leave their columns as they are and are left out.
+    Specs come in first-seen order; identity columns stay as they are.
     """
     columns: dict[CovSpec, list[int]] = {}
     for k, spec in enumerate(covs):
         columns.setdefault(spec, []).append(k)
-    return tuple(
-        (spec, np.array(cols)) for spec, cols in columns.items() if spec.root(p) is not None
-    )
+    return tuple((spec, np.array(cols)) for spec, cols in columns.items() if spec != Identity())
 
 
 def _scale_each_column(groups: tuple[tuple[CovSpec, np.ndarray], ...], m: np.ndarray) -> None:
-    """Replace column k of m by Sigma_k^{1/2} m[:, k], in place, for ``_column_groups``.
+    """Replace column k of m by F_k m[:, k], in place, for ``_column_groups``.
 
-    Each distinct root is applied once, to all of its columns.  That is
-    bitwise the per-column product for identity and diagonal roots; a dense
-    root becomes one matrix product, which can round differently from one
-    product per column in the last digits.
+    Each distinct factor colors all of its columns at once.  Every factor
+    acts on each column separately, so that is the per-column result bit
+    for bit.
     """
     for spec, cols in groups:
-        m[:, cols] = scale_columns(spec, m[:, cols])
+        m[:, cols] = spec.color(m[:, cols])
 
 
 def average_spread(covs: tuple[CovSpec, ...], p: int) -> float:

@@ -126,14 +126,6 @@ def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def psd_sqrt(m) -> np.ndarray:
-    """Principal square root of a symmetric PSD matrix via eigendecomposition."""
-    s = eigh(m)
-    vals = clamp_psd_eigenvalues(s.eigenvalues)
-    root = (s.eigenvectors * np.sqrt(vals)) @ s.eigenvectors.T
-    return as_symmetric(root)
-
-
 def resolvent_trace(spectrum: Spectrum, z: complex) -> complex:
     """Normalized resolvent trace (1/p) tr (A - z I)^{-1} from a spectrum.
 

@@ -93,12 +93,16 @@ def _theta_quad(law: MPLaw, f, theta_hi: float) -> float:
     """Adaptive quadrature of f over [0, theta_hi] in x = a + 4 sqrt(rho) sin^2(theta).
 
     For rho near 1 the lower edge a is tiny and a 1/x factor turns over
-    within theta ~ sqrt(a / (b - a)) of the origin, so the subdivision is
-    seeded there.
+    within theta ~ sqrt(a / (b - a)) of the origin, and its tail reaches to
+    pi / 2, so the subdivision is seeded at the layer and at every factor of
+    8 above it.
     """
     width = 4.0 * np.sqrt(law.rho)
-    layer = float(np.arcsin(min(1.0, np.sqrt(law.a / width)))) if law.a > 0 else 0.0
-    pts = [t for t in (layer, 8.0 * layer, 64.0 * layer) if 0.0 < t < theta_hi]
+    t = float(np.arcsin(min(1.0, np.sqrt(law.a / width)))) if law.a > 0 else 0.0
+    pts = []
+    while 0.0 < t < theta_hi:
+        pts.append(t)
+        t *= 8.0
     val, _err = quad(f, 0.0, theta_hi, epsabs=QUAD_EPS, epsrel=QUAD_EPS,
                      limit=QUAD_LIMIT, points=pts or None)
     return val

@@ -347,6 +347,9 @@ def test_criterion_10_byte_determinism_across_worker_counts(capsys, tmp_path):
         "equivalence-multi-z": ["equivalence", "--model", "iid-rademacher", "--p", "128",
                                 "--n", "256", "--trials", "8", "--seed", "42",
                                 "--z", "0.5,1", "--z=-1,0.5", "--format", "json"],
+        "equivalence-hetero": ["equivalence", "--model", "iid-rademacher", "--p", "128",
+                               "--n", "256", "--hetero", "identity", "--hetero", "toeplitz:0.5",
+                               "--trials", "8", "--seed", "42", "--format", "json"],
     }
     all_ok = True
     for name, argv in cases.items():
@@ -360,7 +363,8 @@ def test_criterion_10_byte_determinism_across_worker_counts(capsys, tmp_path):
     report(
         capsys, "10", all_ok,
         "records and summaries byte-identical across reruns and "
-        "MPLAB_THREADS in {1, 8} for esd and equivalence at one and two z",
+        "MPLAB_THREADS in {1, 8} for esd, and for equivalence at one and two z "
+        "and with per-column covariances",
     )
 
 

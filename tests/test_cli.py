@@ -1098,8 +1098,8 @@ def test_main_oversized_spike_is_exit_2(argv, capsys):
     ids=["quadform", "lindeberg", "equivalence-hetero"],
 )
 def test_main_nonfinite_covariance_spec_is_exit_2(argv, cov, capsys):
-    # A non-finite spike or autocovariance is refused when the spec is parsed,
-    # before any trial runs or warns.
+    # A non-finite spike is refused when the spec is parsed, before any trial
+    # runs or warns; ``band`` is no covariance spec of the grammar.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_main([a.format(cov=cov) for a in argv] + ["--trials", "2"], capsys)

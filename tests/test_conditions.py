@@ -197,9 +197,8 @@ def test_fixed_family_quadform_run_builds_no_dense_matrix(model, family):
     p = 2048
     cfg = ExperimentConfig(experiment="conditions", model=model, stat="quadform", family=family,
                            p=p, eps=0.5, trials=3, seed=18)
-    # A non-diagonal Sigma is sampled through its dense root, which is p-by-p
-    # by nature and cached per (spec, p): build it first and trace the rest.
-    parse_model_spec(model).cov.root(p)
+    # Every model is colored column by column, so not even a non-diagonal
+    # Sigma builds a p-by-p array.
     tracemalloc.start()
     try:
         run_experiment(cfg, rules=[])

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mplab.ensembles import (
-    BandToeplitz,
     BlockXi,
     GaussianCov,
     IIDGaussian,
     IIDRademacher,
     IIDSparseSpike,
     Identity,
+    MovingAverage,
     ParseError,
     Spiked,
     Toeplitz,
@@ -27,7 +27,7 @@ from mplab.ensembles import (
     sample_data_matrix,
     sample_vector,
 )
-from mplab.ensembles import _BLOCK_BYTES
+from mplab.ensembles import _BLOCK_BYTES, _band_matrix
 from mplab.matcore import DomainError
 
 ALL_MODELS = (
@@ -128,8 +128,8 @@ def test_weak_ma_autocovariances_match_direct_sum():
     m = WeakDependent((1.0, 0.5, 0.25))
     c = np.array(m.coeffs)
     expected = [float(np.dot(c[: c.size - h], c[h:])) for h in range(c.size)]
-    assert np.allclose(m.autocovariances(), expected, atol=1e-15)
-    assert m.autocovariances()[0] == pytest.approx(1.0)
+    assert np.allclose(m.cov.autocovariances(), expected, atol=1e-15)
+    assert m.cov.autocovariances()[0] == pytest.approx(1.0)
 
 
 def test_weak_ma_rejects_degenerate_coeffs():
@@ -194,7 +194,7 @@ def test_gaussian_cov_matches_spec():
 
 def test_weak_ma_empirical_autocovariance():
     m = WeakDependent((1.0, 0.7, 0.2))
-    gammas = m.autocovariances()
+    gammas = m.cov.autocovariances()
     p, reps = 64, 4000
     rng = derive_rng(7)
     acc = np.zeros(len(gammas) + 1)
@@ -213,7 +213,7 @@ def test_weak_ma_empirical_autocovariance():
 
 
 # ---------------------------------------------------------------------------
-# covariance matrices and roots
+# covariance matrices and factors
 
 
 def test_covariance_matrix_values():
@@ -222,8 +222,11 @@ def test_covariance_matrix_values():
     assert np.array_equal(np.diag(spiked), [7.0, 7.0, 1.0, 1.0])
     toep = Toeplitz(0.5).matrix(3)
     assert np.allclose(toep, [[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]])
-    band = BandToeplitz((1.0, 0.3)).matrix(3)
+    band = _band_matrix((1.0, 0.3), 3)
     assert np.allclose(band, [[1, 0.3, 0], [0.3, 1, 0.3], [0, 0.3, 1]])
+    # c = (1, 1/2): gamma_0 = 5/4 and gamma_1 = 1/2, both exact.
+    ma = MovingAverage((1.0, 0.5)).matrix(3)
+    assert np.array_equal(ma, [[1.25, 0.5, 0], [0.5, 1.25, 0.5], [0, 0.5, 1.25]])
 
 
 def _band_by_eye_sums(gammas, p):
@@ -243,13 +246,13 @@ def _band_by_eye_sums(gammas, p):
     ((1.0, 0.2), 1),
 ])
 def test_band_toeplitz_matrix_matches_eye_sums_bitwise(gammas, p):
-    got = BandToeplitz(gammas).matrix(p)
+    got = _band_matrix(gammas, p)
     assert got.tobytes() == _band_by_eye_sums(gammas, p).tobytes()
 
 
 def test_band_toeplitz_matrix_builds_no_temporaries():
     p = 512
-    band = BandToeplitz((1.0, 0.5, 0.25, 0.125, 0.1))
+    band = MovingAverage((1.0, 0.5, 0.25, 0.125, 0.1))
     tracemalloc.start()
     try:
         band.matrix(p)
@@ -263,19 +266,25 @@ def test_covariance_matrix_rejects_oversized_spike():
     with pytest.raises(DomainError):
         Spiked(5, 2.0).matrix(4)
     with pytest.raises(DomainError):
-        Spiked(5, 2.0).root(4)
+        Spiked(5, 2.0).color(np.ones((4, 1)))
+
+
+def factor(spec, p):
+    """The factor F of a spec in dimension p: its coloring of the identity."""
+    return spec.color(np.eye(spec.width(p)))
 
 
 def test_cov_sqrt_squares_to_covariance():
-    for spec in (Identity(), Spiked(1, 9.0), Toeplitz(0.4), BandToeplitz((1.0, 0.45))):
-        root = spec.root(6)
-        target = spec.matrix(6)
-        if root is None:
-            assert np.array_equal(target, np.eye(6))
-        elif root.ndim == 1:
-            assert np.allclose(np.diag(root * root), target, atol=1e-12)
-        else:
-            assert np.allclose(root @ root, target, atol=1e-10)
+    # F F^T against the dense Sigma.  The Toeplitz factor is the lower
+    # Cholesky factor, built by the AR(1) recursion.
+    for p in (1, 2, 64, 1025):
+        for spec in (Identity(), Spiked(1, 9.0), Toeplitz(0.5), Toeplitz(-0.7), Toeplitz(0.99),
+                     MovingAverage((1.0, 0.45)), WeakDependent((1.0, -0.5, 0.25)).cov):
+            f, target = factor(spec, p), spec.matrix(p)
+            assert f.shape == (p, spec.width(p))
+            if isinstance(spec, Toeplitz):
+                assert np.array_equal(f, np.tril(f)), (spec, p)
+            assert np.max(np.abs(f @ f.T - target)) <= 1e-14, (spec, p)
 
 
 def test_cov_spec_validation():
@@ -287,11 +296,11 @@ def test_cov_spec_validation():
         with pytest.raises(DomainError):
             Spiked(1, bad)
         with pytest.raises(DomainError):
-            BandToeplitz((1.0, bad))
+            MovingAverage((1.0, bad))
     with pytest.raises(DomainError):
         Toeplitz(1.0)
     with pytest.raises(DomainError):
-        BandToeplitz(())
+        MovingAverage(())
 
 
 # Every spec kind, with a band that has more lags than the smallest dimensions.
@@ -303,8 +312,8 @@ ALL_COV_SPECS = (
     Toeplitz(0.5),
     Toeplitz(-0.7),
     Toeplitz(0.99),
-    BandToeplitz((1.0, 0.3)),
-    BandToeplitz((2.0, -0.5, 0.25, 0.125, 0.1)),
+    MovingAverage((1.0, 0.3)),
+    MovingAverage((2.0, -0.5, 0.25, 0.125, 0.1)),
     WeakDependent((1.0, 0.5)).cov,
 )
 
@@ -339,7 +348,7 @@ def test_cov_spec_algebra_matches_dense_matrix(spec):
 def test_population_covariance_weak_ma_is_banded():
     m = WeakDependent((1.0, 0.5))
     sig = m.cov.matrix(5)
-    g0, g1 = m.autocovariances()
+    g0, g1 = m.cov.autocovariances()
     assert np.allclose(np.diag(sig), g0)
     assert np.allclose(np.diag(sig, 1), g1)
     assert np.allclose(np.diag(sig, 2), 0.0)
@@ -371,8 +380,17 @@ def reference_column(model, p, rng):
         x[slice(0, q) if low else slice(q, p)] = rng.standard_normal(q) * np.sqrt(2.0)
         return x
     if isinstance(model, GaussianCov):
-        g, root = rng.standard_normal(p), model.cov.root(p)
-        return g if root is None else root * g if root.ndim == 1 else root @ g
+        cov = model.cov
+        g = rng.standard_normal(cov.width(p))
+        if isinstance(cov, Toeplitz):
+            # The AR(1) recursion, one entry at a time.
+            x, s = g.copy(), np.sqrt((1.0 - cov.phi) * (1.0 + cov.phi))
+            for k in range(1, p):
+                x[k] = cov.phi * x[k - 1] + s * g[k]
+            return x
+        if isinstance(cov, MovingAverage):
+            return np.convolve(g, np.array(cov.coeffs), mode="valid")
+        return np.sqrt(cov.diagonal(p)) * g
     order = len(model.coeffs) - 1
     eps = rng.integers(0, 2, size=p + order).astype(np.float64) * 2.0 - 1.0
     return np.convolve(eps, np.array(model.coeffs), mode="valid")
@@ -380,15 +398,13 @@ def reference_column(model, p, rng):
 
 @pytest.mark.parametrize(
     "model",
-    ALL_MODELS + (WeakDependent((1.0, -0.5, 0.25)), GaussianCov(BandToeplitz((1.0, 0.3)))),
+    ALL_MODELS + (WeakDependent((1.0, -0.5, 0.25)), GaussianCov(MovingAverage((1.0, 0.3)))),
     ids=spec_id,
 )
 def test_data_matrix_shape_and_column_order(model):
     # A batch draw is the column stack of one-column draws on one stream, and
-    # of the per-column reference: bitwise, except that a dense covariance
-    # root multiplies all columns in one product, which may round differently
-    # from one product per column.
-    dense = isinstance(model, GaussianCov) and isinstance(model.cov, (Toeplitz, BandToeplitz))
+    # of the per-column reference, bit for bit: every factor acts on each
+    # column separately.
     # block-xi needs even p; two spikes need p >= 2.
     if isinstance(model, BlockXi):
         dims = (2, 62, 64, 66)
@@ -412,10 +428,7 @@ def test_data_matrix_shape_and_column_order(model):
         assert x.shape == (p, n) and x.dtype == np.float64
         assert x.flags.c_contiguous
         for other in (cols, ref):
-            if dense:
-                assert np.max(np.abs(x - other)) <= 1e-12 * np.max(np.abs(other))
-            else:
-                assert np.array_equal(x, other), (p, n)
+            assert np.array_equal(x, other), (p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +468,13 @@ def test_parse_errors_name_the_offending_token():
 
 
 def test_cov_spec_round_trip():
-    for spec in (Identity(), Spiked(3, 2.5), Toeplitz(-0.25), BandToeplitz((1.0, 0.5))):
+    for spec in (Identity(), Spiked(3, 2.5), Toeplitz(-0.25)):
         assert parse_cov_spec(spec.spec()) == spec
+    # Moving averages are not in the grammar.
+    with pytest.raises(ParseError, match="unknown covariance spec"):
+        parse_cov_spec(MovingAverage((1.0, 0.5)).spec())
+    with pytest.raises(ParseError, match="unknown covariance spec 'band'"):
+        parse_cov_spec("band:1.0,0.5")
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +490,7 @@ def test_cov_spec_round_trip():
 def test_weak_ma_unit_variance_property(coeffs):
     m = WeakDependent(tuple(coeffs))
     assert sum(c * c for c in m.coeffs) == pytest.approx(1.0, abs=1e-12)
-    assert m.autocovariances()[0] == pytest.approx(1.0, abs=1e-12)
+    assert m.cov.autocovariances()[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

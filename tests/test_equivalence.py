@@ -9,18 +9,17 @@ import mplab.equivalence as equivalence
 from mplab.cli.config import EXPERIMENT_CODES, ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
-    BandToeplitz,
     GaussianCov,
     IIDGaussian,
     IIDRademacher,
     IIDSparseSpike,
     Identity,
+    MovingAverage,
     ParseError,
     Spiked,
     Toeplitz,
     WeakDependent,
     derive_rng,
-    scale_columns,
 )
 from mplab.equivalence import (
     ConstantColumns,
@@ -48,7 +47,7 @@ def test_paired_gaussian_mappings():
     g = GaussianCov(Toeplitz(0.3))
     assert GaussianCov(g.cov) == g
     m = WeakDependent((1.0, 0.5))
-    assert GaussianCov(m.cov) == GaussianCov(BandToeplitz(m.autocovariances()))
+    assert GaussianCov(m.cov) == GaussianCov(MovingAverage(m.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +125,12 @@ def test_swap_config_validation():
         SwapConfig(IIDGaussian(), 8, 4, (1j,), hetero=(Identity(),) * 3)
     with pytest.raises(DomainError):  # per-column covariances need an isotropic base
         SwapConfig(GaussianCov(Toeplitz(0.5)), 8, 4, (1j,), hetero=(Identity(),) * 4)
+    # A moving average of order 1 reads p + 1 innovations per column, so its
+    # factor is not square; order 0 is a square scaling.
+    ma = WeakDependent((1.0, 0.5)).cov
+    with pytest.raises(DomainError, match="square factor"):
+        SwapConfig(IIDGaussian(), 8, 4, (1j,), hetero=(Identity(), ma) * 2)
+    SwapConfig(IIDGaussian(), 8, 4, (1j,), hetero=(MovingAverage((0.5,)),) * 4)
     nan, inf = float("nan"), float("inf")
     for z in (complex(nan, 1.0), complex(0.0, inf), complex(inf, 1.0), complex(0.0, nan)):
         with pytest.raises(DomainError):
@@ -287,21 +292,19 @@ def test_hetero_gap_bound_holds_for_spiked_columns():
 
 
 def test_grouped_column_scaling_matches_per_column_products():
-    # Each distinct root is applied once to all of its columns.  Identity and
-    # diagonal roots scale entrywise, so they keep the per-column bits; a
-    # dense root is one matrix product instead of one per column.
+    # Each distinct factor colors all of its columns at once.  Every factor
+    # acts on each column separately, so the result keeps the per-column bits.
     p, n = 12, 11
-    pattern = (Identity(), Toeplitz(0.5), Spiked(2, 3.0), Identity(), BandToeplitz((1.0, 0.3)))
+    pattern = (Identity(), Toeplitz(0.5), Spiked(2, 3.0), Identity(), Toeplitz(-0.7),
+               MovingAverage((0.6,)))
     covs = tuple(pattern[k % len(pattern)] for k in range(n))
     m = derive_rng(21).standard_normal((p, n))
     want = m.copy()
     for k, spec in enumerate(covs):
-        want[:, k : k + 1] = scale_columns(spec, m[:, k : k + 1])
+        want[:, k : k + 1] = spec.color(m[:, k : k + 1])
     got = m.copy()
-    _scale_each_column(_column_groups(covs, p), got)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    exact = [k for k, spec in enumerate(covs) if isinstance(spec, (Identity, Spiked))]
-    assert np.array_equal(got[:, exact].view(np.uint64), want[:, exact].view(np.uint64))
+    _scale_each_column(_column_groups(covs), got)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
@@ -312,7 +315,7 @@ def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
     x = IIDRademacher().sample(p, n, rng)
     zmat = IIDGaussian().sample(p, n, rng)
     for k, spec in enumerate(covs):
-        x[:, k : k + 1] = scale_columns(spec, x[:, k : k + 1])
-        zmat[:, k : k + 1] = scale_columns(spec, zmat[:, k : k + 1])
+        x[:, k : k + 1] = spec.color(x[:, k : k + 1])
+        zmat[:, k : k + 1] = spec.color(zmat[:, k : k + 1])
     want = equivalence._gaps_from_matrices(x, zmat, cfg, None)[0]
     assert resolvent_gap(cfg, derive_rng(22))[0] == want

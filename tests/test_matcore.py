@@ -15,7 +15,6 @@ from mplab.matcore import (
     as_symmetric,
     eigh,
     haar_frame,
-    psd_sqrt,
     rank_one_trace_update,
     resolvent_trace,
     spectral_norm,
@@ -144,18 +143,6 @@ def test_clamp_psd_zeroes_roundoff_negatives():
 def test_clamp_psd_rejects_indefinite():
     with pytest.raises(InvalidInputError):
         matcore.clamp_psd_eigenvalues(np.array([-1.0, 2.0]))
-
-
-def test_psd_sqrt_squares_back():
-    m = _random_psd(_rng(5), 12)
-    r = psd_sqrt(m)
-    assert np.array_equal(r, r.T)
-    assert np.allclose(r @ r, m, atol=1e-10)
-
-
-def test_psd_sqrt_of_diagonal():
-    r = psd_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(r, np.diag([2.0, 3.0]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,16 @@ def test_cdf_rule_matches_adaptive_quadrature(rho):
         assert abs(law.cdf_quadrature(x) - quad_cdf(law, x)) <= 1e-12, x
 
 
+@pytest.mark.parametrize("rho", (1.0 - 1e-7, 1.0 - 1e-10))
+def test_adaptive_quadrature_cdf_matches_closed_form_near_ratio_one(rho):
+    # The boundary layer's tail reaches to pi / 2; an oracle seeded only at
+    # layer * {1, 8, 64} is off by 5e-10 at rho = 1 - 1e-7 and 5e-13 at
+    # 1 - 1e-10.  Seeded with the whole ladder it is within 4e-16 at both.
+    law = MPLaw(rho)
+    for x in edge_grid(law):
+        assert abs(quad_cdf(law, x) - law.cdf(x)) <= 1e-14, x
+
+
 @pytest.mark.parametrize("rho", CLOSED_FORM_RHOS)
 def test_mass_rule_matches_adaptive_quadrature(rho):
     law = MPLaw(rho)

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from mplab.cli.config import ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
+    GaussianCov,
     IIDGaussian,
     IIDSparseSpike,
+    WeakDependent,
     derive_rng,
     parse_model_spec,
     sample_data_matrix,
@@ -415,7 +417,13 @@ FOURTH_MOMENT = {
     "gauss-cov:toeplitz:0.5": gaussian_fourth_moment,
     "gauss-cov:spiked:2,4": gaussian_fourth_moment,
     "weak-ma:1,0.5": moving_average_fourth_moment,
+    "gauss-cov:toeplitz:-0.7": gaussian_fourth_moment,
+    "gauss-cov:toeplitz:0.99": gaussian_fourth_moment,
+    "twin:weak-ma:1,0.5": gaussian_fourth_moment,
 }
+
+# Models outside the grammar, by the name they are tested under.
+UNPARSED = {"twin:weak-ma:1,0.5": GaussianCov(WeakDependent((1.0, 0.5)).cov)}
 
 
 @pytest.mark.parametrize("spec, p, n", [("iid-gauss", 64, 128), ("iid-rademacher", 64, 128),
@@ -423,7 +431,10 @@ FOURTH_MOMENT = {
                                         ("gauss-cov:identity", 64, 128),
                                         ("gauss-cov:toeplitz:0.5", 64, 128),
                                         ("gauss-cov:spiked:2,4", 64, 128),
-                                        ("weak-ma:1,0.5", 64, 128)])
+                                        ("weak-ma:1,0.5", 64, 128),
+                                        ("gauss-cov:toeplitz:-0.7", 64, 128),
+                                        ("gauss-cov:toeplitz:0.99", 64, 128),
+                                        ("twin:weak-ma:1,0.5", 64, 128)])
 def test_spectral_moments_match_their_exact_finite_n_values(spec, p, n):
     # For iid columns with E x x^T = Sigma (Bai & Silverstein 2010, ch. 3):
     #   E[tr S / p]   = tr Sigma / p,
@@ -433,7 +444,7 @@ def test_spectral_moments_match_their_exact_finite_n_values(spec, p, n):
     # raise the second moment by 2/n, about 9 standard errors here; sign
     # innovations in place of Gaussian ones, or a mis-scaled moving average,
     # fail the bar as well.
-    model = parse_model_spec(spec)
+    model = UNPARSED[spec] if spec in UNPARSED else parse_model_spec(spec)
     trials = 800
     m1, m2 = np.empty(trials), np.empty(trials)
     for t in range(trials):
