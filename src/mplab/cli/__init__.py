@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Sequence
 
-from .config import CONDITION_STATS, FRAME_MODES, ExperimentConfig
+from .config import CONDITION_STATS, EXPERIMENTS, FRAME_MODES, ExperimentConfig
 
 
 def _parse_z(text: str) -> complex:
@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trials", type=int, default=8, help="number of trials")
-    common.add_argument("--seed", type=int, default=0, help="master seed")
+    common.add_argument("--trials", type=int, help="number of trials")
+    common.add_argument("--seed", type=int, help="master seed")
     common.add_argument("--out", help="report path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="report format")
@@ -54,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_esd = sub.add_parser("esd", parents=[common],
                            help="KS distance of sample-covariance spectra to the law")
-    p_esd.add_argument("--model", required=True, help="model spec, e.g. iid-gauss")
-    p_esd.add_argument("--p", type=int, required=True, help="vector dimension")
-    p_esd.add_argument("--n", type=int, required=True, help="number of columns")
+    p_esd.add_argument("--model", help="model spec, e.g. iid-gauss")
+    p_esd.add_argument("--p", type=int, help="vector dimension")
+    p_esd.add_argument("--n", type=int, help="number of columns")
     p_esd.add_argument("--dump-matrix", metavar="PATH",
                        help="binary dump of trial 0's sample covariance")
     p_esd.add_argument("--dump-esd", metavar="PATH",
@@ -64,54 +64,59 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cond = sub.add_parser("conditions", parents=[common],
                             help="concentration statistics of a vector model")
-    p_cond.add_argument("--model", required=True)
-    p_cond.add_argument("--p", type=int, required=True)
-    p_cond.add_argument("--stat", choices=CONDITION_STATS, default="quadform")
-    p_cond.add_argument("--family", default="identity",
-                        help="test-matrix family spec, e.g. fixed-half")
-    p_cond.add_argument("--eps", type=float, default=0.5, help="exceedance threshold")
+    p_cond.add_argument("--model")
+    p_cond.add_argument("--p", type=int)
+    p_cond.add_argument("--stat", choices=CONDITION_STATS)
+    p_cond.add_argument("--family", help="test-matrix family spec, e.g. fixed-half")
+    p_cond.add_argument("--eps", type=float, help="exceedance threshold")
 
     p_mp = sub.add_parser("mp-property", parents=[common],
                           help="KS distance of frame-compressed spectra to the law")
-    p_mp.add_argument("--model", required=True)
-    p_mp.add_argument("--p", type=int, required=True)
-    p_mp.add_argument("--n", type=int, required=True)
-    p_mp.add_argument("--q", type=int, required=True, help="frame rows")
-    p_mp.add_argument("--frame", choices=FRAME_MODES, default="haar")
+    p_mp.add_argument("--model")
+    p_mp.add_argument("--p", type=int)
+    p_mp.add_argument("--n", type=int)
+    p_mp.add_argument("--q", type=int, help="frame rows")
+    p_mp.add_argument("--frame", choices=FRAME_MODES)
 
     p_eq = sub.add_parser("equivalence", parents=[common],
                           help="resolvent-trace gap against the Gaussian twin")
-    p_eq.add_argument("--model", required=True)
-    p_eq.add_argument("--p", type=int, required=True)
-    p_eq.add_argument("--n", type=int, required=True)
-    p_eq.add_argument("--z", dest="zs", type=_parse_z, action="append", default=None,
-                      metavar="RE,IM", help="resolvent point (repeatable; default 0,1)")
+    p_eq.add_argument("--model")
+    p_eq.add_argument("--p", type=int)
+    p_eq.add_argument("--n", type=int)
+    p_eq.add_argument("--z", dest="zs", type=_parse_z, action="append", metavar="RE,IM",
+                      help="resolvent point (repeatable; default 0,1); write a "
+                           "negative real part as --z=-1,0.5")
     p_eq.add_argument("--b", dest="b_spec", metavar="SPEC",
                       help="additive offset, id:<beta> or psd:<seed>")
     p_eq.add_argument("--c", dest="c_spec", metavar="SPEC",
                       help="column offset, const:<gamma>")
-    p_eq.add_argument("--hetero", action="append", default=None, metavar="COVSPEC",
+    p_eq.add_argument("--hetero", action="append", metavar="COVSPEC",
                       help="per-column covariance pattern entry (repeatable, cycled)")
-    p_eq.add_argument("--eps", type=float, default=None,
-                      help="|gap| threshold for the within_freq metric")
+    p_eq.add_argument("--eps", type=float, help="|gap| threshold for the within_freq metric")
 
     p_law = sub.add_parser("law-tables", parents=[common],
                            help="self-consistency tables of the analytic law")
-    p_law.add_argument("--rho", dest="rhos", type=float, action="append", default=None,
-                       metavar="RHO", help="aspect ratio (repeatable)")
+    p_law.add_argument("--rho", dest="rhos", type=float, action="append", metavar="RHO",
+                       help="aspect ratio (repeatable)")
 
     p_facts = sub.add_parser("facts", parents=[common],
                              help="randomized matrix-inequality suite")
-    p_facts.add_argument("--p-max", dest="p", metavar="P_MAX", type=int, default=40,
+    p_facts.add_argument("--p-max", dest="p", metavar="P_MAX", type=int,
                          help="largest matrix dimension drawn")
 
+    # No flag sets a default: the config fills what is not given from the
+    # experiment table, whose required fields are the required flags.
+    for name, subparser in sub.choices.items():
+        for action in subparser._actions:
+            if action.dest in EXPERIMENTS[name].required:
+                action.required = True
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config fields among the flags' dests; a repeated flag gives a tuple.
 
-    A flag left at ``None`` was not given and takes the field's default.
+    A flag left at ``None`` was not given; the config fills that field.
     """
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     return ExperimentConfig(**{

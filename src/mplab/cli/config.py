@@ -1,5 +1,7 @@
-"""Experiment configuration: validation and a JSON-able form.
+"""Experiment configuration: the experiment table, validation and a JSON-able form.
 
+``EXPERIMENTS`` says what a run of each experiment needs and assumes; a
+config fills its unset fields from it, so its summary records what ran.
 A config captures everything that determines a run; neither the worker
 count nor the BLAS environment (``main`` pins it) reaches the report, so
 (config, seed) -> report is a pure function.  Dimensions are capped hard:
@@ -14,18 +16,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
-#: Experiment id -> stream code mixed into every per-trial RNG derivation.
-EXPERIMENT_CODES = {
-    "esd": 1,
-    "conditions": 2,
-    "mp-property": 3,
-    "equivalence": 4,
-    "law-tables": 5,
-    "facts": 6,
+
+class Experiment(NamedTuple):
+    """An experiment's stream code, the fields a run must set, the values unset fields take."""
+
+    code: int
+    required: tuple[str, ...] = ()
+    defaults: dict[str, Any] = {}
+
+
+#: Experiment id -> its row.  The code is mixed into every per-trial RNG
+#: derivation; the required fields are required flags on the command line.
+EXPERIMENTS = {
+    "esd": Experiment(1, ("model", "p", "n")),
+    "conditions": Experiment(2, ("model", "p"),
+                             {"stat": "quadform", "family": "identity", "eps": 0.5}),
+    "mp-property": Experiment(3, ("model", "p", "n", "q"), {"frame": "haar"}),
+    "equivalence": Experiment(4, ("model", "p", "n"), {"zs": (1j,)}),
+    "law-tables": Experiment(5, (), {"rhos": (0.1, 0.5, 1.0, 2.0, 4.0)}),
+    "facts": Experiment(6, (), {"p": 40}),
 }
-EXPERIMENTS = tuple(EXPERIMENT_CODES)
 
 #: Hard ceiling on any matrix dimension accepted by the command line.
 MAX_DIM = 4096
@@ -60,8 +72,17 @@ class ExperimentConfig:
         from ..ensembles import parse_model_spec
         from ..conditions import parse_family_spec
 
-        if self.experiment not in EXPERIMENTS:
+        row = EXPERIMENTS.get(self.experiment)
+        if row is None:
             raise InvalidInputError("unknown experiment: %r" % (self.experiment,))
+        missing = [name for name in row.required if getattr(self, name) in (None, ())]
+        if missing:
+            raise InvalidInputError(
+                "%s requires %s" % (self.experiment, ", ".join("--" + m for m in missing))
+            )
+        for name, value in row.defaults.items():
+            if getattr(self, name) in (None, ()):
+                object.__setattr__(self, name, value)
         if self.trials < 1:
             raise InvalidInputError("trials must be positive")
         if not 0 <= self.seed < 2**63:

@@ -18,7 +18,7 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import cycle, islice
 from typing import Any, Callable, NamedTuple
 
@@ -45,7 +45,7 @@ from ..conditions import (
     require_isotropic,
     standard_error,
 )
-from .config import EXPERIMENT_CODES, ExperimentConfig
+from .config import EXPERIMENTS, ExperimentConfig
 from .records import TrialRecord, write_esd_csv, write_matrix_dump
 
 RowFn = Callable[[np.random.Generator], list[dict[str, Any]]]
@@ -67,13 +67,14 @@ LAW_Z_GRID = tuple(
     for im in (0.05, 0.3, 1.0, 5.0)
 )
 
-DEFAULT_RHOS = (0.1, 0.5, 1.0, 2.0, 4.0)
-
 #: The acceptance table, installed in the package as ``mplab/data`` (package-data).
 PACKAGED_THRESHOLDS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "data", "acceptance_thresholds.json",
 )
+
+#: What a rule's ``when`` may name: the summary's config block, plus ``z``.
+_WHEN_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"z"}
 
 _OPS = {
     "<=": operator.le,
@@ -112,14 +113,6 @@ def worker_count(draws_matrix: bool = True) -> int:
         return os.cpu_count() or 1
 
 
-def _require(cfg: ExperimentConfig, *names: str) -> None:
-    missing = [name for name in names if getattr(cfg, name) in (None, ())]
-    if missing:
-        raise InvalidInputError(
-            "%s requires %s" % (cfg.experiment, ", ".join("--" + m for m in missing))
-        )
-
-
 def _values(records: list[TrialRecord], statistic: str) -> np.ndarray:
     return np.array([r.value for r in records if r.statistic == statistic], dtype=float)
 
@@ -135,7 +128,6 @@ def _frequency(hits: np.ndarray) -> tuple[float, float]:
 
 
 def _build_esd(cfg: ExperimentConfig) -> Trials:
-    _require(cfg, "model", "p", "n")
     model = parse_model_spec(cfg.model)
     law = MPLaw(cfg.p / cfg.n)
     base = {"model": cfg.model, "p": cfg.p, "n": cfg.n, "rho": cfg.p / cfg.n}
@@ -150,13 +142,11 @@ def _build_esd(cfg: ExperimentConfig) -> Trials:
 
 
 def _build_mp_property(cfg: ExperimentConfig) -> Trials:
-    _require(cfg, "model", "p", "n", "q")
     model = parse_model_spec(cfg.model)
-    frame = cfg.frame or "haar"
     base = {"model": cfg.model, "p": cfg.p, "n": cfg.n, "q": cfg.q, "rho": cfg.q / cfg.n}
 
     def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-        d = mp_property_trial(model, cfg.p, cfg.n, cfg.q, rng, frame_mode=frame)
+        d = mp_property_trial(model, cfg.p, cfg.n, cfg.q, rng, frame_mode=cfg.frame)
         return [dict(base, statistic="ks_distance", value=d)]
 
     return Trials([fn] * cfg.trials, _summarize_ks, draws_matrix=True)
@@ -173,17 +163,15 @@ def _summarize_ks(records: list[TrialRecord]) -> dict[str, Any]:
 
 
 def _build_conditions(cfg: ExperimentConfig) -> Trials:
-    _require(cfg, "model", "p", "eps")
-    stat = cfg.stat or "quadform"
     model = parse_model_spec(cfg.model)
-    p, eps = cfg.p, cfg.eps
+    stat, p, eps = cfg.stat, cfg.p, cfg.eps
     base = {"model": cfg.model, "p": p, "eps": eps}
 
     if stat in ("quadform", "chebyshev"):
         # chebyshev runs the quadform trials and adds its bound to the summary.
         if stat == "chebyshev" and not isinstance(model, GaussianCov):
             raise InvalidInputError("the chebyshev statistic requires a gauss-cov model")
-        family = parse_family_spec(cfg.family or "identity")
+        family = parse_family_spec(cfg.family)
         sigma = quadform_sigma(model, family, p)
         spread = model.cov.square_trace(p) / (p * p)
         fixed = None if family.random else family.draw(p, None)
@@ -263,20 +251,17 @@ def _build_equivalence(cfg: ExperimentConfig) -> Trials:
         parse_column_spec,
         parse_offset_spec,
         resolvent_gap,
-        swap_offsets,
     )
 
-    _require(cfg, "model", "p", "n")
     pattern = [parse_cov_spec(s) for s in cfg.hetero]
     hetero = tuple(islice(cycle(pattern), cfg.n)) if pattern else None
     swap = SwapConfig(
-        parse_model_spec(cfg.model), cfg.p, cfg.n, cfg.zs or (1j,),
+        parse_model_spec(cfg.model), cfg.p, cfg.n, cfg.zs,
         b_spec=parse_offset_spec(cfg.b_spec) if cfg.b_spec else None,
         c_spec=parse_column_spec(cfg.c_spec) if cfg.c_spec else None,
         hetero=hetero,
     )
     avg_spread = None if hetero is None else average_spread(hetero, cfg.p)
-    offsets = swap_offsets(swap)  # shared by every trial
     base = {"model": cfg.model, "p": cfg.p, "n": cfg.n,
             "b_spec": cfg.b_spec, "c_spec": cfg.c_spec}
 
@@ -285,7 +270,7 @@ def _build_equivalence(cfg: ExperimentConfig) -> Trials:
         return [
             dict(base, statistic="resolvent_gap", value=delta.real, value_im=delta.imag,
                  z_re=z.real, z_im=z.imag)
-            for z, delta in zip(swap.zs, resolvent_gap(swap, rng, offsets))
+            for z, delta in zip(swap.zs, resolvent_gap(swap, rng))
         ]
 
     def summarize(records: list[TrialRecord]) -> dict[str, Any]:
@@ -311,8 +296,6 @@ def _build_equivalence(cfg: ExperimentConfig) -> Trials:
 
 
 def _build_law_tables(cfg: ExperimentConfig) -> Trials:
-    rhos = cfg.rhos or DEFAULT_RHOS
-
     def make_fn(rho: float) -> RowFn:
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
             del rng  # the law table is deterministic
@@ -343,21 +326,19 @@ def _build_law_tables(cfg: ExperimentConfig) -> Trials:
             "stieltjes_tail_gap_max": float(np.max(_values(records, "stieltjes_tail_gap"))),
         }
 
-    return Trials([make_fn(rho) for rho in rhos], summarize, draws_matrix=False)
+    return Trials([make_fn(rho) for rho in cfg.rhos], summarize, draws_matrix=False)
 
 
 def _build_facts(cfg: ExperimentConfig) -> Trials:
     from ..identities import CHECKS, run_check
 
-    p_max = cfg.p or 40
-
     def make_fn(name: str) -> RowFn:
         def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
             del rng  # run_check derives its own per-instance streams
-            result = run_check(name, cfg.trials, cfg.seed, p_max=p_max)
+            result = run_check(name, cfg.trials, cfg.seed, p_max=cfg.p)
             return [
-                {"statistic": "violations:%s" % name, "value": float(result.violations), "p": p_max},
-                {"statistic": "margin:%s" % name, "value": result.worst_margin, "p": p_max},
+                {"statistic": "violations:%s" % name, "value": float(result.violations), "p": cfg.p},
+                {"statistic": "margin:%s" % name, "value": result.worst_margin, "p": cfg.p},
             ]
         return fn
 
@@ -387,7 +368,7 @@ _BUILDERS: dict[str, Callable[[ExperimentConfig], Trials]] = {
 
 
 def _run_trials(cfg: ExperimentConfig, trials: Trials) -> list[TrialRecord]:
-    code = EXPERIMENT_CODES[cfg.experiment]
+    code = EXPERIMENTS[cfg.experiment].code
 
     def one(item: tuple[int, RowFn]) -> tuple[int, list[dict[str, Any]], float | None]:
         idx, fn = item
@@ -435,15 +416,36 @@ def load_threshold_rules(path: str | None = None) -> list[dict[str, Any]]:
         rules = list(data["rules"])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidInputError(f"bad threshold file {label}: {exc}") from exc
+    return _checked(rules, label)
+
+
+def _checked(rules: list[dict[str, Any]], label: str) -> list[dict[str, Any]]:
     for rule in rules:
-        if not isinstance(rule, dict) or not {"experiment", "metric", "op", "value"} <= set(rule):
-            raise InvalidInputError(
-                f"bad threshold rule in {label}: {rule!r} "
-                "(need experiment, metric, op, value)"
-            )
-        if rule["op"] not in _OPS:
-            raise InvalidInputError(f"unknown comparison {rule['op']!r} in {label}")
+        problem = _rule_problem(rule)
+        if problem:
+            raise InvalidInputError(f"bad threshold rule in {label}: {rule!r} ({problem})")
     return rules
+
+
+def _rule_problem(rule: Any) -> str | None:
+    """Why a rule could never be graded as written, or None for a sound one."""
+    if not isinstance(rule, dict) or not {"experiment", "metric", "op", "value"} <= set(rule):
+        return "need experiment, metric, op, value"
+    when = rule.get("when", {})
+    if not isinstance(when, dict):
+        return "when must be an object"
+    unknown = sorted(set(when) - _WHEN_KEYS)
+    if unknown:
+        return "when names no config field: %s" % ", ".join(unknown)
+    if not isinstance(rule["experiment"], str) or rule["experiment"] not in EXPERIMENTS:
+        return "unknown experiment %r" % (rule["experiment"],)
+    if not isinstance(rule["metric"], str):
+        return "metric must be a string"
+    if not isinstance(rule["op"], str) or rule["op"] not in _OPS:
+        return "unknown comparison %r" % (rule["op"],)
+    if isinstance(rule["value"], bool) or not isinstance(rule["value"], (int, float)):
+        return "value must be a number"
+    return None
 
 
 def _rule_params(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -502,9 +504,10 @@ def run_experiment(
 
     With ``rules=None`` the packaged acceptance table applies; pass ``[]``
     to skip grading (the summary then reports ``pass: true`` vacuously).
+    Rules are checked as ``load_threshold_rules`` checks a file, before any
+    trial runs.
     """
-    if rules is None:
-        rules = load_threshold_rules()
+    rules = load_threshold_rules() if rules is None else _checked(rules, "the given rules")
     trials = _BUILDERS[cfg.experiment](cfg)
     records = _run_trials(cfg, trials)
     metrics = _strict_metrics(trials.summarize(records))
@@ -531,9 +534,8 @@ def dump_first_trial(
     """
     if cfg.experiment != "esd":
         raise InvalidInputError("matrix dumps are available for the esd experiment only")
-    _require(cfg, "model", "p", "n")
     model = parse_model_spec(cfg.model)
-    rng = derive_rng(cfg.seed, EXPERIMENT_CODES["esd"], 0)
+    rng = derive_rng(cfg.seed, EXPERIMENTS["esd"].code, 0)
     x = sample_data_matrix(model, cfg.p, cfg.n, rng)
     if matrix_path:
         write_matrix_dump(matrix_path, sample_covariance(x))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import IO, Iterable
 
@@ -20,43 +20,16 @@ import numpy as np
 
 from ..matcore import InvalidInputError, Spectrum
 
-#: Column order of every report, independent of experiment type.
-COLUMNS = (
-    "experiment",
-    "trial",
-    "seed",
-    "model",
-    "p",
-    "n",
-    "q",
-    "eps",
-    "rho",
-    "z_re",
-    "z_im",
-    "b_spec",
-    "c_spec",
-    "statistic",
-    "value",
-    "value_im",
-    "se",
-    "wall_ms",
-)
-
-_INT_COLS = frozenset({"trial", "seed", "p", "n", "q"})
-_FLOAT_COLS = frozenset(
-    {"eps", "rho", "z_re", "z_im", "value", "value_im", "se", "wall_ms"}
-)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrialRecord:
-    """One scalar observation from one trial of one experiment."""
+    """One scalar observation from one trial of one experiment.
+
+    Its fields, in order and with their types, are the columns of every report.
+    """
 
     experiment: str
     trial: int
     seed: int
-    statistic: str
-    value: float
     model: str | None = None
     p: int | None = None
     n: int | None = None
@@ -67,9 +40,17 @@ class TrialRecord:
     z_im: float | None = None
     b_spec: str | None = None
     c_spec: str | None = None
+    statistic: str
+    value: float
     value_im: float | None = None
     se: float | None = None
     wall_ms: float | None = None
+
+
+#: Column order of every report, independent of experiment type.
+COLUMNS = tuple(f.name for f in fields(TrialRecord))
+_INT_COLS = frozenset(f.name for f in fields(TrialRecord) if f.type.startswith("int"))
+_FLOAT_COLS = frozenset(f.name for f in fields(TrialRecord) if f.type.startswith("float"))
 
 
 def _fmt_float(x: float) -> str:

@@ -121,6 +121,11 @@ class SwapConfig:
     column_groups: tuple[tuple[CovSpec, np.ndarray], ...] = field(
         default=(), init=False, repr=False, compare=False
     )
+    #: The offsets B (p-by-p) and C (p-by-n), built once and read-only, or
+    #: None.  They depend on neither z nor the trial, so every trial of a run
+    #: shares them, on any number of threads.
+    b: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    c: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1 or self.n < 1:
@@ -138,6 +143,12 @@ class SwapConfig:
             if any(spec.width(self.p) != self.p for spec in self.hetero):
                 raise DomainError("per-column covariances need a square factor")
             object.__setattr__(self, "column_groups", _column_groups(self.hetero))
+        for name, spec, shape in (("b", self.b_spec, (self.p,)),
+                                  ("c", self.c_spec, (self.p, self.n))):
+            if spec is not None:
+                m = spec.build(*shape)
+                m.flags.writeable = False
+                object.__setattr__(self, name, m)
 
 
 def parse_offset_spec(text: str) -> BSpec:
@@ -164,28 +175,7 @@ def parse_column_spec(text: str) -> CSpec:
     raise ParseError(f"unknown column-offset spec {text!r}")
 
 
-Offsets = tuple[np.ndarray | None, np.ndarray | None]
-
-
-def swap_offsets(cfg: SwapConfig) -> Offsets:
-    """The offsets (B, C) of a config, built once and read-only.
-
-    They depend on neither z nor the trial, so one build serves every trial
-    of a run, on any number of threads.
-    """
-    built = (
-        None if cfg.b_spec is None else cfg.b_spec.build(cfg.p),
-        None if cfg.c_spec is None else cfg.c_spec.build(cfg.p, cfg.n),
-    )
-    for m in built:
-        if m is not None:
-            m.flags.writeable = False
-    return built
-
-
-def resolvent_gap(
-    cfg: SwapConfig, rng: np.random.Generator, offsets: Offsets | None = None
-) -> tuple[complex, ...]:
+def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, ...]:
     """One draw of the swap gap Delta, read at every point of cfg.zs in order.
 
     X is drawn from cfg.model and then Z, sequentially from the given stream.
@@ -196,7 +186,6 @@ def resolvent_gap(
     applies.  Both sides share the per-column population covariances
     exactly; with all columns Identity that is the homogeneous gap bit for
     bit.  The two spectra are solved once; |Delta| <= 2 / im(z) at each z.
-    ``offsets`` is ``swap_offsets(cfg)``, built here when not given.
     """
     x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
     if cfg.hetero is None:
@@ -205,14 +194,7 @@ def resolvent_gap(
         zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
         _scale_each_column(cfg.column_groups, x)
         _scale_each_column(cfg.column_groups, zmat)
-    return _gaps_from_matrices(x, zmat, cfg, offsets)
-
-
-def _gaps_from_matrices(
-    x: np.ndarray, zmat: np.ndarray, cfg: SwapConfig, offsets: Offsets | None
-) -> tuple[complex, ...]:
-    b, c = swap_offsets(cfg) if offsets is None else offsets
-    spec_x, spec_z = (_spectrum(data, b, c) for data in (x, zmat))
+    spec_x, spec_z = (_spectrum(data, cfg.b, cfg.c) for data in (x, zmat))
     return tuple(
         matcore.resolvent_trace(spec_x, z) - matcore.resolvent_trace(spec_z, z) for z in cfg.zs
     )

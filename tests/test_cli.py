@@ -20,7 +20,7 @@ import pytest
 import mplab
 from mplab.cli import build_parser, config_from_args, main
 from mplab.cli.config import (
-    EXPERIMENT_CODES,
+    EXPERIMENTS,
     MAX_DIM,
     ExperimentConfig,
 )
@@ -96,10 +96,26 @@ def test_config_validation_errors():
 
     with pytest.raises(ParseError):
         ExperimentConfig(experiment="esd", model="iid-bogus", p=8, n=8)
+    # A missing required field is refused before any spec is parsed.
+    with pytest.raises(InvalidInputError, match="esd requires --n"):
+        ExperimentConfig(experiment="esd", model="iid-bogus", p=8)
+    with pytest.raises(InvalidInputError, match="mp-property requires --p, --q"):
+        ExperimentConfig(experiment="mp-property", model="iid-gauss", n=8)
+
+
+def test_config_fills_unset_fields_from_the_table():
+    fill = {"model": "iid-gauss", "p": 8, "n": 8, "q": 4}
+    for name, row in EXPERIMENTS.items():
+        cfg = ExperimentConfig(experiment=name, **{k: fill[k] for k in row.required})
+        assert {k: getattr(cfg, k) for k in row.defaults} == row.defaults
+    # A set field keeps its value.
+    cfg = ExperimentConfig(experiment="conditions", model="iid-gauss", p=8, stat="lindeberg",
+                           eps=0.25)
+    assert (cfg.stat, cfg.family, cfg.eps) == ("lindeberg", "identity", 0.25)
 
 
 def test_experiment_codes_are_distinct():
-    assert len(set(EXPERIMENT_CODES.values())) == len(EXPERIMENT_CODES)
+    assert len({row.code for row in EXPERIMENTS.values()}) == len(EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +422,7 @@ def test_dump_first_trial_matches_hand_recompute(tmp_path):
     epath = tmp_path / "esd.csv"
     dump_first_trial(cfg, str(mpath), str(epath))
     model = parse_model_spec("iid-gauss")
-    rng = derive_rng(9, EXPERIMENT_CODES["esd"], 0)
+    rng = derive_rng(9, EXPERIMENTS["esd"].code, 0)
     s = sample_covariance(sample_data_matrix(model, 16, 24, rng))
     assert np.array_equal(read_matrix_dump(str(mpath)), s)
     assert epath.exists()
@@ -484,7 +500,8 @@ def test_threshold_hetero_matches_joined_pattern_and_multi_z_matches_no_z():
     two_z = ExperimentConfig(experiment="equivalence", model="iid-gauss", p=16, n=32,
                              zs=(1j, 2j))
     metrics = {"abs_gap_median": 0.0}
-    assert [c["name"] for c in evaluate_thresholds(hetero, metrics, rules)] == ["hetero"]
+    # A config without zs reads at the default point 0,1, so the z rule matches too.
+    assert [c["name"] for c in evaluate_thresholds(hetero, metrics, rules)] == ["hetero", "z"]
     assert evaluate_thresholds(two_z, metrics, rules) == []
 
 
@@ -509,6 +526,91 @@ def test_bad_threshold_files_rejected(tmp_path):
     )
     with pytest.raises(InvalidInputError):
         load_threshold_rules(str(non_finite))
+    # Rules that could never be graded as written: each is refused on load,
+    # before any trial runs, where it would crash after the trials or match
+    # nothing and pass vacuously.
+    sound = {"experiment": "esd", "when": {"model": "iid-gauss"}, "metric": "ks_mean",
+             "op": "<=", "value": 1}
+    for bad in ({"when": [1]}, {"when": {"modle": "iid-gauss"}}, {"experiment": "edd"},
+                {"metric": ["ks_mean"]}, {"value": "x"}, {"value": True}):
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps({"rules": [dict(sound, **bad)]}))
+        with pytest.raises(InvalidInputError):
+            load_threshold_rules(str(path))
+    path.write_text(json.dumps({"rules": [sound, dict(sound, when={"z": "0,1", "hetero": None})]}))
+    assert len(load_threshold_rules(str(path))) == 2
+
+
+def test_malformed_rule_is_exit_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [
+        {"experiment": "esd", "when": {"modle": "iid-gauss"}, "metric": "ks_mean",
+         "op": "<=", "value": 1}]}))
+    monkeypatch.setattr("mplab.cli.experiments._run_trials", None)  # any trial would crash
+    code, out, err = run_main(["esd", "--model", "iid-gauss", "--p", "8", "--n", "8",
+                               "--thresholds", str(rules)], capsys)
+    assert code == 2 and "modle" in err and out == ""
+    # Rules handed to the library are checked the same way.
+    cfg = ExperimentConfig(experiment="esd", model="iid-gauss", p=8, n=8)
+    with pytest.raises(InvalidInputError, match="modle"):
+        run_experiment(cfg, json.loads(rules.read_text())["rules"])
+
+
+def test_every_packaged_rule_matches_the_config_it_describes():
+    # Fill each rule's required fields its ``when`` leaves open with small
+    # values; the rule must then grade the config (no trials run).
+    fill = {"model": "iid-gauss", "p": 8, "n": 8, "q": 4}
+    for rule in load_threshold_rules():
+        when = dict(rule.get("when", {}))
+        if "z" in when:
+            when["zs"] = (complex(*map(float, when.pop("z").split(","))),)
+        if "hetero" in when:
+            when["hetero"] = tuple(when["hetero"].split(";"))
+        required = EXPERIMENTS[rule["experiment"]].required
+        cfg = ExperimentConfig(experiment=rule["experiment"],
+                               **{k: fill[k] for k in required if k not in when}, **when)
+        checks = evaluate_thresholds(cfg, {}, [rule])
+        assert [c["name"] for c in checks] == [rule["name"]]
+
+
+#: Each experiment's required flags only, as flags and as config fields.
+_MINIMAL_RUNS = [
+    ("esd", {"model": "iid-gauss", "p": 8, "n": 16}),
+    ("conditions", {"model": "iid-gauss", "p": 8}),
+    ("mp-property", {"model": "iid-gauss", "p": 8, "n": 16, "q": 4}),
+    ("equivalence", {"model": "iid-rademacher", "p": 8, "n": 16}),
+    ("law-tables", {}),
+    ("facts", {}),
+]
+
+#: One rule per experiment, keyed on the values a minimal run leaves to the table.
+_DEFAULT_KEYED_RULES = [
+    ("esd", {"trials": 8, "seed": 0}, "ks_mean"),
+    ("conditions", {"stat": "quadform", "family": "identity", "eps": 0.5}, "exceed_freq"),
+    ("mp-property", {"frame": "haar"}, "ks_mean"),
+    ("equivalence", {"z": "0,1"}, "abs_gap_median"),
+    ("law-tables", {"rhos": [0.1, 0.5, 1.0, 2.0, 4.0]}, "mass_err_max"),
+    ("facts", {"p": 40}, "violations_total"),
+]
+
+
+@pytest.mark.parametrize("experiment, fields", _MINIMAL_RUNS, ids=[e for e, _ in _MINIMAL_RUNS])
+def test_library_and_cli_runs_of_the_same_input_agree(experiment, fields, tmp_path, capsys):
+    rules = [{"name": "defaults-" + exp, "experiment": exp, "when": when, "metric": metric,
+              "op": ">=", "value": 0} for exp, when, metric in _DEFAULT_KEYED_RULES]
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": rules}))
+    out = tmp_path / "cli.csv"
+    argv = [experiment, *(a for k, v in fields.items() for a in ("--" + k, str(v)))]
+    code, summary, _ = run_main([*argv, "--thresholds", str(path), "--out", str(out)], capsys)
+
+    result = run_experiment(ExperimentConfig(experiment=experiment, **fields), rules)
+    report = io.StringIO()
+    write_report(result.records, report, "csv")
+    assert out.read_text() == report.getvalue()
+    assert json.loads(summary) == json.loads(json.dumps(result.summary))
+    assert [c["name"] for c in result.summary["thresholds"]] == ["defaults-" + experiment]
+    assert code == 0
 
 
 def test_null_metric_fails_its_rule():
@@ -583,6 +685,12 @@ def test_every_flag_sets_a_config_field_or_the_front_end():
         dests = {a.dest for a in subparser._actions}
         assert dests <= fields | front_end, (name, dests - fields - front_end)
         set_by_flags |= dests & fields
+        # The experiment table, not argparse, decides what is required and
+        # what an unset field takes (--timing is a switch, off unless given).
+        assert {a.dest for a in subparser._actions if a.required} == set(
+            EXPERIMENTS[name].required)
+        assert {a.dest: a.default for a in subparser._actions
+                if a.dest in fields and a.default is not None} == {"timing": False}
     assert set_by_flags == fields
 
 
@@ -1134,7 +1242,7 @@ def test_conditions_records_match_library_trials(stat, model, family):
     m = parse_model_spec(model)
     expected = []
     for t in range(3):
-        rng = derive_rng(5, EXPERIMENT_CODES["conditions"], t)
+        rng = derive_rng(5, EXPERIMENTS["conditions"].code, t)
         if stat == "lindeberg":
             expected.append(lindeberg_trial(m, p, eps, rng))
         else:

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import mplab.equivalence as equivalence
-from mplab.cli.config import EXPERIMENT_CODES, ExperimentConfig
+from mplab.cli.config import EXPERIMENTS, ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
     GaussianCov,
@@ -30,10 +29,9 @@ from mplab.equivalence import (
     parse_column_spec,
     parse_offset_spec,
     resolvent_gap,
-    swap_offsets,
 )
-from mplab.equivalence import _column_groups, _scale_each_column
-from mplab.matcore import DomainError, spectral_norm
+from mplab.equivalence import _column_groups, _scale_each_column, _spectrum
+from mplab.matcore import DomainError, resolvent_trace, spectral_norm
 from oracles import swap_gaps_dense
 
 
@@ -57,7 +55,8 @@ def test_paired_gaussian_mappings():
 def test_offset_matrix_scaled_identity():
     b = ScaledIdentity(0.5).build(4)
     assert np.array_equal(b, 0.5 * np.eye(4))
-    assert swap_offsets(SwapConfig(IIDGaussian(), 4, 3, (1j,))) == (None, None)
+    cfg = SwapConfig(IIDGaussian(), 4, 3, (1j,))
+    assert cfg.b is None and cfg.c is None
 
 
 def test_offset_matrix_psd_is_deterministic_unit_norm():
@@ -192,9 +191,9 @@ def test_gap_reproducible_and_column_offset_changes_it():
 def test_offsets_are_built_once_per_run_and_shared_read_only(monkeypatch):
     cfg = SwapConfig(IIDRademacher(), 16, 32, (1j,), b_spec=RandomPSDUnitNorm(3),
                      c_spec=ConstantColumns(0.5))
-    offsets = swap_offsets(cfg)
-    assert all(not m.flags.writeable for m in offsets)
-    assert resolvent_gap(cfg, derive_rng(9), offsets)[0] == resolvent_gap(cfg, derive_rng(9))[0]
+    assert np.array_equal(cfg.b, RandomPSDUnitNorm(3).build(16))
+    assert np.array_equal(cfg.c, ConstantColumns(0.5).build(16, 32))
+    assert not cfg.b.flags.writeable and not cfg.c.flags.writeable
 
     calls = []
     build = RandomPSDUnitNorm.build
@@ -204,6 +203,11 @@ def test_offsets_are_built_once_per_run_and_shared_read_only(monkeypatch):
         return build(self, p)
 
     monkeypatch.setattr(RandomPSDUnitNorm, "build", counted)
+    # A library config builds its offsets once, however many gaps it draws.
+    cfg = SwapConfig(IIDRademacher(), 16, 32, (1j,), b_spec=RandomPSDUnitNorm(3))
+    assert resolvent_gap(cfg, derive_rng(9)) == resolvent_gap(cfg, derive_rng(9))
+    assert len(calls) == 1
+    calls.clear()
     run = ExperimentConfig(experiment="equivalence", model="iid-rademacher", p=16, n=32,
                            trials=3, seed=1, zs=(1j, -1 + 0.5j), b_spec="psd:3")
     assert len(run_experiment(run, rules=[]).records) == 6
@@ -221,7 +225,7 @@ def test_multi_z_records_come_from_one_draw_per_trial():
         assert [r.trial for r in rows] == [t, t]
         for z, r in zip(zs, rows):
             one = SwapConfig(IIDRademacher(), 16, 32, (z,))
-            d = resolvent_gap(one, derive_rng(5, EXPERIMENT_CODES["equivalence"], t))[0]
+            d = resolvent_gap(one, derive_rng(5, EXPERIMENTS["equivalence"].code, t))[0]
             assert (r.z_re, r.z_im) == (z.real, z.imag)
             assert (r.value, r.value_im) == (d.real, d.imag)
 
@@ -317,5 +321,7 @@ def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
     for k, spec in enumerate(covs):
         x[:, k : k + 1] = spec.color(x[:, k : k + 1])
         zmat[:, k : k + 1] = spec.color(zmat[:, k : k + 1])
-    want = equivalence._gaps_from_matrices(x, zmat, cfg, None)[0]
+    z = cfg.zs[0]
+    want = resolvent_trace(_spectrum(x, None, None), z) - resolvent_trace(
+        _spectrum(zmat, None, None), z)
     assert resolvent_gap(cfg, derive_rng(22))[0] == want
