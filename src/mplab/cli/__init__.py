@@ -17,15 +17,15 @@ import gc
 import json
 import os
 import sys
+import time
 from typing import Sequence
 
-from .config import CONDITION_STATS, EXPERIMENTS, FRAME_MODES, ExperimentConfig
+from .config import CONDITION_STATS, EXPERIMENTS, FRAME_MODES, ExperimentConfig, parse_point
 
 
 def _parse_z(text: str) -> complex:
     try:
-        re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
+        return parse_point(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "expected a resolvent point as 're,im', got %r" % (text,)
@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="report path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="report format")
-    common.add_argument("--timing", action="store_true",
-                        help="record per-trial wall time (breaks byte determinism)")
+    common.add_argument("--profile", metavar="PATH",
+                        help="JSON-lines file of versions, workers and per-trial wall times")
     common.add_argument("--thresholds", metavar="PATH",
                         help="threshold rules file (default: packaged table)")
     common.add_argument("--no-thresholds", action="store_true",
@@ -135,21 +135,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     from ..matcore import DomainError, InvalidInputError
     from ..ensembles import ParseError
     from .experiments import dump_first_trial, load_threshold_rules, run_experiment
-    from .records import emit_report, write_report
+    from .records import emit_report, write_profile, write_report
 
     try:
         cfg = config_from_args(args)
         rules = [] if args.no_thresholds else load_threshold_rules(args.thresholds)
+        if args.profile:
+            open(args.profile, "w").close()  # an unwritable path fails before any trial
+        start = time.perf_counter()
         result = run_experiment(cfg, rules)
+        run_s = time.perf_counter() - start
         if getattr(args, "dump_matrix", None) or getattr(args, "dump_esd", None):
             dump_first_trial(cfg, getattr(args, "dump_matrix", None),
                              getattr(args, "dump_esd", None))
+        start = time.perf_counter()
         if args.out:
             emit_report(result.records, args.out, args.format)
             summary_stream = sys.stdout
         else:
             write_report(result.records, sys.stdout, args.format)
             summary_stream = sys.stderr
+        if args.profile:
+            write_profile(args.profile, result.times, run_s, time.perf_counter() - start)
     except (InvalidInputError, DomainError, ParseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -43,7 +43,15 @@ EXPERIMENTS = {
 MAX_DIM = 4096
 
 CONDITION_STATS = ("quadform", "lindeberg", "norm-drift", "chebyshev")
+#: The statistics that read a test matrix, so take a default ``family``.
+MATRIX_STATS = ("quadform", "chebyshev")
 FRAME_MODES = ("haar", "fixed-half")
+
+
+def parse_point(text: str) -> complex:
+    """A point written ``re,im``, as ``--z`` and a rule's ``z`` take it; raises ValueError."""
+    re_part, im_part = text.split(",")
+    return complex(float(re_part), float(im_part))
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,6 @@ class ExperimentConfig:
     c_spec: str | None = None
     hetero: tuple[str, ...] = ()
     rhos: tuple[float, ...] = ()
-    timing: bool = False
 
     def __post_init__(self) -> None:
         from ..matcore import DomainError, InvalidInputError, require_upper_half
@@ -81,6 +88,8 @@ class ExperimentConfig:
                 "%s requires %s" % (self.experiment, ", ".join("--" + m for m in missing))
             )
         for name, value in row.defaults.items():
+            if name == "family" and self.stat not in MATRIX_STATS:
+                continue
             if getattr(self, name) in (None, ()):
                 object.__setattr__(self, name, value)
         if self.trials < 1:

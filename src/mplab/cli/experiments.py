@@ -3,8 +3,8 @@
 Each experiment expands into a list of trial closures.  Trial ``t`` always
 draws from the stream ``derive_rng(seed, code, t)`` where ``code`` is the
 experiment's fixed stream code, so results are independent of how trials
-are scheduled across workers; records are re-ordered by trial index before
-emission.  Summaries compare against threshold rules shipped as data.
+are scheduled across workers; ``pool.map`` keeps the records in trial
+order.  Summaries compare against threshold rules shipped as data.
 
 A run imports only what its experiment uses: ``equivalence`` and
 ``identities`` load in their own builders, and ``concurrent.futures`` only
@@ -17,8 +17,9 @@ import json
 import math
 import operator
 import os
+import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import cycle, islice
 from typing import Any, Callable, NamedTuple
 
@@ -45,8 +46,8 @@ from ..conditions import (
     require_isotropic,
     standard_error,
 )
-from .config import EXPERIMENTS, ExperimentConfig
-from .records import TrialRecord, write_esd_csv, write_matrix_dump
+from .config import EXPERIMENTS, MATRIX_STATS, ExperimentConfig, parse_point
+from .records import TrialRecord, TrialTimes, write_esd_csv, write_matrix_dump
 
 RowFn = Callable[[np.random.Generator], list[dict[str, Any]]]
 Summarize = Callable[[list[TrialRecord]], dict[str, Any]]
@@ -89,12 +90,22 @@ _OPS = {
 class RunResult:
     records: list[TrialRecord]
     summary: dict[str, Any]
+    times: TrialTimes = field(compare=False)  # where the time went; never a result
 
 
-def worker_count(draws_matrix: bool = True) -> int:
-    """Trial workers: MPLAB_THREADS when set, else the usable CPUs.
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
-    ``main`` pins BLAS to one thread, so each worker is one core.  Without
+
+def worker_count(draws_matrix: bool = True) -> tuple[int, str]:
+    """Trial workers, and the rule that chose them: ``MPLAB_THREADS``, ``cpus`` or ``inline``.
+
+    MPLAB_THREADS gives the count when set, else the usable CPUs: ``main``
+    pins BLAS to one thread, so each worker is one core.  Without
     MPLAB_THREADS, trials that draw no matrix run inline: they are a few
     short numpy calls each, and threads would only contend for the GIL.
     Records do not depend on the count.
@@ -102,15 +113,10 @@ def worker_count(draws_matrix: bool = True) -> int:
     raw = os.environ.get("MPLAB_THREADS", "").strip()
     if raw:
         try:
-            return max(1, int(raw))
+            return max(1, int(raw)), "MPLAB_THREADS"
         except ValueError:
             raise InvalidInputError("MPLAB_THREADS must be an integer") from None
-    if not draws_matrix:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+    return (usable_cpus(), "cpus") if draws_matrix else (1, "inline")
 
 
 def _values(records: list[TrialRecord], statistic: str) -> np.ndarray:
@@ -167,7 +173,7 @@ def _build_conditions(cfg: ExperimentConfig) -> Trials:
     stat, p, eps = cfg.stat, cfg.p, cfg.eps
     base = {"model": cfg.model, "p": p, "eps": eps}
 
-    if stat in ("quadform", "chebyshev"):
+    if stat in MATRIX_STATS:
         # chebyshev runs the quadform trials and adds its bound to the summary.
         if stat == "chebyshev" and not isinstance(model, GaussianCov):
             raise InvalidInputError("the chebyshev statistic requires a gauss-cov model")
@@ -367,19 +373,19 @@ _BUILDERS: dict[str, Callable[[ExperimentConfig], Trials]] = {
 # runner
 
 
-def _run_trials(cfg: ExperimentConfig, trials: Trials) -> list[TrialRecord]:
+def _run_trials(cfg: ExperimentConfig, trials: Trials) -> tuple[list[TrialRecord], TrialTimes]:
     code = EXPERIMENTS[cfg.experiment].code
 
-    def one(item: tuple[int, RowFn]) -> tuple[int, list[dict[str, Any]], float | None]:
+    def one(item: tuple[int, RowFn]) -> tuple[list[dict[str, Any]], float, str]:
         idx, fn = item
         rng = derive_rng(cfg.seed, code, idx)
-        start = time.perf_counter() if cfg.timing else 0.0
+        start = time.perf_counter()
         rows = fn(rng)
-        wall = (time.perf_counter() - start) * 1e3 if cfg.timing else None
-        return idx, rows, wall
+        return rows, (time.perf_counter() - start) * 1e3, threading.current_thread().name
 
     items = list(enumerate(trials.fns))
-    workers = min(worker_count(trials.draws_matrix), len(items))
+    wanted, rule = worker_count(trials.draws_matrix)
+    workers = min(wanted, len(items))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -387,16 +393,14 @@ def _run_trials(cfg: ExperimentConfig, trials: Trials) -> list[TrialRecord]:
             outputs = list(pool.map(one, items))
     else:
         outputs = [one(item) for item in items]
-    outputs.sort(key=lambda out: out[0])
 
-    records = []
-    for idx, rows, wall in outputs:
-        for row in rows:
-            records.append(
-                TrialRecord(experiment=cfg.experiment, trial=idx, seed=cfg.seed,
-                            wall_ms=wall, **row)
-            )
-    return records
+    records = [
+        TrialRecord(experiment=cfg.experiment, trial=idx, seed=cfg.seed, **row)
+        for idx, (rows, _, _) in enumerate(outputs)
+        for row in rows
+    ]
+    walls = [(wall_ms, thread) for _, wall_ms, thread in outputs]
+    return records, TrialTimes(usable_cpus(), workers, rule, walls)
 
 
 def _reject_constant(name: str) -> None:
@@ -420,11 +424,20 @@ def load_threshold_rules(path: str | None = None) -> list[dict[str, Any]]:
 
 
 def _checked(rules: list[dict[str, Any]], label: str) -> list[dict[str, Any]]:
+    """The rules, each ``z`` text parsed to a complex; raises on a rule that cannot be graded."""
+    checked = []
     for rule in rules:
         problem = _rule_problem(rule)
+        when = {} if problem else rule.get("when", {})
+        if "z" in when and not isinstance(when["z"], complex):  # not parsed yet
+            try:
+                rule = dict(rule, when=dict(when, z=parse_point(when["z"])))
+            except (AttributeError, ValueError):
+                problem = "z must be a string 're,im'"
         if problem:
             raise InvalidInputError(f"bad threshold rule in {label}: {rule!r} ({problem})")
-    return rules
+        checked.append(rule)
+    return checked
 
 
 def _rule_problem(rule: Any) -> str | None:
@@ -449,11 +462,11 @@ def _rule_problem(rule: Any) -> str | None:
 
 
 def _rule_params(cfg: ExperimentConfig) -> dict[str, Any]:
-    """The summary's config block plus the rule strings z ("re,im") and hetero."""
+    """The summary's config block plus the rule keys z (a one-z run's point) and hetero."""
     params = cfg.to_dict()
     params["hetero"] = ";".join(cfg.hetero) or None
     if len(cfg.zs) == 1:
-        params["z"] = "%g,%g" % (cfg.zs[0].real, cfg.zs[0].imag)
+        params["z"] = cfg.zs[0]
     return params
 
 
@@ -478,7 +491,7 @@ def evaluate_thresholds(
     """Match rules against the run parameters and grade each matched metric."""
     params = _rule_params(cfg)
     results = []
-    for rule in rules:
+    for rule in _checked(rules, "the given rules"):
         if rule.get("experiment") != cfg.experiment:
             continue
         when = rule.get("when", {})
@@ -509,7 +522,7 @@ def run_experiment(
     """
     rules = load_threshold_rules() if rules is None else _checked(rules, "the given rules")
     trials = _BUILDERS[cfg.experiment](cfg)
-    records = _run_trials(cfg, trials)
+    records, times = _run_trials(cfg, trials)
     metrics = _strict_metrics(trials.summarize(records))
     checks = evaluate_thresholds(cfg, metrics, rules)
     summary = {
@@ -520,7 +533,7 @@ def run_experiment(
         "thresholds": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    return RunResult(records=records, summary=summary)
+    return RunResult(records=records, summary=summary, times=times)
 
 
 def dump_first_trial(

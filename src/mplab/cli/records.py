@@ -4,7 +4,8 @@ Every experiment run emits one row per trial in a single fixed schema so
 downstream tooling never has to branch on the experiment type.  Numeric
 cells are written with ``%.17g`` which round-trips IEEE doubles exactly,
 and records are emitted in trial order, so a report produced from the
-same config and seed is byte-identical run to run.
+same config and seed is byte-identical run to run.  Where the time went
+travels apart, in a ``--profile`` file.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import platform
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
+from .. import __version__
 from ..matcore import InvalidInputError, Spectrum
 
 @dataclass(frozen=True, kw_only=True)
@@ -43,8 +46,15 @@ class TrialRecord:
     statistic: str
     value: float
     value_im: float | None = None
-    se: float | None = None
-    wall_ms: float | None = None
+
+
+class TrialTimes(NamedTuple):
+    """Usable CPUs, trial workers, the rule that chose them, each trial's (wall ms, thread)."""
+
+    cpus: int
+    workers: int
+    rule: str
+    trials: list[tuple[float, str]]
 
 
 #: Column order of every report, independent of experiment type.
@@ -117,6 +127,19 @@ def emit_report(records: Iterable[TrialRecord], path: str, fmt: str) -> None:
         raise InvalidInputError("refusing to emit an empty report") from None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write_report(chain([first], it), fh, fmt)
+
+
+def write_profile(path: str, times: TrialTimes, run_s: float, write_s: float) -> None:
+    """Strict-JSON lines: a header of versions and workers, one line per trial, a footer."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lines = [{"mplab": __version__, "python": platform.python_version(), "numpy": np.__version__,
+              "blas": blas.get("name"), "blas_version": blas.get("version"), "cpus": times.cpus,
+              "workers": times.workers, "worker_rule": times.rule}]
+    lines += ({"trial": idx, "wall_ms": ms, "thread": thread}
+              for idx, (ms, thread) in enumerate(times.trials))
+    lines.append({"run_experiment_s": run_s, "write_report_s": write_s})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(line, allow_nan=False) + "\n" for line in lines)
 
 
 def _from_row(row: dict[str, object]) -> TrialRecord:

@@ -108,10 +108,19 @@ def test_config_fills_unset_fields_from_the_table():
     for name, row in EXPERIMENTS.items():
         cfg = ExperimentConfig(experiment=name, **{k: fill[k] for k in row.required})
         assert {k: getattr(cfg, k) for k in row.defaults} == row.defaults
-    # A set field keeps its value.
+    # A set field keeps its value.  Only the statistics that read a test
+    # matrix take the default family; the others keep a family only if given.
     cfg = ExperimentConfig(experiment="conditions", model="iid-gauss", p=8, stat="lindeberg",
                            eps=0.25)
-    assert (cfg.stat, cfg.family, cfg.eps) == ("lindeberg", "identity", 0.25)
+    assert (cfg.stat, cfg.family, cfg.eps) == ("lindeberg", None, 0.25)
+    for stat, family in [("quadform", "identity"), ("chebyshev", "identity"),
+                         ("norm-drift", None)]:
+        cfg = ExperimentConfig(experiment="conditions", model="gauss-cov:identity", p=8,
+                               stat=stat)
+        assert cfg.family == family
+    cfg = ExperimentConfig(experiment="conditions", model="iid-gauss", p=8, stat="norm-drift",
+                           family="fixed-half")
+    assert cfg.family == "fixed-half"
 
 
 def test_experiment_codes_are_distinct():
@@ -228,7 +237,7 @@ def _every_column_set() -> TrialRecord:
         experiment="equivalence", trial=3, seed=2**62, statistic="resolvent_gap",
         value=-1.2345678901234567e-3, model='gauss-cov:spiked:1,"2"', p=64, n=128, q=32,
         eps=0.25, rho=0.5, z_re=-1.0, z_im=0.5, b_spec="psd:1", c_spec="const:1.0",
-        value_im=4e-17, se=1e-300, wall_ms=12.5,
+        value_im=4e-17,
     )
 
 
@@ -245,17 +254,6 @@ _ENCODER_CASES = {
 @pytest.mark.parametrize("case", sorted(_ENCODER_CASES))
 def test_encoders_match_the_asdict_recipe(case, fmt):
     recs = _ENCODER_CASES[case]
-    buf = io.StringIO()
-    write_report(recs, buf, fmt)
-    assert buf.getvalue() == _asdict_report(recs, fmt)
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_encoders_match_the_asdict_recipe_with_timing(fmt):
-    cfg = ExperimentConfig(experiment="conditions", model="sparse-spike", p=16, eps=0.5,
-                           stat="lindeberg", trials=4, seed=3, timing=True)
-    recs = run_experiment(cfg, rules=[]).records
-    assert all(r.wall_ms is not None for r in recs)
     buf = io.StringIO()
     write_report(recs, buf, fmt)
     assert buf.getvalue() == _asdict_report(recs, fmt)
@@ -299,7 +297,6 @@ def test_run_experiment_esd_rows_ordered():
     assert [r.trial for r in out.records] == list(range(5))
     assert all(r.statistic == "ks_distance" for r in out.records)
     assert all(r.seed == 3 and r.p == 32 and r.n == 64 for r in out.records)
-    assert all(r.wall_ms is None for r in out.records)
     assert out.summary["pass"] is True and out.summary["thresholds"] == []
     assert set(out.summary["metrics"]) == {"ks_mean", "ks_min", "ks_max", "ks_se"}
 
@@ -308,10 +305,10 @@ def test_run_experiment_deterministic_across_workers(monkeypatch):
     cfg = ExperimentConfig(experiment="esd", model="iid-rademacher", p=48, n=96,
                            trials=6, seed=5)
     monkeypatch.setenv("MPLAB_THREADS", "1")
-    assert worker_count() == 1
+    assert worker_count() == (1, "MPLAB_THREADS")
     first = run_experiment(cfg, rules=[]).records
     monkeypatch.setenv("MPLAB_THREADS", "4")
-    assert worker_count() == 4
+    assert worker_count() == (4, "MPLAB_THREADS")
     second = run_experiment(cfg, rules=[]).records
     assert first == second
 
@@ -341,7 +338,9 @@ def test_worker_count_fills_the_cpus_blas_leaves(monkeypatch, env, expected):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert worker_count() == expected
+    assert worker_count() == (expected, "MPLAB_THREADS" if "MPLAB_THREADS" in env else "cpus")
+    assert worker_count(draws_matrix=False)[1] == (
+        "MPLAB_THREADS" if "MPLAB_THREADS" in env else "inline")
 
 
 def test_bad_worker_count_is_exit_2(monkeypatch, capsys):
@@ -401,18 +400,49 @@ def test_only_matrix_trials_fill_the_pool(monkeypatch, fields, draws_matrix):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.delenv("MPLAB_THREADS", raising=False)
     cfg = ExperimentConfig(trials=5, seed=1, **fields)
-    records = run_experiment(cfg, rules=[]).records
+    result = run_experiment(cfg, rules=[])
     assert _RecordingPool.sizes == ([4] if draws_matrix else [])
+    assert result.times[:3] == ((4, 4, "cpus") if draws_matrix else (4, 1, "inline"))
     # An explicit MPLAB_THREADS pools every kind of trial, with the same records.
     monkeypatch.setenv("MPLAB_THREADS", "2")
-    assert run_experiment(cfg, rules=[]).records == records
+    again = run_experiment(cfg, rules=[])
+    assert again.records == result.records
+    assert again.times[:3] == (4, 2, "MPLAB_THREADS")
     assert _RecordingPool.sizes == ([4, 2] if draws_matrix else [2])
 
 
-def test_timing_flag_controls_wall_ms():
-    cfg = ExperimentConfig(experiment="facts", trials=2, seed=0, p=8, timing=True)
-    out = run_experiment(cfg, rules=[])
-    assert all(r.wall_ms is not None and r.wall_ms >= 0.0 for r in out.records)
+def _strict_lines(text: str) -> list[dict]:
+    def reject(name: str) -> None:
+        raise ValueError("non-finite constant %s" % name)
+
+    return [json.loads(line, parse_constant=reject) for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_profile_leaves_records_and_summary_alone(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("MPLAB_THREADS", threads)
+    argv = ["esd", "--model", "iid-gauss", "--p", "16", "--n", "32", "--trials", "4",
+            "--seed", "3"]
+    code, plain, _ = run_main([*argv, "--out", str(tmp_path / "plain.csv")], capsys)
+    profile = tmp_path / "run.profile"
+    code_p, profiled, _ = run_main([*argv, "--out", str(tmp_path / "profiled.csv"),
+                                    "--profile", str(profile)], capsys)
+    assert code == code_p == 0 and profiled == plain
+    assert (tmp_path / "profiled.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    header, *trials, footer = _strict_lines(profile.read_text())
+    assert header["mplab"] == mplab.__version__ and header["numpy"] == np.__version__
+    assert {"python", "blas", "blas_version", "cpus"} <= set(header)
+    assert (header["workers"], header["worker_rule"]) == (int(threads), "MPLAB_THREADS")
+    assert [t["trial"] for t in trials] == [0, 1, 2, 3]
+    assert all(t["wall_ms"] >= 0.0 and isinstance(t["thread"], str) for t in trials)
+    assert set(footer) == {"run_experiment_s", "write_report_s"}
+
+
+def test_unwritable_profile_is_exit_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mplab.cli.experiments._run_trials", None)  # any trial would crash
+    code, out, err = run_main(["esd", "--model", "iid-gauss", "--p", "8", "--n", "8",
+                               "--profile", str(tmp_path / "no" / "such" / "dir")], capsys)
+    assert code == 2 and "error:" in err and out == ""
 
 
 def test_dump_first_trial_matches_hand_recompute(tmp_path):
@@ -479,12 +509,24 @@ def test_threshold_matching_is_subset_based():
 
 
 def test_threshold_z_matching_uses_compact_form():
-    cfg = ExperimentConfig(experiment="equivalence", model="iid-gauss", p=16,
-                           n=32, trials=1, seed=0, zs=(1j,))
-    rules = [{"name": "z", "experiment": "equivalence", "when": {"z": "0,1"},
-              "metric": "abs_gap_median", "op": "<=", "value": 10.0}]
-    checks = evaluate_thresholds(cfg, {"abs_gap_median": 0.0}, rules)
-    assert len(checks) == 1 and checks[0]["pass"]
+    # A rule's z is compared as a complex number, exactly.
+    for z, rule_z, matches in [
+        (1j, "0,1", True),
+        (0.1234567 + 1j, "0.1234567,1", True),
+        (0.1234568 + 1j, "0.1234568,1.0", True),
+        (0.12345665 + 1j, "0.12345665,1", True),
+        (0.1234568 + 1j, "0.1234567,1", False),
+        # Six significant digits match none of the three points.
+        (0.1234567 + 1j, "0.123457,1", False),
+        (0.1234568 + 1j, "0.123457,1", False),
+        (0.12345665 + 1j, "0.123457,1", False),
+    ]:
+        cfg = ExperimentConfig(experiment="equivalence", model="iid-gauss", p=16,
+                               n=32, trials=1, seed=0, zs=(z,))
+        rules = [{"name": "z", "experiment": "equivalence", "when": {"z": rule_z},
+                  "metric": "abs_gap_median", "op": "<=", "value": 10.0}]
+        checks = evaluate_thresholds(cfg, {"abs_gap_median": 0.0}, rules)
+        assert [c["pass"] for c in checks] == ([True] if matches else []), (z, rule_z)
 
 
 def test_threshold_hetero_matches_joined_pattern_and_multi_z_matches_no_z():
@@ -532,7 +574,9 @@ def test_bad_threshold_files_rejected(tmp_path):
     sound = {"experiment": "esd", "when": {"model": "iid-gauss"}, "metric": "ks_mean",
              "op": "<=", "value": 1}
     for bad in ({"when": [1]}, {"when": {"modle": "iid-gauss"}}, {"experiment": "edd"},
-                {"metric": ["ks_mean"]}, {"value": "x"}, {"value": True}):
+                {"metric": ["ks_mean"]}, {"value": "x"}, {"value": True},
+                {"when": {"z": "0"}}, {"when": {"z": "0,1,2"}}, {"when": {"z": "0;1"}},
+                {"when": {"z": [0, 1]}}, {"when": {"z": 1}}):
         path = tmp_path / "rule.json"
         path.write_text(json.dumps({"rules": [dict(sound, **bad)]}))
         with pytest.raises(InvalidInputError):
@@ -543,13 +587,18 @@ def test_bad_threshold_files_rejected(tmp_path):
 
 def test_malformed_rule_is_exit_2_before_any_trial(tmp_path, capsys, monkeypatch):
     rules = tmp_path / "rules.json"
+    monkeypatch.setattr("mplab.cli.experiments._run_trials", None)  # any trial would crash
+    # timing is no config field, so no rule may key on it.
+    for when, named in [({"modle": "iid-gauss"}, "modle"), ({"timing": False}, "timing"),
+                        ({"z": "0;1"}, "z must be")]:
+        rules.write_text(json.dumps({"rules": [
+            {"experiment": "esd", "when": when, "metric": "ks_mean", "op": "<=", "value": 1}]}))
+        code, out, err = run_main(["esd", "--model", "iid-gauss", "--p", "8", "--n", "8",
+                                   "--thresholds", str(rules)], capsys)
+        assert code == 2 and named in err and out == ""
     rules.write_text(json.dumps({"rules": [
         {"experiment": "esd", "when": {"modle": "iid-gauss"}, "metric": "ks_mean",
          "op": "<=", "value": 1}]}))
-    monkeypatch.setattr("mplab.cli.experiments._run_trials", None)  # any trial would crash
-    code, out, err = run_main(["esd", "--model", "iid-gauss", "--p", "8", "--n", "8",
-                               "--thresholds", str(rules)], capsys)
-    assert code == 2 and "modle" in err and out == ""
     # Rules handed to the library are checked the same way.
     cfg = ExperimentConfig(experiment="esd", model="iid-gauss", p=8, n=8)
     with pytest.raises(InvalidInputError, match="modle"):
@@ -563,7 +612,7 @@ def test_every_packaged_rule_matches_the_config_it_describes():
     for rule in load_threshold_rules():
         when = dict(rule.get("when", {}))
         if "z" in when:
-            when["zs"] = (complex(*map(float, when.pop("z").split(","))),)
+            when["zs"] = (when.pop("z"),)
         if "hetero" in when:
             when["hetero"] = tuple(when["hetero"].split(";"))
         required = EXPERIMENTS[rule["experiment"]].required
@@ -650,9 +699,9 @@ def test_parser_equivalence_z_values():
      ExperimentConfig(experiment="conditions", model="block-xi", p=8,
                       stat="quadform", family="identity", eps=0.5)),
     (["conditions", "--model", "gauss-cov:identity", "--p", "8", "--stat", "chebyshev",
-      "--family", "haar-proj:4", "--eps", "0.25", "--timing"],
+      "--family", "haar-proj:4", "--eps", "0.25"],
      ExperimentConfig(experiment="conditions", model="gauss-cov:identity", p=8,
-                      stat="chebyshev", family="haar-proj:4", eps=0.25, timing=True)),
+                      stat="chebyshev", family="haar-proj:4", eps=0.25)),
     (["mp-property", "--model", "iid-gauss", "--p", "8", "--n", "16", "--q", "4"],
      ExperimentConfig(experiment="mp-property", model="iid-gauss", p=8, n=16, q=4,
                       frame="haar")),
@@ -675,7 +724,7 @@ def test_flags_map_to_config_fields(argv, expected):
 def test_every_flag_sets_a_config_field_or_the_front_end():
     # config_from_args keeps only dests that name a config field, so a
     # misnamed dest would be dropped silently.
-    front_end = {"out", "format", "thresholds", "no_thresholds", "dump_matrix",
+    front_end = {"out", "format", "profile", "thresholds", "no_thresholds", "dump_matrix",
                  "dump_esd", "help"}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     parser = build_parser()
@@ -686,12 +735,20 @@ def test_every_flag_sets_a_config_field_or_the_front_end():
         assert dests <= fields | front_end, (name, dests - fields - front_end)
         set_by_flags |= dests & fields
         # The experiment table, not argparse, decides what is required and
-        # what an unset field takes (--timing is a switch, off unless given).
+        # what an unset field takes.
         assert {a.dest for a in subparser._actions if a.required} == set(
             EXPERIMENTS[name].required)
         assert {a.dest: a.default for a in subparser._actions
-                if a.dest in fields and a.default is not None} == {"timing": False}
+                if a.dest in fields and a.default is not None} == {}
     assert set_by_flags == fields
+
+
+@pytest.mark.parametrize("experiment, fields", _MINIMAL_RUNS, ids=[e for e, _ in _MINIMAL_RUNS])
+def test_timing_flag_is_a_usage_error(experiment, fields, capsys):
+    argv = [experiment, *(a for k, v in fields.items() for a in ("--" + k, str(v)))]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--timing"])
+    assert exc.value.code == 2 and "--timing" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
