@@ -11,7 +11,10 @@ covariance, B is a fixed symmetric offset and C a fixed column offset.  When
 the model's quadratic forms concentrate and its covariance spread vanishes,
 Delta tends to zero as p grows; models violating those conditions keep a
 visible gap.  Whatever the model, |Delta| <= 2 / im(z) deterministically.
-One draw of X and Z gives Delta at every point z of a config.
+One draw of X and Z gives Delta at every point z of a config.  Only the law
+of Z's trace enters Delta: when Z is standard Gaussian, C absent and B absent
+or beta I, that trace is drawn from the Laguerre tridiagonal model of Dumitriu
+& Edelman (2002, "Matrix models for beta ensembles"), and Z is never formed.
 
 A heterogeneous config assigns each column its own covariance;
 ``average_spread`` gives the averaged covariance-spread statistic
@@ -121,6 +124,8 @@ class SwapConfig:
     column_groups: tuple[tuple[CovSpec, np.ndarray], ...] = field(
         default=(), init=False, repr=False, compare=False
     )
+    #: beta in B = beta I (0.0 with no B) if ``_laguerre_traces`` draws the twin, else None.
+    twin_shift: float | None = field(default=None, init=False, repr=False, compare=False)
     #: The offsets B (p-by-p) and C (p-by-n), built once and read-only, or
     #: None.  They depend on neither z nor the trial, so every trial of a run
     #: shares them, on any number of threads.
@@ -143,6 +148,9 @@ class SwapConfig:
             if any(spec.width(self.p) != self.p for spec in self.hetero):
                 raise DomainError("per-column covariances need a square factor")
             object.__setattr__(self, "column_groups", _column_groups(self.hetero))
+        if (self.model.cov == Identity() and not self.column_groups and self.c_spec is None
+                and (self.b_spec is None or isinstance(self.b_spec, ScaledIdentity))):
+            object.__setattr__(self, "twin_shift", self.b_spec.beta if self.b_spec else 0.0)
         for name, spec, shape in (("b", self.b_spec, (self.p,)),
                                   ("c", self.c_spec, (self.p, self.n))):
             if spec is not None:
@@ -185,9 +193,18 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, .
     F_k is the exact factor F_k F_k^T = Sigma_k that ``Sigma_k.color``
     applies.  Both sides share the per-column population covariances
     exactly; with all columns Identity that is the homogeneous gap bit for
-    bit.  The two spectra are solved once; |Delta| <= 2 / im(z) at each z.
+    bit.  With ``cfg.twin_shift`` set, Z is not drawn: two chi-square draws
+    follow X, and ``_laguerre_traces`` reads the twin from them at z - beta.
+    Each spectrum is solved once; |Delta| <= 2 / im(z) at each z.
     """
     x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
+    if cfg.twin_shift is not None:
+        m, big = min(cfg.p, cfg.n), max(cfg.p, cfg.n)
+        c2 = rng.chisquare(np.arange(big, big - m, -1.0))
+        s2 = rng.chisquare(np.arange(m - 1.0, 0.0, -1.0))
+        twin = _laguerre_traces(c2, s2, cfg.p, cfg.n, [z - cfg.twin_shift for z in cfg.zs])
+        spec_x = _spectrum(x, cfg.b, cfg.c)
+        return tuple(matcore.resolvent_trace(spec_x, z) - t for z, t in zip(cfg.zs, twin))
     if cfg.hetero is None:
         zmat = sample_data_matrix(GaussianCov(cfg.model.cov), cfg.p, cfg.n, rng)
     else:
@@ -198,6 +215,29 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, .
     return tuple(
         matcore.resolvent_trace(spec_x, z) - matcore.resolvent_trace(spec_z, z) for z in cfg.zs
     )
+
+
+def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
+    """(1/p) tr(Z Z^T / n - z I)^{-1} at each z, in law, for standard Gaussian p-by-n Z.
+
+    With m = min(p, n), N = max(p, n), c2 and s2 hold chi-square draws with N,
+    ..., N - m + 1 and m - 1, ..., 1 degrees of freedom, the squared entries of
+    the m-by-m lower bidiagonal B for which tridiagonal T = B B^T / n has Z Z^T
+    / n's nonzero spectrum in law.  The pivots d_k of T - z I and their
+    z-derivatives give tr(T - z I)^{-1} = -sum_k d_k' / d_k; im d_k <= -im z.
+    """
+    diag = ((c2 + np.concatenate(([0.0], s2))) / n).tolist()
+    off2 = (c2[:-1] * s2 / (n * n)).tolist()
+    traces = []
+    for z in zs:
+        d, dd = diag[0] - z, -1.0
+        total = dd / d
+        for a, e in zip(diag[1:], off2):
+            r = e / d
+            d, dd = a - z - r, r * dd / d - 1.0
+            total += dd / d
+        traces.append(-(total + (p - len(diag)) / z) / p)
+    return traces
 
 
 def _spectrum(data: np.ndarray, b: np.ndarray | None, c: np.ndarray | None) -> matcore.Spectrum:

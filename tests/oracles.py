@@ -4,8 +4,9 @@ The package computes spectra from data matrices (``spectra.gram_esd``) and
 compresses the data before forming a Gram.  These oracles take the long way
 instead: the ESD of an explicit symmetric matrix, a sample covariance summed
 one column at a time, the compression C S C^T of a full sample covariance
-along a validated row-orthonormal frame, and swap gaps from two full p-by-p
-sample covariances.
+along a validated row-orthonormal frame, swap gaps from two full p-by-p
+sample covariances, and the resolvent trace of the Laguerre tridiagonal model
+from its bidiagonal factor, solved whole.
 
 The law's quadrature oracles (``quad_cdf``, ``quad_stieltjes``, ``quad_mass``,
 ``quad_moment``) integrate with scipy's adaptive ``quad`` and their own
@@ -74,14 +75,28 @@ def projected_covariance(frame, m) -> np.ndarray:
     return matcore.as_symmetric(c @ a @ c.T)
 
 
+def dense_traces(x, zs) -> tuple[complex, ...]:
+    """(1/p) tr(X X^T / n - z I)^{-1} at each z: the p-by-p sample covariance, solved whole."""
+    spec = matcore.eigh(spectra.sample_covariance(x), want_vectors=False)
+    return tuple(matcore.resolvent_trace(spec, z) for z in zs)
+
+
 def swap_gaps_dense(x, zmat, zs) -> tuple[complex, ...]:
     """Swap gaps with no offsets: each side's p-by-p sample covariance, solved whole."""
-    spec_x, spec_z = (
-        matcore.eigh(spectra.sample_covariance(m), want_vectors=False) for m in (x, zmat)
-    )
-    return tuple(
-        matcore.resolvent_trace(spec_x, z) - matcore.resolvent_trace(spec_z, z) for z in zs
-    )
+    return tuple(tx - tz for tx, tz in zip(dense_traces(x, zs), dense_traces(zmat, zs)))
+
+
+def laguerre_trace(c2, s2, p: int, n: int, z: complex) -> complex:
+    """(1/p) tr(S - z I)^{-1} for S with the spectrum of B B^T / n and p - m zeros.
+
+    B is the m-by-m lower bidiagonal with diagonal sqrt(c2) and subdiagonal
+    sqrt(s2), formed densely; B B^T / n is solved whole by ``eigh``.
+    """
+    c2, s2 = np.asarray(c2, dtype=np.float64), np.asarray(s2, dtype=np.float64)
+    m = c2.size
+    b = np.diag(np.sqrt(c2)) + np.diag(np.sqrt(s2), -1)
+    vals = matcore.eigh(b @ b.T / n, want_vectors=False).eigenvalues
+    return matcore.resolvent_trace(Spectrum(np.concatenate([np.zeros(p - m), vals])), z)
 
 
 # Tolerances and subdivision limit of the law's adaptive quadratures.

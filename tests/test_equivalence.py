@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from mplab import spectra
 from mplab.cli.config import EXPERIMENTS, ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
@@ -30,9 +32,9 @@ from mplab.equivalence import (
     parse_offset_spec,
     resolvent_gap,
 )
-from mplab.equivalence import _column_groups, _scale_each_column, _spectrum
+from mplab.equivalence import _column_groups, _laguerre_traces, _scale_each_column, _spectrum
 from mplab.matcore import DomainError, resolvent_trace, spectral_norm
-from oracles import swap_gaps_dense
+from oracles import dense_traces, laguerre_trace, swap_gaps_dense
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +234,30 @@ def test_multi_z_records_come_from_one_draw_per_trial():
 
 #: |gap - dense-recipe gap| allowed where the spectra differ in roundoff only.
 GAP_PATH_TOL = 1e-13
+#: Relative gap between the Laguerre pivot recurrence and its dense eigensolve
+#: for im(z) >= 0.05, and at im(z) = 1e-3, where the eigensolve loses digits.
+LAGUERRE_TOL, LAGUERRE_TOL_NEAR_AXIS = 1e-13, 1e-9
+
+
+def laguerre_draws(p, n, rng):
+    """The chi-square draws that follow X when the twin is drawn in law."""
+    m, big = min(p, n), max(p, n)
+    c2 = rng.chisquare(np.arange(big, big - m, -1.0))
+    return c2, rng.chisquare(np.arange(m - 1.0, 0.0, -1.0))
+
+
+def twin_sides(model, p, n, zs, rng):
+    """X's dense-recipe traces and the twin's recurrence traces, on one stream.
+
+    The twin's traces are checked against the tridiagonal oracle on the same
+    chi-square draws.
+    """
+    x_traces = dense_traces(model.sample(p, n, rng), zs)
+    c2, s2 = laguerre_draws(p, n, rng)
+    twin = _laguerre_traces(c2, s2, p, n, zs)
+    for z, t in zip(zs, twin):
+        assert abs(t - laguerre_trace(c2, s2, p, n, z)) <= LAGUERRE_TOL * abs(t)
+    return x_traces, twin
 
 
 @pytest.mark.parametrize("model, p, n", [
@@ -241,25 +267,82 @@ GAP_PATH_TOL = 1e-13
     (WeakDependent((1.0, 0.5)), 32, 64),
 ])
 def test_gap_without_offsets_matches_the_dense_recipe(model, p, n):
+    # An isotropic model's twin is drawn in law: its X side still follows the
+    # dense recipe, its Z side the tridiagonal oracle.
     zs = (1j, 0.5 + 0.1j, -1.0 + 2.0j)
     cfg = SwapConfig(model, p, n, zs)
     for t in range(3):
         rng = derive_rng(31, t)
-        x = model.sample(p, n, rng)
-        zmat = GaussianCov(model.cov).sample(p, n, rng)
-        want = swap_gaps_dense(x, zmat, zs)
+        if cfg.twin_shift is None:
+            x = model.sample(p, n, rng)
+            zmat = GaussianCov(model.cov).sample(p, n, rng)
+            want = swap_gaps_dense(x, zmat, zs)
+        else:
+            x_traces, twin = twin_sides(model, p, n, zs, rng)
+            want = tuple(tx - tz for tx, tz in zip(x_traces, twin))
         got = resolvent_gap(cfg, derive_rng(31, t))
         assert max(abs(g - w) for g, w in zip(got, want)) <= GAP_PATH_TOL
 
 
 def test_gap_without_offsets_is_the_dense_recipe_bitwise_when_nothing_deflates():
-    # p <= n and no zero rows: gram is sample_covariance and gram_esd solves it whole.
+    # p <= n and no zero rows: gram is sample_covariance and gram_esd solves it
+    # whole, so the X side is the dense recipe's bit for bit.
     model, p, n, zs = IIDRademacher(), 32, 64, (1j, -1.0 + 0.5j)
-    rng = derive_rng(32)
-    x = model.sample(p, n, rng)
-    zmat = GaussianCov(model.cov).sample(p, n, rng)
-    assert resolvent_gap(SwapConfig(model, p, n, zs), derive_rng(32)) == swap_gaps_dense(
-        x, zmat, zs)
+    x_traces, twin = twin_sides(model, p, n, zs, derive_rng(32))
+    assert resolvent_gap(SwapConfig(model, p, n, zs), derive_rng(32)) == tuple(
+        tx - tz for tx, tz in zip(x_traces, twin))
+
+
+def test_twin_is_drawn_in_law_exactly_when_it_is_standard_gaussian():
+    p, n, zs = 8, 4, (1j,)
+    law = [
+        (SwapConfig(IIDRademacher(), p, n, zs), 0.0),
+        (SwapConfig(GaussianCov(Identity()), p, n, zs), 0.0),
+        (SwapConfig(IIDSparseSpike(), p, n, zs, b_spec=ScaledIdentity(0.5)), 0.5),
+        (SwapConfig(IIDGaussian(), p, n, zs, hetero=(Identity(),) * n), 0.0),
+    ]
+    for cfg, beta in law:
+        assert cfg.twin_shift == beta
+    dense = [
+        SwapConfig(WeakDependent((1.0, 0.5)), p, n, zs),
+        SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs),
+        SwapConfig(IIDRademacher(), p, n, zs, b_spec=RandomPSDUnitNorm(1)),
+        SwapConfig(IIDRademacher(), p, n, zs, c_spec=ConstantColumns(1.0)),
+        SwapConfig(IIDGaussian(), p, n, zs, hetero=(Identity(), Toeplitz(0.5)) * 2),
+    ]
+    for cfg in dense:
+        assert cfg.twin_shift is None
+
+
+@pytest.mark.parametrize("p, n", [(1, 1), (1, 5), (5, 1), (48, 96), (96, 48), (300, 300)])
+def test_laguerre_recurrence_matches_the_tridiagonal_eigensolve(p, n):
+    c2, s2 = laguerre_draws(p, n, derive_rng(41, p, n))
+    lo, hi = (1.0 - np.sqrt(p / n)) ** 2, (1.0 + np.sqrt(p / n)) ** 2
+    for im, tol in ((1.0, LAGUERRE_TOL), (0.05, LAGUERRE_TOL), (1e-3, LAGUERRE_TOL_NEAR_AXIS)):
+        # inside the support, at its edges and outside it
+        zs = [complex(re, im) for re in ((lo + hi) / 2, lo, hi, -1.0, hi + 2.0)]
+        for z, got in zip(zs, _laguerre_traces(c2, s2, p, n, zs)):
+            want = laguerre_trace(c2, s2, p, n, z)
+            assert abs(got - want) <= tol * abs(want), (z, got, want)
+
+
+@pytest.mark.parametrize("p, n", [(24, 48), (48, 24)])
+def test_laguerre_twin_has_the_dense_twins_law(p, n):
+    # Two-sample KS distance of 2000 draws a side, below its 1% critical value.
+    draws = 2000
+    crit = 1.63 * np.sqrt(2.0 / draws)
+    zs = (1j, -1.0 + 0.5j)
+    twin = np.array([_laguerre_traces(*laguerre_draws(p, n, derive_rng(51, p, k)), p, n, zs)
+                     for k in range(draws)])
+    dense = []
+    for k in range(draws):
+        zmat = GaussianCov(Identity()).sample(p, n, derive_rng(52, p, k))
+        spec = spectra.gram_esd(*spectra.gram(zmat))
+        dense.append([resolvent_trace(spec, z) for z in zs])
+    dense = np.array(dense)
+    for j in range(len(zs)):
+        for part in (np.real, np.imag):
+            assert ks_2samp(part(twin[:, j]), part(dense[:, j])).statistic < crit
 
 
 # ---------------------------------------------------------------------------
