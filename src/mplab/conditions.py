@@ -15,7 +15,8 @@ of each; the Monte Carlo loop over draws is the CLI's trial runner
 * the squared-norm drift (x^T x - p) / p for isotropic models;
 * single trials of the projected-spectrum experiment: compress a sample
   covariance along a frame and measure the Kolmogorov distance to the limit
-  law of the compressed aspect ratio.
+  law of the compressed aspect ratio.  Standard Gaussian data is compressed
+  in law: C X is itself a q-by-n standard Gaussian draw.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, spectra
-from .ensembles import ParseError, VectorModel, sample_data_matrix, sample_vector
+from .ensembles import (
+    GaussianCov, Identity, IIDGaussian, ParseError, VectorModel, _check_dim,
+    sample_data_matrix, sample_vector,
+)
 from .matcore import DomainError
 from .mp_law import MPLaw
 
@@ -227,6 +231,10 @@ def norm_drift_stat(model: VectorModel, p: int, rng: np.random.Generator) -> flo
     return (float(x @ x) - p) / p
 
 
+#: The models whose columns are N(0, I_p).
+_STANDARD_GAUSSIAN = (IIDGaussian(), GaussianCov(Identity()))
+
+
 def mp_property_trial(
     model: VectorModel,
     p: int,
@@ -237,24 +245,29 @@ def mp_property_trial(
 ) -> float:
     """One projected-spectrum trial: KS distance of the compressed ESD.
 
-    Draws a p-by-n data matrix, compresses its sample covariance along a
-    q-by-p frame (Haar-random or the fixed first-q-coordinates frame), and
-    returns the Kolmogorov distance to the limit law with ratio q/n.  The
-    data is compressed before the Gram is formed, so no p-by-p matrix is
-    built: (C X)(C X)^T / n equals C (X X^T / n) C^T up to rounding.
+    Compresses a p-by-n data matrix X along a q-by-p frame C (Haar-random or
+    the fixed first-q-coordinates frame) and returns the Kolmogorov distance
+    of the ESD of (C X)(C X)^T / n to the limit law with ratio q/n.  The data
+    is compressed before the Gram is formed, so no p-by-p matrix is built:
+    (C X)(C X)^T / n equals C (X X^T / n) C^T up to rounding.  For standard
+    Gaussian data, C x ~ N(0, I_q) for every C with orthonormal rows, so C X
+    is drawn directly as a q-by-n standard Gaussian matrix: no frame, no
+    p-by-n draw.
     """
-    if not (1 <= q <= p):
+    for d in (p, n, q):
+        _check_dim(d)
+    if q > p:
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
-    if frame_mode == "haar":
-        # C (X X^T / n) C^T is the sample covariance of the compressed data
-        # C X.  The frame is orthonormal by construction, so it is not
-        # re-validated.
+    if frame_mode not in ("haar", "fixed-half"):
+        raise DomainError(f"unknown frame mode {frame_mode!r}")
+    if model in _STANDARD_GAUSSIAN:
+        compressed = sample_data_matrix(model, q, n, rng)
+    elif frame_mode == "haar":
+        # The frame is orthonormal by construction, so it is not re-validated.
         compressed = matcore.haar_frame(q, p, rng) @ sample_data_matrix(model, p, n, rng)
-    elif frame_mode == "fixed-half":
+    else:
         # The coordinate frame keeps the first q rows of X.
         compressed = sample_data_matrix(model, p, n, rng)[:q]
-    else:
-        raise DomainError(f"unknown frame mode {frame_mode!r}")
     g = spectra.gram(compressed)
     del compressed  # X is freed before the eigensolve
     return spectra.ks_distance(spectra.gram_esd(*g), MPLaw(q / n))

@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, norm
+from scipy.stats import chi2, ks_2samp, norm
 
 from mplab.cli.config import ExperimentConfig
 from mplab.cli.experiments import run_experiment
@@ -297,15 +297,30 @@ def test_norm_drift_block_xi_matches_chi_square_band():
 # mp_property_trial
 
 
+GAUSSIAN_SPECS = ("iid-gauss", "gauss-cov:identity")
+
+
 def test_mp_property_fixed_half_reproducible_by_hand():
-    # The trial's spectrum equals the leading q x q block of the full Gram
-    # bit for bit.
+    # Standard Gaussian data is compressed in law: the trial's spectrum is
+    # that of a q-by-n draw from the trial stream, bit for bit.
     model, p, n, q = IIDGaussian(), 30, 60, 15
     got = mp_property_trial(model, p, n, q, derive_rng(13), frame_mode="fixed-half")
-    x = sample_data_matrix(model, p, n, derive_rng(13))
-    s = sample_covariance(x)
-    e = esd(np.ascontiguousarray(s[:q, :q]), psd=True)
+    x = sample_data_matrix(model, q, n, derive_rng(13))
+    e = esd(sample_covariance(x), psd=True)
     assert got == ks_distance(e, MPLaw(q / n))
+
+
+@pytest.mark.parametrize("spec", GAUSSIAN_SPECS)
+@pytest.mark.parametrize("frame_mode", ["haar", "fixed-half"])
+def test_mp_property_standard_gaussian_draws_only_the_compressed_data(spec, frame_mode):
+    # Both frames take the same q-by-n draw and nothing more from the stream.
+    model, p, n, q = parse_model_spec(spec), 40, 24, 30
+    rng = derive_rng(15)
+    got = mp_property_trial(model, p, n, q, rng, frame_mode=frame_mode)
+    by_hand = derive_rng(15)
+    e = gram_esd(*gram(sample_data_matrix(IIDGaussian(), q, n, by_hand)))
+    assert got == ks_distance(e, MPLaw(q / n))
+    assert rng.random() == by_hand.random()
 
 
 @pytest.mark.parametrize(
@@ -315,23 +330,29 @@ def test_mp_property_fixed_half_reproducible_by_hand():
 )
 def test_mp_property_fixed_half_matches_coordinate_frame(spec):
     # The trial slices the first q rows of X; multiplying by the coordinate
-    # frame selects the same rows and gives the same bits.  The oracle's
-    # spectrum takes the trial's path, which reads the eigenvalues of zero
-    # rows off exactly, so only the slicing is under test.
+    # frame selects the same rows and gives the same bits.  A standard
+    # Gaussian model draws those q rows alone.  The oracle's spectrum takes
+    # the trial's path, which reads the eigenvalues of zero rows off exactly,
+    # so only the slicing is under test.
     model = parse_model_spec(spec)
     for p, n, q in ((30, 60, 15), (64, 33, 32), (10, 7, 1)):
         for seed in (13, 14):
             got = mp_property_trial(model, p, n, q, derive_rng(seed), frame_mode="fixed-half")
-            x = sample_data_matrix(model, p, n, derive_rng(seed))
-            e = gram_esd(*gram(as_frame(np.eye(q, p)) @ x))
+            if spec in GAUSSIAN_SPECS:
+                compressed = sample_data_matrix(model, q, n, derive_rng(seed))
+            else:
+                x = sample_data_matrix(model, p, n, derive_rng(seed))
+                compressed = as_frame(np.eye(q, p)) @ x
+            e = gram_esd(*gram(compressed))
             assert got == ks_distance(e, MPLaw(q / n)), (p, n, q, seed)
 
 
 @pytest.mark.parametrize("frame_mode", ["haar", "fixed-half"])
 def test_mp_property_matches_projected_covariance_oracle(frame_mode):
     # The trial compresses the data before the Gram; the oracle compresses
-    # the Gram, C (X X^T / n) C^T.  The two differ only in rounding.
-    model, p, n, q = IIDGaussian(), 96, 80, 48
+    # the Gram, C (X X^T / n) C^T.  The two differ only in rounding.  Sign
+    # data is not Gaussian, so the trial draws the frame and all of X.
+    model, p, n, q = IIDRademacher(), 96, 80, 48
     for seed in range(5):
         got = mp_property_trial(model, p, n, q, derive_rng(seed), frame_mode=frame_mode)
         rng = derive_rng(seed)
@@ -339,6 +360,29 @@ def test_mp_property_matches_projected_covariance_oracle(frame_mode):
         s = sample_covariance(sample_data_matrix(model, p, n, rng))
         e = esd(projected_covariance(frame, s), psd=True)
         assert abs(got - ks_distance(e, MPLaw(q / n))) <= 1e-12
+
+
+@pytest.mark.parametrize("p, n, q", [(48, 96, 24), (96, 48, 32)])
+def test_mp_property_gaussian_in_law_draw_has_the_frame_paths_law(p, n, q):
+    # C X for a Haar frame C and Gaussian X against the trial's direct q-by-n
+    # draw: two-sample KS distance of the per-trial KS distance and of the
+    # largest eigenvalue, 2000 trials a side, below the 1% critical value.
+    draws = 2000
+    crit = 1.63 * np.sqrt(2.0 / draws)
+    law = MPLaw(q / n)
+    direct, frame = [], []
+    for k in range(draws):
+        d = mp_property_trial(IIDGaussian(), p, n, q, derive_rng(61, p, k))
+        e = gram_esd(*gram(sample_data_matrix(IIDGaussian(), q, n, derive_rng(61, p, k))))
+        assert ks_distance(e, law) == d
+        direct.append((d, e.eigenvalues[-1]))
+        rng = derive_rng(62, p, k)
+        c = haar_frame(q, p, rng)
+        e = gram_esd(*gram(c @ sample_data_matrix(IIDGaussian(), p, n, rng)))
+        frame.append((ks_distance(e, law), e.eigenvalues[-1]))
+    direct, frame = np.array(direct), np.array(frame)
+    for j in range(2):
+        assert ks_2samp(direct[:, j], frame[:, j]).statistic < crit
 
 
 def test_mp_property_haar_small_case_in_range():
@@ -355,6 +399,12 @@ def test_mp_property_validates_frame_args():
         mp_property_trial(IIDGaussian(), 8, 16, 9, derive_rng(0))
     with pytest.raises(DomainError):
         mp_property_trial(IIDGaussian(), 8, 16, 4, derive_rng(0), frame_mode="dyadic")
+    # Dimensions are checked before any draw, including p, which a standard
+    # Gaussian model never draws at.
+    for p, n, q in ((8, 16, True), (8.0, 16, 4), (8, 16, 4.0), (8, 0, 4), (True, 16, 1)):
+        for model in (IIDGaussian(), IIDRademacher()):
+            with pytest.raises(DomainError, match="positive integer"):
+                mp_property_trial(model, p, n, q, derive_rng(0))
 
 
 # ---------------------------------------------------------------------------
