@@ -140,7 +140,7 @@ def _build_esd(cfg: ExperimentConfig) -> Trials:
 
     def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
         # X is freed once its Gram is formed, before the eigensolve.
-        g = gram(sample_data_matrix(model, cfg.p, cfg.n, rng))
+        g = model.sample_gram(cfg.p, cfg.n, rng)
         d = ks_distance(gram_esd(*g), law)
         return [dict(base, statistic="ks_distance", value=d)]
 

@@ -16,13 +16,13 @@ sample-covariance universality:
   normalized to unit marginal variance.
 
 A model is one class that owns its behaviour: ``sample`` draws a whole data
-matrix, ``cov`` is the covariance spec of the exact E[x x^T] (its Gaussian
-twin is ``GaussianCov(model.cov)``), ``spec`` its grammar string and
-``isotropic`` whether the covariance is the identity.  Covariance specs own
-the algebra of Sigma the same way: ``matrix``, ``color`` (F g for an exact
-factor F F^T = Sigma, which draws every non-isotropic model), ``width`` (the
-innovations F reads), ``diagonal``, ``square_trace`` (tr Sigma^2) and
-``spec``.
+matrix, ``sample_gram`` its ``spectra.gram`` (sparse-spike's from nonzeros),
+``cov`` is the covariance spec of the exact E[x x^T] (its Gaussian twin is
+``GaussianCov(model.cov)``), ``spec`` its grammar string and ``isotropic``
+whether the covariance is the identity.  Covariance specs own the algebra of
+Sigma the same way: ``matrix``, ``color`` (F g for an exact factor F F^T =
+Sigma, which draws every non-isotropic model), ``width`` (the innovations F
+reads), ``diagonal``, ``square_trace`` (tr Sigma^2) and ``spec``.
 
 All sampling is driven by explicit counter-based generators derived from
 (seed, label path) so that any trial of any experiment can be replayed in
@@ -36,6 +36,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import spectra
 from .matcore import DomainError
 
 
@@ -278,7 +279,14 @@ def _half(p: int) -> int:
     return p // 2
 
 
-class _Isotropic:
+class _Dense:
+    """Models whose Gram is formed from their dense draw."""
+
+    def sample_gram(self, p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        return spectra.gram(self.sample(p, n, rng))
+
+
+class _Isotropic(_Dense):
     """Models with identity covariance; subclasses set ``name`` and ``sample``."""
 
     isotropic = True
@@ -310,22 +318,32 @@ class IIDRademacher(_Isotropic):
 
 @dataclass(frozen=True)
 class IIDSparseSpike(_Isotropic):
-    """iid entries: +-sqrt(p) with probability 1/(2p) each, else 0."""
+    """iid entries: +-sqrt(p) with probability 1/(2p) each, else 0, drawn as ``nonzeros``."""
 
     name = "sparse-spike"
 
-    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def nonzeros(self, p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """Rows, columns and values of the nonzeros of a p-by-n draw, in column-major order."""
         scale = np.sqrt(float(p))
         lo, hi = 0.5 / p, 1.0 - 0.5 / p
-        out = np.zeros((p, n))
-        # Only the spikes are written, straight into the columns through the
-        # transposed view; the zeros are never copied.
+        flat, up = [], []
+        # Entry (i, k) reads uniform k * p + i of the stream, one row block at a time.
         for start, stop in _row_blocks(p, n):
-            u = rng.random((stop - start, p))
-            block = out.T[start:stop]
-            block[u < lo] = scale
-            block[u >= hi] = -scale
+            u = rng.random((stop - start) * p)
+            k = ((u < lo) | (u >= hi)).nonzero()[0]
+            flat.append(k + start * p)
+            up.append(u[k] < lo)
+        cols, rows = np.divmod(np.concatenate(flat), p)
+        return rows, cols, np.where(np.concatenate(up), scale, -scale)
+
+    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        rows, cols, vals = self.nonzeros(p, n, rng)
+        out = np.zeros((p, n))
+        out[rows, cols] = vals
         return out
+
+    def sample_gram(self, p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        return spectra.gram_from_nonzeros(*self.nonzeros(p, n, rng), p, n)
 
 
 @dataclass(frozen=True)
@@ -351,7 +369,7 @@ class BlockXi(_Isotropic):
 
 
 @dataclass(frozen=True)
-class GaussianCov:
+class GaussianCov(_Dense):
     """Centered Gaussian with covariance given by a CovSpec: its factor on Gaussian innovations."""
 
     cov: CovSpec
@@ -368,7 +386,7 @@ class GaussianCov:
 
 
 @dataclass(frozen=True)
-class WeakDependent:
+class WeakDependent(_Dense):
     """Finite moving average X_k = sum_j c_j eps_{k-j} over iid sign innovations.
 
     Coefficients are normalized at construction so the marginal variance is

@@ -34,11 +34,11 @@ from .conditions import RandomPSDFamily
 from .ensembles import (
     CovSpec,
     GaussianCov,
-    IIDGaussian,
     Identity,
     ParseError,
     VectorModel,
     derive_rng,
+    _check_dim,
     sample_data_matrix,
 )
 from .matcore import DomainError
@@ -133,8 +133,8 @@ class SwapConfig:
     c: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.p < 1 or self.n < 1:
-            raise DomainError(f"need positive dimensions, got p={self.p}, n={self.n}")
+        _check_dim(self.p)
+        _check_dim(self.n)
         if not self.zs:
             raise DomainError("need at least one resolvent point")
         object.__setattr__(self, "zs", tuple(map(matcore.require_upper_half, self.zs)))
@@ -195,26 +195,18 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, .
     exactly; with all columns Identity that is the homogeneous gap bit for
     bit.  With ``cfg.twin_shift`` set, Z is not drawn: two chi-square draws
     follow X, and ``_laguerre_traces`` reads the twin from them at z - beta.
-    Each spectrum is solved once; |Delta| <= 2 / im(z) at each z.
+    X's spectrum is solved before Z is drawn; |Delta| <= 2 / im(z) at each z.
     """
-    x = sample_data_matrix(cfg.model, cfg.p, cfg.n, rng)
+    spec_x = _spectrum(cfg, cfg.model, rng)
     if cfg.twin_shift is not None:
         m, big = min(cfg.p, cfg.n), max(cfg.p, cfg.n)
         c2 = rng.chisquare(np.arange(big, big - m, -1.0))
         s2 = rng.chisquare(np.arange(m - 1.0, 0.0, -1.0))
         twin = _laguerre_traces(c2, s2, cfg.p, cfg.n, [z - cfg.twin_shift for z in cfg.zs])
-        spec_x = _spectrum(x, cfg.b, cfg.c)
-        return tuple(matcore.resolvent_trace(spec_x, z) - t for z, t in zip(cfg.zs, twin))
-    if cfg.hetero is None:
-        zmat = sample_data_matrix(GaussianCov(cfg.model.cov), cfg.p, cfg.n, rng)
     else:
-        zmat = IIDGaussian().sample(cfg.p, cfg.n, rng)
-        _scale_each_column(cfg.column_groups, x)
-        _scale_each_column(cfg.column_groups, zmat)
-    spec_x, spec_z = (_spectrum(data, cfg.b, cfg.c) for data in (x, zmat))
-    return tuple(
-        matcore.resolvent_trace(spec_x, z) - matcore.resolvent_trace(spec_z, z) for z in cfg.zs
-    )
+        spec_z = _spectrum(cfg, GaussianCov(cfg.model.cov), rng)
+        twin = [matcore.resolvent_trace(spec_z, z) for z in cfg.zs]
+    return tuple(matcore.resolvent_trace(spec_x, z) - t for z, t in zip(cfg.zs, twin))
 
 
 def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
@@ -240,17 +232,21 @@ def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
     return traces
 
 
-def _spectrum(data: np.ndarray, b: np.ndarray | None, c: np.ndarray | None) -> matcore.Spectrum:
-    """Spectrum of (data + C)(data + C)^T / n + B.
+def _spectrum(cfg: SwapConfig, model: VectorModel, rng: np.random.Generator) -> matcore.Spectrum:
+    """Spectrum of (X + C)(X + C)^T / n + B for a draw X of ``model``, colored by cfg's columns.
 
-    Without offsets it is the sample covariance's ESD from ``spectra.gram_esd``,
-    which solves only what it cannot read off; an offset needs the p-by-p matrix.
+    Without offsets it is the ESD from ``spectra.gram_esd``, of the model's own
+    ``sample_gram`` when no column is colored; an offset needs the p-by-p matrix.
     """
-    if b is None and c is None:
-        return spectra.gram_esd(*spectra.gram(data))
-    s = spectra.sample_covariance(data if c is None else data + c)
-    if b is not None:
-        s += b
+    if cfg.b is None and cfg.c is None and not cfg.column_groups:
+        return spectra.gram_esd(*model.sample_gram(cfg.p, cfg.n, rng))
+    x = sample_data_matrix(model, cfg.p, cfg.n, rng)
+    _scale_each_column(cfg.column_groups, x)
+    if cfg.b is None and cfg.c is None:
+        return spectra.gram_esd(*spectra.gram(x))
+    s = spectra.sample_covariance(x if cfg.c is None else x + cfg.c)
+    if cfg.b is not None:
+        s += cfg.b
     return matcore.eigh(s, want_vectors=False)
 
 

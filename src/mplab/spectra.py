@@ -5,10 +5,11 @@ covariance S = X X^T / n; its sorted eigenvalue list is the empirical
 spectral distribution (ESD), held as a ``matcore.Spectrum``.  This module
 computes sample covariances, the ESD of a data matrix and the Kolmogorov
 sup-distance between an ESD and a limit law.  The ESD comes from the
-smallest Gram of X, formed from X's nonzeros when they are few and solved
-one connected block at a time, with the eigenvalues known exactly read off
-rather than solved for.  The empirical Cauchy-Stieltjes transform of an ESD
-is ``matcore.resolvent_trace``.
+smallest Gram of X, formed from X's nonzeros when they are few (found by a
+scan of X, or handed over as drawn, with no X) and solved one connected
+block at a time, with the eigenvalues known exactly read off rather than
+solved for.  The empirical Cauchy-Stieltjes transform of an ESD is
+``matcore.resolvent_trace``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ def _row_gram(a: np.ndarray, n: int) -> np.ndarray:
     measured crossover: with one OpenBLAS thread, the two routes cost the same
     at r * r * m / sum_c k_c**2 of about 1500 for r = 1024, m = 2048 and for
     r = 256, m = 512, and of about 2500 for r = 128, m = 256.  NaN and +-inf
-    count as nonzero on both routes.
+    count as nonzero on both routes.  ``_pair_gram`` owns the rule and the
+    nonzero route, for the nonzeros found here and for those handed to
+    ``gram_from_nonzeros``.
     """
     # On either route a non-finite entry in row i, or an overflow in row i,
     # makes s[i, i] non-finite: the diagonal check stands for a scan of the
@@ -62,12 +65,7 @@ def _row_gram(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def _nonzero_gram(a: np.ndarray) -> np.ndarray | None:
-    """a a^T from its nonzeros, or None when the rule picks the dense product.
-
-    Entry (i, j) is the sum of a[i, c] * a[j, c] over the columns c where both
-    factors are nonzero, added in column order.  Entries (i, j) and (j, i) get
-    the same products in the same order, so the result is exactly symmetric.
-    """
+    """``_pair_gram`` of a's nonzeros, found by a scan of a that turns dense data away early."""
     r, m = a.shape
     bound = r * r * m
     # Any N nonzeros of a give sum_c k_c**2 >= N**2 / m, so the rule is
@@ -84,10 +82,19 @@ def _nonzero_gram(a: np.ndarray) -> np.ndarray | None:
     del nz  # the mask is not held while the Gram is filled
     order = np.argsort(cols, kind="stable")
     rows, cols = rows[order], cols[order]
+    return _pair_gram(rows, cols, a[rows, cols], r, m)
+
+
+def _pair_gram(rows, cols, vals, r: int, m: int) -> np.ndarray | None:
+    """a a^T for the r-by-m a with nonzeros vals at (rows, cols), or None when the rule picks BLAS.
+
+    With the nonzeros in ascending column order, entry (i, j) sums a[i, c] *
+    a[j, c] over the columns c in that order, as entry (j, i) does: the result
+    is exactly symmetric.
+    """
     per_col = np.bincount(cols, minlength=m)
-    if PAIR_RATIO * int(per_col @ per_col) > bound:
+    if PAIR_RATIO * int(per_col @ per_col) > r * r * m:
         return None
-    vals = a[rows, cols]
     # Entry e pairs with the k[e] entries of its column, which start at first[e].
     k = per_col[cols]
     first = np.cumsum(per_col)[cols] - k
@@ -127,6 +134,29 @@ def gram(x) -> tuple[np.ndarray, int]:
     return _row_gram(a.T, n), p
 
 
+def gram_from_nonzeros(rows, cols, vals, p: int, n: int) -> tuple[np.ndarray, int]:
+    """``gram`` of the p-by-n X with finite nonzeros vals at (rows, cols), bit for bit.
+
+    Given in column-major order, they go to ``_pair_gram`` as those of X, of its
+    nonzero rows or of X^T, as ``gram`` picks; X is built only for BLAS.
+    """
+    r, m, i, j, v = p, n, rows, cols, vals
+    if p > n:
+        kept, index = np.unique(rows, return_inverse=True)
+        if kept.size < n:
+            r, i = kept.size, index
+        else:  # X^T, whose nonzeros go grouped by X's rows
+            by_row = np.argsort(rows, kind="stable")
+            r, m, i, j, v = n, p, cols[by_row], rows[by_row], vals[by_row]
+    s = _pair_gram(i, j, v, r, m)
+    if s is None:
+        x = np.zeros((p, n))
+        x[rows, cols] = vals
+        return gram(x)
+    s /= n
+    return s, p
+
+
 def gram_esd(g, p: int) -> Spectrum:
     """ESD of a p-by-p sample covariance from its exactly symmetric Gram ``g``.
 
@@ -145,8 +175,9 @@ def gram_esd(g, p: int) -> Spectrum:
         raise DomainError(f"a {k}-by-{k} Gram has no sample covariance of dimension {p}")
     isolated, blocks = _blocks(a)
     # g was validated above, so the blocks go to the eigensolver unchecked.
-    # a[b].take(b, axis=1) copies a block in about half the time of np.ix_.
-    vals = [matcore._eigh(a if b.size == k else a[b].take(b, axis=1), want_vectors=False)
+    # np.ix_ makes no |b|-by-k slab of rows (4.5 MiB in a sparse-spike trial at
+    # 1024x2048, whose copies took 2.6 ms against 1.4 ms with a[b].take(b, 1)).
+    vals = [matcore._eigh(a if b.size == k else a[np.ix_(b, b)], want_vectors=False)
             .eigenvalues for b in blocks]
     if len(blocks) == 1 and blocks[0].size == p:
         lam = vals[0]

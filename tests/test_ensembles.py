@@ -97,6 +97,25 @@ def test_sparse_spike_entries_and_rate():
     assert abs(freq - 1 / p) < 4 * se
 
 
+@pytest.mark.parametrize("p, n", [(1, 1), (1, 9), (16, 1), (1024, 300), (1000, 300), (300, 40)])
+def test_sparse_spike_nonzeros_are_the_nonzeros_of_its_sample(p, n):
+    # ``nonzeros`` is the one sampler: its rows, columns and values are those
+    # of np.nonzero of ``sample`` in column-major order, bit for bit, and both
+    # leave the stream at the same place.  The two 300-column shapes span
+    # several row blocks, the last one ragged; (300, 40) has p > n.
+    model = IIDSparseSpike()
+    rng_nz, rng_x = derive_rng(23, p, n), derive_rng(23, p, n)
+    rows, cols, vals = model.nonzeros(p, n, rng_nz)
+    x = model.sample(p, n, rng_x)
+    want_cols, want_rows = np.nonzero(x.T)
+    assert rows.dtype == cols.dtype == np.intp and vals.dtype == np.float64
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert vals.tobytes() == x[want_rows, want_cols].tobytes()
+    assert rng_nz.random() == rng_x.random()
+    if p == 1:
+        assert rows.size == n  # every entry of a one-row draw is a spike
+
+
 def test_block_xi_structure():
     p = 12
     rng = derive_rng(3)

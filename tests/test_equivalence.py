@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -32,7 +34,7 @@ from mplab.equivalence import (
     parse_offset_spec,
     resolvent_gap,
 )
-from mplab.equivalence import _column_groups, _laguerre_traces, _scale_each_column, _spectrum
+from mplab.equivalence import _column_groups, _laguerre_traces, _scale_each_column
 from mplab.matcore import DomainError, resolvent_trace, spectral_norm
 from oracles import dense_traces, laguerre_trace, swap_gaps_dense
 
@@ -394,6 +396,20 @@ def test_grouped_column_scaling_matches_per_column_products():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_sparse_swap_gap_holds_no_dense_draw():
+    # X's Gram is formed from the drawn nonzeros and its twin is drawn in law,
+    # so the trial's traced peak stays below one p-by-n float64 matrix.
+    p, n = 512, 2048
+    cfg = SwapConfig(IIDSparseSpike(), p, n, (1j, 0.5 + 1j))
+    tracemalloc.start()
+    try:
+        resolvent_gap(cfg, derive_rng(24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p * n
+
+
 def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
     p, n = 16, 12
     covs = tuple((Identity(), Spiked(3, 2.5))[k % 2] for k in range(n))
@@ -405,6 +421,6 @@ def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
         x[:, k : k + 1] = spec.color(x[:, k : k + 1])
         zmat[:, k : k + 1] = spec.color(zmat[:, k : k + 1])
     z = cfg.zs[0]
-    want = resolvent_trace(_spectrum(x, None, None), z) - resolvent_trace(
-        _spectrum(zmat, None, None), z)
+    want = resolvent_trace(spectra.gram_esd(*spectra.gram(x)), z) - resolvent_trace(
+        spectra.gram_esd(*spectra.gram(zmat)), z)
     assert resolvent_gap(cfg, derive_rng(22))[0] == want

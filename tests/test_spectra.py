@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -30,7 +31,15 @@ from mplab.matcore import (
 )
 from mplab.mp_law import MPLaw
 from mplab.cli.records import write_esd_csv
-from mplab.spectra import PAIR_RATIO, _blocks, gram, gram_esd, ks_distance, sample_covariance
+from mplab.spectra import (
+    PAIR_RATIO,
+    _blocks,
+    gram,
+    gram_esd,
+    gram_from_nonzeros,
+    ks_distance,
+    sample_covariance,
+)
 from oracles import column_outer_sum, esd, projected_covariance
 
 
@@ -165,6 +174,9 @@ def check_gram_esd_against_full_eigensolve(model, p, n):
         s = sample_covariance(x)
         want = esd(s, psd=True).eigenvalues
         g, dim = gram(x)
+        # The model's own Gram, drawn on the same stream, is gram(x) bit for bit.
+        drawn, drawn_dim = model.sample_gram(p, n, derive_rng(seed, p, n))
+        assert drawn_dim == dim and drawn.tobytes() == g.tobytes()
         got = gram_esd(g, dim).eigenvalues
         assert dim == p and got.size == p
         assert np.all(np.diff(got) >= 0) and np.all(got >= 0)
@@ -366,13 +378,67 @@ def one_per_row(p: int, n: int) -> np.ndarray:
     return x
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
-@pytest.mark.parametrize("x, nonzero_route", [
+ROUTE_CASES = [
     (block_hand_case(64, 128), True),   # X X^T from X's nonzeros
     (block_hand_case(7, 9), False),     # X X^T dense
     (one_per_row(256, 64), True),       # X^T X from X's nonzeros
     (block_hand_case(9, 7), False),     # the Gram of X's nonzero rows, dense
-], ids=["nonzero-XXt", "dense-XXt", "nonzero-XtX", "dense-rows"])
+]
+ROUTE_IDS = ["nonzero-XXt", "dense-XXt", "nonzero-XtX", "dense-rows"]
+
+
+@pytest.mark.parametrize("x, nonzero_route", [
+    *ROUTE_CASES,
+    (np.vstack([one_per_row(256, 512), np.zeros((344, 512))]), True),  # nonzero rows' Gram
+    (one_per_row(12, 4), False),        # X^T X dense
+], ids=[*ROUTE_IDS, "nonzero-rows", "dense-XtX"])
+def test_gram_of_given_nonzeros_is_gram_bit_for_bit(x, nonzero_route):
+    # Handed X's nonzeros in column-major order, gram_from_nonzeros takes
+    # gram's choice of X, its nonzero rows or X^T, and the rule's route, with
+    # the same bits; only the dense route builds X.
+    assert on_nonzero_route(gram_rows(x)) == nonzero_route
+    cols, rows = np.nonzero(x.T)
+    g, p = gram_from_nonzeros(rows, cols, x[rows, cols], *x.shape)
+    want, want_p = gram(x)
+    assert p == want_p and g.shape == want.shape and g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p, n, seed, rows, nonzero_route", [
+    (256, 512, 0, "X", True),
+    (8, 16, 0, "X", False),       # small p: the rule picks the dense product
+    (1024, 300, 0, "R", True),    # fewer nonzero rows than columns
+    (40, 24, 0, "R", False),
+    (300, 40, 5, "X^T", True),    # at least n nonzero rows
+    (6, 3, 0, "X^T", False),
+    (2, 1, 0, "R", True),         # no spike at all: a 0-by-0 Gram
+])
+def test_sparse_spike_gram_from_its_drawn_nonzeros_is_gram_bit_for_bit(
+        p, n, seed, rows, nonzero_route):
+    x = sample_data_matrix(IIDSparseSpike(), p, n, derive_rng(seed, p, n))
+    a = gram_rows(x)
+    assert ("X" if a is x else "R" if a.shape[1] == n else "X^T") == rows
+    assert on_nonzero_route(a) == nonzero_route
+    g, dim = IIDSparseSpike().sample_gram(p, n, derive_rng(seed, p, n))
+    want, want_dim = gram(x)
+    assert dim == want_dim and g.shape == want.shape and g.tobytes() == want.tobytes()
+
+
+def test_sparse_spike_esd_trial_holds_no_dense_draw():
+    # The trial draws the nonzeros and forms the Gram from them: its traced
+    # peak stays below one p-by-n float64 matrix.
+    p, n = 512, 2048
+    cfg = ExperimentConfig(experiment="esd", model="sparse-spike", p=p, n=n, trials=1, seed=19)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, rules=[])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p * n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("x, nonzero_route", ROUTE_CASES, ids=ROUTE_IDS)
 def test_both_routes_reject_bad_entries_in_sparse_data(x, nonzero_route, bad):
     assert on_nonzero_route(gram_rows(x)) == nonzero_route
     p, n = x.shape
