@@ -34,7 +34,7 @@ from ..ensembles import (
     parse_model_spec,
     sample_data_matrix,
 )
-from ..spectra import gram, gram_esd, ks_distance, sample_covariance
+from ..spectra import gram_esd, ks_distance, sample_covariance
 from ..conditions import (
     chebyshev_bound,
     lindeberg_trial,
@@ -541,16 +541,17 @@ def dump_first_trial(
     matrix_path: str | None = None,
     esd_path: str | None = None,
 ) -> None:
-    """Rebuild trial 0's sample covariance and dump it and/or its spectrum.
+    """Redraw trial 0 and dump its p-by-p sample covariance and/or its spectrum.
 
-    The spectrum is the one trial 0 grades; the matrix is always p-by-p.
+    The spectrum is trial 0's own computation, ``model.sample_gram`` on its
+    stream; the matrix is ``sample_covariance`` of the same draw.
     """
     if cfg.experiment != "esd":
         raise InvalidInputError("matrix dumps are available for the esd experiment only")
     model = parse_model_spec(cfg.model)
-    rng = derive_rng(cfg.seed, EXPERIMENTS["esd"].code, 0)
-    x = sample_data_matrix(model, cfg.p, cfg.n, rng)
+    p, n, code = cfg.p, cfg.n, EXPERIMENTS["esd"].code
     if matrix_path:
+        x = sample_data_matrix(model, p, n, derive_rng(cfg.seed, code, 0))
         write_matrix_dump(matrix_path, sample_covariance(x))
     if esd_path:
-        write_esd_csv(esd_path, gram_esd(*gram(x)))
+        write_esd_csv(esd_path, gram_esd(*model.sample_gram(p, n, derive_rng(cfg.seed, code, 0))))

@@ -16,7 +16,7 @@ sample-covariance universality:
   normalized to unit marginal variance.
 
 A model is one class that owns its behaviour: ``sample`` draws a whole data
-matrix, ``sample_gram`` its ``spectra.gram`` (sparse-spike's from nonzeros),
+matrix, ``sample_gram`` its ``spectra.gram`` (sparse-spike's pair-summed),
 ``cov`` is the covariance spec of the exact E[x x^T] (its Gaussian twin is
 ``GaussianCov(model.cov)``), ``spec`` its grammar string and ``isotropic``
 whether the covariance is the identity.  Covariance specs own the algebra of

@@ -5,11 +5,11 @@ covariance S = X X^T / n; its sorted eigenvalue list is the empirical
 spectral distribution (ESD), held as a ``matcore.Spectrum``.  This module
 computes sample covariances, the ESD of a data matrix and the Kolmogorov
 sup-distance between an ESD and a limit law.  The ESD comes from the
-smallest Gram of X, formed from X's nonzeros when they are few (found by a
-scan of X, or handed over as drawn, with no X) and solved one connected
-block at a time, with the eigenvalues known exactly read off rather than
-solved for.  The empirical Cauchy-Stieltjes transform of an ESD is
-``matcore.resolvent_trace``.
+smallest Gram of X, formed by BLAS from X, or summed from X's nonzeros when
+they are handed over as drawn, with no X, and few.  It is solved one
+connected block at a time, with the eigenvalues known exactly read off
+rather than solved for.  The empirical Cauchy-Stieltjes transform of an ESD
+is ``matcore.resolvent_trace``.
 """
 
 from __future__ import annotations
@@ -30,67 +30,38 @@ def _data_matrix(x) -> np.ndarray:
     return a
 
 
-# The nonzero route of ``_row_gram`` is taken when the same-column pairs of
-# nonzeros number at most 1/PAIR_RATIO of the multiply-adds of the dense
-# product, and it accumulates them PAIR_CHUNK at a time.
-PAIR_RATIO = 2048
-PAIR_CHUNK = 1 << 18
-
-
 def _row_gram(a: np.ndarray, n: int) -> np.ndarray:
-    """a a^T / n, exactly symmetric, for the rows of a (X or X^T).
+    """a a^T / n for the rows of a (X or X^T): one symmetric rank-k update, mirrored.
 
-    With r rows, m columns and k_c nonzeros in column c, the Gram is formed
-    from the nonzeros when PAIR_RATIO * sum_c k_c**2 <= r * r * m, and by the
-    dense BLAS product otherwise.  The rule sits just on the dense side of the
-    measured crossover: with one OpenBLAS thread, the two routes cost the same
-    at r * r * m / sum_c k_c**2 of about 1500 for r = 1024, m = 2048 and for
-    r = 256, m = 512, and of about 2500 for r = 128, m = 256.  NaN and +-inf
-    count as nonzero on both routes.  ``_pair_gram`` owns the rule and the
-    nonzero route, for the nonzeros found here and for those handed to
-    ``gram_from_nonzeros``.
+    The result is exactly symmetric.  A non-finite entry in row i, or an
+    overflow in row i, makes s[i, i] non-finite: the diagonal check stands for
+    a scan of the whole data matrix, and its error replaces the floating-point
+    warnings.
     """
-    # On either route a non-finite entry in row i, or an overflow in row i,
-    # makes s[i, i] non-finite: the diagonal check stands for a scan of the
-    # whole data matrix, and its error replaces the floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _nonzero_gram(a)
-        if s is None:
-            # One symmetric rank-k update, mirrored: exactly symmetric.
-            s = a @ a.T
+        s = a @ a.T
         s /= n
     if not np.all(np.isfinite(np.diagonal(s))):
         raise InvalidInputError("data matrix has non-finite entries")
     return s
 
 
-def _nonzero_gram(a: np.ndarray) -> np.ndarray | None:
-    """``_pair_gram`` of a's nonzeros, found by a scan of a that turns dense data away early."""
-    r, m = a.shape
-    bound = r * r * m
-    # Any N nonzeros of a give sum_c k_c**2 >= N**2 / m, so the rule is
-    # already broken when PAIR_RATIO * N**2 > bound * m.  Counted first in
-    # the leading 1/16 of the rows, this turns data with more than
-    # 16 / sqrt(PAIR_RATIO) = 35% nonzeros away after that fraction of the
-    # scan, before anything is sorted.
-    if PAIR_RATIO * np.count_nonzero(a[: 1 + r // 16]) ** 2 > bound * m:
-        return None
-    nz = a != 0
-    if PAIR_RATIO * np.count_nonzero(nz) ** 2 > bound * m:
-        return None
-    rows, cols = np.divmod(np.flatnonzero(nz), m)
-    del nz  # the mask is not held while the Gram is filled
-    order = np.argsort(cols, kind="stable")
-    rows, cols = rows[order], cols[order]
-    return _pair_gram(rows, cols, a[rows, cols], r, m)
+PAIR_RATIO = 2048
+PAIR_CHUNK = 1 << 18
 
 
 def _pair_gram(rows, cols, vals, r: int, m: int) -> np.ndarray | None:
     """a a^T for the r-by-m a with nonzeros vals at (rows, cols), or None when the rule picks BLAS.
 
-    With the nonzeros in ascending column order, entry (i, j) sums a[i, c] *
-    a[j, c] over the columns c in that order, as entry (j, i) does: the result
-    is exactly symmetric.
+    With k_c nonzeros in column c, the Gram is summed from the same-column
+    pairs of nonzeros when PAIR_RATIO * sum_c k_c**2 <= r * r * m, the
+    multiply-adds of the dense product, PAIR_CHUNK products at a time.  The
+    rule sits just on the dense side of the measured crossover: with one
+    OpenBLAS thread, the two routes cost the same at r * r * m / sum_c k_c**2
+    of about 1500 for r = 1024, m = 2048 and for r = 256, m = 512, and of
+    about 2500 for r = 128, m = 256.  With the nonzeros in ascending column
+    order, entry (i, j) sums a[i, c] * a[j, c] over the columns c in that
+    order, as entry (j, i) does: the result is exactly symmetric.
     """
     per_col = np.bincount(cols, minlength=m)
     if PAIR_RATIO * int(per_col @ per_col) > r * r * m:
@@ -135,10 +106,12 @@ def gram(x) -> tuple[np.ndarray, int]:
 
 
 def gram_from_nonzeros(rows, cols, vals, p: int, n: int) -> tuple[np.ndarray, int]:
-    """``gram`` of the p-by-n X with finite nonzeros vals at (rows, cols), bit for bit.
+    """``gram``'s Gram of the p-by-n X with finite nonzeros vals at (rows, cols).
 
     Given in column-major order, they go to ``_pair_gram`` as those of X, of its
-    nonzero rows or of X^T, as ``gram`` picks; X is built only for BLAS.
+    nonzero rows or of X^T, as ``gram`` picks.  When its rule picks BLAS, X is
+    built and the result is ``gram(x)`` bit for bit; otherwise it is the same
+    Gram summed from the same-column pairs, in column order, with no X.
     """
     r, m, i, j, v = p, n, rows, cols, vals
     if p > n:

@@ -52,18 +52,18 @@ def esd(m, psd: bool = False) -> Spectrum:
     return spec
 
 
-def column_outer_sum(x) -> np.ndarray:
+def column_outer_sum(x, n: int | None = None) -> np.ndarray:
     """X X^T / n as the sum, in column order, of each column's outer product.
 
-    Each outer product covers the column's nonzero rows only, so adding it
-    never meets a zero factor.
+    n defaults to X's column count.  Each outer product covers the column's
+    nonzero rows only, so adding it never meets a zero factor.
     """
     a = np.asarray(x, dtype=np.float64)
     s = np.zeros((a.shape[0], a.shape[0]))
     for col in a.T:
         rows = np.flatnonzero(col)
         s[np.ix_(rows, rows)] += np.outer(col[rows], col[rows])
-    return s / a.shape[1]
+    return s / (a.shape[1] if n is None else n)
 
 
 def projected_covariance(frame, m) -> np.ndarray:

@@ -462,7 +462,7 @@ def test_dump_first_trial_matches_hand_recompute(tmp_path):
 
 
 @pytest.mark.parametrize("model, p, n", [("iid-gauss", 24, 16), ("sparse-spike", 32, 64),
-                                          ("iid-rademacher", 16, 24)])
+                                          ("iid-rademacher", 16, 24), ("sparse-spike", 512, 1024)])
 def test_dumped_esd_is_the_spectrum_trial_zero_grades(tmp_path, model, p, n):
     cfg = ExperimentConfig(experiment="esd", model=model, p=p, n=n, trials=2, seed=5)
     epath = tmp_path / "esd.csv"

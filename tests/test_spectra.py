@@ -99,7 +99,7 @@ def test_sample_covariance_rejects_bad_input():
 
 
 def on_nonzero_route(x) -> bool:
-    """Whether ``_row_gram`` forms X X^T from X's nonzeros: its stated rule."""
+    """Whether ``gram_from_nonzeros`` sums X X^T from X's nonzeros: its stated rule."""
     k = np.count_nonzero(x, axis=0)
     return PAIR_RATIO * int(k @ k) <= x.shape[0] ** 2 * x.shape[1]
 
@@ -107,18 +107,13 @@ def on_nonzero_route(x) -> bool:
 @pytest.mark.parametrize("p, n", [(5, 7), (1, 9), (9, 1), (64, 129), (257, 1000), (1024, 2048)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_sample_covariance_is_the_mirrored_product_bit_for_bit(p, n, order):
-    # Dense-route Grams are numpy's symmetric product, the same bits as the
-    # mirrored product a @ a.T / n.  Nonzero-route Grams add the same-column
-    # products in column order, the same bits as the column-by-column outer
-    # product sum.  Sparse entries with random signs make signed zeros in the
-    # products.
+    # A dense matrix's Gram is numpy's symmetric product, the same bits as the
+    # mirrored product a @ a.T / n, however sparse the matrix.  Sparse entries
+    # with random signs make signed zeros in the products.
     rng = derive_rng(17, p, n)
     x = np.asarray(IIDSparseSpike().sample(p, n, rng) * rng.standard_normal((p, n)), order=order)
-    nonzero_route = (p, n) not in ((5, 7), (1, 9))
-    assert on_nonzero_route(x) == nonzero_route
     s = sample_covariance(x)
-    old = column_outer_sum(x) if nonzero_route else as_symmetric(x @ x.T / n)
-    assert np.array_equal(s.view(np.uint64), old.view(np.uint64))
+    assert np.array_equal(s.view(np.uint64), as_symmetric(x @ x.T / n).view(np.uint64))
     assert np.array_equal(s.view(np.uint64), s.T.view(np.uint64))
 
 
@@ -319,18 +314,20 @@ def test_gram_esd_of_a_permuted_block_diagonal_hand_case(p, n, nonzero_route):
     x = block_hand_case(p, n)
     # Scatter the coordinates so that the blocks interleave.
     x = x[derive_rng(5, p).permutation(p)]
-    g, dim = gram(x)
+    # The Gram of X, and the Gram of its nonzeros on the route the rule picks.
     assert on_nonzero_route(gram_rows(x)) == nonzero_route
-    # At p > n only the 6 nonzero rows of X enter the Gram.
-    assert dim == p and g.shape == ((6, 6) if p > n else (p, p))
-    lam = gram_esd(g, dim).eigenvalues
-    r5 = np.sqrt(5.0)
-    solved = np.array([(3.0 - r5) / 2.0, 1.0, 1.0, (3.0 + r5) / 2.0, 4.0]) / n
-    want = np.sort(np.concatenate([np.zeros(p - 6), solved, [9.0 / n]]))
-    assert np.allclose(lam, want, rtol=0, atol=1e-15)
-    # The zero rows and the isolated row are exact.
-    assert np.count_nonzero(lam == 0.0) == p - 6
-    assert lam[-1] == 9.0 / n
+    cols, rows = np.nonzero(x.T)
+    for g, dim in (gram(x), gram_from_nonzeros(rows, cols, x[rows, cols], p, n)):
+        # At p > n only the 6 nonzero rows of X enter the Gram.
+        assert dim == p and g.shape == ((6, 6) if p > n else (p, p))
+        lam = gram_esd(g, dim).eigenvalues
+        r5 = np.sqrt(5.0)
+        solved = np.array([(3.0 - r5) / 2.0, 1.0, 1.0, (3.0 + r5) / 2.0, 4.0]) / n
+        want = np.sort(np.concatenate([np.zeros(p - 6), solved, [9.0 / n]]))
+        assert np.allclose(lam, want, rtol=0, atol=1e-15)
+        # The zero rows and the isolated row are exact.
+        assert np.count_nonzero(lam == 0.0) == p - 6
+        assert lam[-1] == 9.0 / n
 
 
 def test_gram_of_few_nonzero_rows_is_their_gram():
@@ -394,13 +391,14 @@ ROUTE_IDS = ["nonzero-XXt", "dense-XXt", "nonzero-XtX", "dense-rows"]
 ], ids=[*ROUTE_IDS, "nonzero-rows", "dense-XtX"])
 def test_gram_of_given_nonzeros_is_gram_bit_for_bit(x, nonzero_route):
     # Handed X's nonzeros in column-major order, gram_from_nonzeros takes
-    # gram's choice of X, its nonzero rows or X^T, and the rule's route, with
-    # the same bits; only the dense route builds X.
+    # gram's choice of X, its nonzero rows or X^T.  On the nonzero route its
+    # bits are the column-by-column outer product sum of those rows; only the
+    # dense route builds X, and gives gram(x)'s bits.
     assert on_nonzero_route(gram_rows(x)) == nonzero_route
     cols, rows = np.nonzero(x.T)
     g, p = gram_from_nonzeros(rows, cols, x[rows, cols], *x.shape)
-    want, want_p = gram(x)
-    assert p == want_p and g.shape == want.shape and g.tobytes() == want.tobytes()
+    want = column_outer_sum(gram_rows(x), x.shape[1]) if nonzero_route else gram(x)[0]
+    assert p == x.shape[0] and g.shape == want.shape and g.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p, n, seed, rows, nonzero_route", [
@@ -419,8 +417,8 @@ def test_sparse_spike_gram_from_its_drawn_nonzeros_is_gram_bit_for_bit(
     assert ("X" if a is x else "R" if a.shape[1] == n else "X^T") == rows
     assert on_nonzero_route(a) == nonzero_route
     g, dim = IIDSparseSpike().sample_gram(p, n, derive_rng(seed, p, n))
-    want, want_dim = gram(x)
-    assert dim == want_dim and g.shape == want.shape and g.tobytes() == want.tobytes()
+    want = column_outer_sum(a, n) if nonzero_route else gram(x)[0]
+    assert dim == p and g.shape == want.shape and g.tobytes() == want.tobytes()
 
 
 def test_sparse_spike_esd_trial_holds_no_dense_draw():
@@ -438,9 +436,8 @@ def test_sparse_spike_esd_trial_holds_no_dense_draw():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
-@pytest.mark.parametrize("x, nonzero_route", ROUTE_CASES, ids=ROUTE_IDS)
-def test_both_routes_reject_bad_entries_in_sparse_data(x, nonzero_route, bad):
-    assert on_nonzero_route(gram_rows(x)) == nonzero_route
+@pytest.mark.parametrize("x", [x for x, _ in ROUTE_CASES], ids=ROUTE_IDS)
+def test_both_routes_reject_bad_entries_in_sparse_data(x, bad):
     p, n = x.shape
     for i, j in ((0, 0), (2, 6), (p - 1, n - 1)):  # nonzero and zero entries of x
         y = x.copy()
@@ -514,10 +511,7 @@ def test_spectral_moments_match_their_exact_finite_n_values(spec, p, n):
     trials = 800
     m1, m2 = np.empty(trials), np.empty(trials)
     for t in range(trials):
-        x = sample_data_matrix(model, p, n, derive_rng(15, t))
-        g, dim = gram(x)
-        if spec == "sparse-spike":
-            assert on_nonzero_route(x)
+        g, dim = model.sample_gram(p, n, derive_rng(15, t))
         if spec == "block-xi":
             assert not pattern_is_connected(g)
         lam = gram_esd(g, dim).eigenvalues
