@@ -139,9 +139,7 @@ def _build_esd(cfg: ExperimentConfig) -> Trials:
     base = {"model": cfg.model, "p": cfg.p, "n": cfg.n, "rho": cfg.p / cfg.n}
 
     def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-        # X is freed once its Gram is formed, before the eigensolve.
-        g = model.sample_gram(cfg.p, cfg.n, rng)
-        d = ks_distance(gram_esd(*g), law)
+        d = ks_distance(gram_esd(*model.sample_gram(cfg.p, cfg.n, rng)), law)
         return [dict(base, statistic="ks_distance", value=d)]
 
     return Trials([fn] * cfg.trials, _summarize_ks, draws_matrix=True)
@@ -543,8 +541,8 @@ def dump_first_trial(
 ) -> None:
     """Redraw trial 0 and dump its p-by-p sample covariance and/or its spectrum.
 
-    The spectrum is trial 0's own computation, ``model.sample_gram`` on its
-    stream; the matrix is ``sample_covariance`` of the same draw.
+    The spectrum is trial 0's own, ``model.sample_gram`` on its stream; the
+    matrix is ``sample_covariance`` of a dense draw on it (trial 0's X, if any).
     """
     if cfg.experiment != "esd":
         raise InvalidInputError("matrix dumps are available for the esd experiment only")

@@ -249,10 +249,10 @@ def mp_property_trial(
     the fixed first-q-coordinates frame) and returns the Kolmogorov distance
     of the ESD of (C X)(C X)^T / n to the limit law with ratio q/n.  The data
     is compressed before the Gram is formed, so no p-by-p matrix is built:
-    (C X)(C X)^T / n equals C (X X^T / n) C^T up to rounding.  For standard
-    Gaussian data, C x ~ N(0, I_q) for every C with orthonormal rows, so C X
-    is drawn directly as a q-by-n standard Gaussian matrix: no frame, no
-    p-by-n draw.
+    (C X)(C X)^T / n equals C (X X^T / n) C^T up to rounding.  The coordinate
+    frame keeps the first q rows: the model's ``sample_gram`` with q rows.  So
+    does a Haar frame for standard Gaussian data, as C x ~ N(0, I_q) for every
+    C with orthonormal rows: no frame is drawn.
     """
     for d in (p, n, q):
         _check_dim(d)
@@ -260,16 +260,11 @@ def mp_property_trial(
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
     if frame_mode not in ("haar", "fixed-half"):
         raise DomainError(f"unknown frame mode {frame_mode!r}")
-    if model in _STANDARD_GAUSSIAN:
-        compressed = sample_data_matrix(model, q, n, rng)
-    elif frame_mode == "haar":
-        # The frame is orthonormal by construction, so it is not re-validated.
-        compressed = matcore.haar_frame(q, p, rng) @ sample_data_matrix(model, p, n, rng)
+    if frame_mode == "fixed-half" or model in _STANDARD_GAUSSIAN:
+        g = model.sample_gram(p, n, rng, q)
     else:
-        # The coordinate frame keeps the first q rows of X.
-        compressed = sample_data_matrix(model, p, n, rng)[:q]
-    g = spectra.gram(compressed)
-    del compressed  # X is freed before the eigensolve
+        # The frame is orthonormal by construction, so it is not re-validated.
+        g = spectra.gram(matcore.haar_frame(q, p, rng) @ sample_data_matrix(model, p, n, rng))
     return spectra.ks_distance(spectra.gram_esd(*g), MPLaw(q / n))
 
 

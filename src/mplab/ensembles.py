@@ -16,8 +16,9 @@ sample-covariance universality:
   normalized to unit marginal variance.
 
 A model is one class that owns its behaviour: ``sample`` draws a whole data
-matrix, ``sample_gram`` its ``spectra.gram`` (sparse-spike's pair-summed),
-``cov`` is the covariance spec of the exact E[x x^T] (its Gaussian twin is
+matrix, ``sample_gram`` the ``spectra.gram`` of its first q rows (pair-summed
+for sparse-spike, Laguerre in law for standard Gaussian data), ``cov`` is the
+covariance spec of the exact E[x x^T] (its Gaussian twin is
 ``GaussianCov(model.cov)``), ``spec`` its grammar string and ``isotropic``
 whether the covariance is the identity.  Covariance specs own the algebra of
 Sigma the same way: ``matrix``, ``color`` (F g for an exact factor F F^T =
@@ -32,7 +33,7 @@ isolation and parallel dispatch cannot perturb the draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -236,35 +237,30 @@ def _band_square_trace(p: int, gamma0: float, lags: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # vector models
 #
-# ``sample(p, n, rng)`` returns a C-contiguous p-by-n matrix whose columns
-# consume the stream exactly as n one-column draws in a row would; rows of an
-# n-by-p draw become its columns.  Callers go through ``sample_data_matrix``,
-# which validates the dimensions.
+# ``sample(p, n, rng)`` returns a C-contiguous p-by-n matrix of iid columns
+# that, but for sparse-spike's, consume the stream exactly as n one-column
+# draws in a row would; rows of an n-by-p draw become its columns.  Callers go
+# through ``sample_data_matrix``, which validates the dimensions.
 
+
+Gram = tuple[np.ndarray, int]  # a Gram and p, as ``spectra.gram`` returns them
 
 #: Size of one row block of an n-by-p draw, so the draw is never held whole.
-#: Freed blocks stay resident in each worker thread's malloc arena: with
-#: 1 MiB blocks, esd sparse-spike at p=1024, n=2048 on two workers peaked
-#: 1.5 MiB higher.
+#: Freed blocks stay resident in each worker thread's malloc arena.
 _BLOCK_BYTES = 256 << 10
-
-
-def _row_blocks(p: int, n: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) bounds of the row blocks of an n-by-p draw, about 256 KiB each."""
-    step = max(1, _BLOCK_BYTES // (8 * p))
-    return ((start, min(n, start + step)) for start in range(0, n, step))
 
 
 def _columns(p: int, n: int, draw: Callable[[int], np.ndarray]) -> np.ndarray:
     """C-contiguous p-by-n matrix whose columns are the rows of successive draws.
 
-    ``draw(m)`` returns the next m-by-p row block of the stream, and its rows
-    are written into the next m columns; the result equals one n-by-p draw
-    transposed, bit for bit.
+    ``draw(m)`` returns the next m-by-p row block of the stream, about 256 KiB,
+    and its rows are written into the next m columns; the result equals one
+    n-by-p draw transposed, bit for bit.
     """
     out = np.empty((p, n))
-    for start, stop in _row_blocks(p, n):
-        out[:, start:stop] = draw(stop - start).T
+    step = max(1, _BLOCK_BYTES // (8 * p))
+    for start in range(0, n, step):
+        out[:, start:start + step] = draw(min(step, n - start)).T
     return out
 
 
@@ -280,10 +276,10 @@ def _half(p: int) -> int:
 
 
 class _Dense:
-    """Models whose Gram is formed from their dense draw."""
+    """Models whose Gram is formed from the first q rows (all p by default) of their draw."""
 
-    def sample_gram(self, p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-        return spectra.gram(self.sample(p, n, rng))
+    def sample_gram(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Gram:
+        return spectra.gram(self.sample(p, n, rng)[:q])
 
 
 class _Isotropic(_Dense):
@@ -305,6 +301,24 @@ class IIDGaussian(_Isotropic):
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return _columns(p, n, lambda m: rng.standard_normal((m, p)))
 
+    def sample_gram(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Gram:
+        """The Gram of the first q rows in law: B B^T / n for B of ``_laguerre_draw(q, n)``."""
+        c2, s2 = _laguerre_draw(q or p, n, rng)
+        t = np.diag((c2 + np.concatenate(([0.0], s2))) / n)
+        t.flat[1::c2.size + 1] = t.flat[c2.size::c2.size + 1] = np.sqrt(c2[:-1] * s2) / n
+        return t, q or p
+
+
+def _laguerre_draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Squares c2, s2 of the Laguerre bidiagonal B (Dumitriu & Edelman 2002).
+
+    Chi-square with max(p, n), max(p, n) - 1, ... and min(p, n) - 1, ..., 1 degrees of
+    freedom: B B^T / n has the nonzero spectrum of standard Gaussian Z Z^T / n in law.
+    """
+    m, big = min(p, n), max(p, n)
+    c2 = rng.chisquare(np.arange(big, big - m, -1.0))
+    return c2, rng.chisquare(np.arange(m - 1.0, 0.0, -1.0))
+
 
 @dataclass(frozen=True)
 class IIDRademacher(_Isotropic):
@@ -323,18 +337,13 @@ class IIDSparseSpike(_Isotropic):
     name = "sparse-spike"
 
     def nonzeros(self, p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        """Rows, columns and values of the nonzeros of a p-by-n draw, in column-major order."""
-        scale = np.sqrt(float(p))
-        lo, hi = 0.5 / p, 1.0 - 0.5 / p
-        flat, up = [], []
-        # Entry (i, k) reads uniform k * p + i of the stream, one row block at a time.
-        for start, stop in _row_blocks(p, n):
-            u = rng.random((stop - start) * p)
-            k = ((u < lo) | (u >= hi)).nonzero()[0]
-            flat.append(k + start * p)
-            up.append(u[k] < lo)
-        cols, rows = np.divmod(np.concatenate(flat), p)
-        return rows, cols, np.where(np.concatenate(up), scale, -scale)
+        """Rows, columns and values of the nonzeros of a p-by-n draw, in column-major order.
+
+        A Binomial(p n, 1/p) count at a uniform subset of positions, with fair signs: iid.
+        """
+        flat = np.sort(rng.choice(p * n, rng.binomial(p * n, 1 / p), replace=False, shuffle=False))
+        cols, rows = np.divmod(flat, p)
+        return rows, cols, np.sqrt(float(p)) * (rng.integers(0, 2, flat.size) * 2.0 - 1.0)
 
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         rows, cols, vals = self.nonzeros(p, n, rng)
@@ -342,8 +351,10 @@ class IIDSparseSpike(_Isotropic):
         out[rows, cols] = vals
         return out
 
-    def sample_gram(self, p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-        return spectra.gram_from_nonzeros(*self.nonzeros(p, n, rng), p, n)
+    def sample_gram(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Gram:
+        rows, cols, vals = self.nonzeros(p, n, rng)
+        keep = rows < (q or p)
+        return spectra.gram_from_nonzeros(rows[keep], cols[keep], vals[keep], q or p, n)
 
 
 @dataclass(frozen=True)
@@ -380,6 +391,9 @@ class GaussianCov(_Dense):
 
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.cov.color(IIDGaussian().sample(self.cov.width(p), n, rng))
+
+    def sample_gram(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Gram:
+        return (IIDGaussian() if self.isotropic else super()).sample_gram(p, n, rng, q)
 
     def spec(self) -> str:
         return f"gauss-cov:{self.cov.spec()}"
@@ -443,11 +457,7 @@ def _check_dim(p: int) -> None:
 
 
 def sample_data_matrix(model: VectorModel, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """C-contiguous p-by-n matrix whose columns are independent draws, in draw order.
-
-    Columns take the stream in sequence, so the matrix is the column stack of
-    n ``sample_vector`` calls on the same stream.
-    """
+    """C-contiguous p-by-n matrix whose columns are independent draws (see ``sample``)."""
     _check_dim(p)
     _check_dim(n)
     return model.sample(p, n, rng)

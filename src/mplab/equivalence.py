@@ -40,6 +40,7 @@ from .ensembles import (
     derive_rng,
     _check_dim,
     sample_data_matrix,
+    _laguerre_draw,
 )
 from .matcore import DomainError
 
@@ -193,16 +194,14 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, .
     F_k is the exact factor F_k F_k^T = Sigma_k that ``Sigma_k.color``
     applies.  Both sides share the per-column population covariances
     exactly; with all columns Identity that is the homogeneous gap bit for
-    bit.  With ``cfg.twin_shift`` set, Z is not drawn: two chi-square draws
-    follow X, and ``_laguerre_traces`` reads the twin from them at z - beta.
+    bit.  With ``cfg.twin_shift`` set, Z is not drawn: ``_laguerre_draw``
+    follows X, and ``_laguerre_traces`` reads the twin from it at z - beta.
     X's spectrum is solved before Z is drawn; |Delta| <= 2 / im(z) at each z.
     """
     spec_x = _spectrum(cfg, cfg.model, rng)
     if cfg.twin_shift is not None:
-        m, big = min(cfg.p, cfg.n), max(cfg.p, cfg.n)
-        c2 = rng.chisquare(np.arange(big, big - m, -1.0))
-        s2 = rng.chisquare(np.arange(m - 1.0, 0.0, -1.0))
-        twin = _laguerre_traces(c2, s2, cfg.p, cfg.n, [z - cfg.twin_shift for z in cfg.zs])
+        twin = _laguerre_traces(*_laguerre_draw(cfg.p, cfg.n, rng), cfg.p, cfg.n,
+                                [z - cfg.twin_shift for z in cfg.zs])
     else:
         spec_z = _spectrum(cfg, GaussianCov(cfg.model.cov), rng)
         twin = [matcore.resolvent_trace(spec_z, z) for z in cfg.zs]
@@ -212,11 +211,9 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, .
 def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
     """(1/p) tr(Z Z^T / n - z I)^{-1} at each z, in law, for standard Gaussian p-by-n Z.
 
-    With m = min(p, n), N = max(p, n), c2 and s2 hold chi-square draws with N,
-    ..., N - m + 1 and m - 1, ..., 1 degrees of freedom, the squared entries of
-    the m-by-m lower bidiagonal B for which tridiagonal T = B B^T / n has Z Z^T
-    / n's nonzero spectrum in law.  The pivots d_k of T - z I and their
-    z-derivatives give tr(T - z I)^{-1} = -sum_k d_k' / d_k; im d_k <= -im z.
+    c2, s2 = ``_laguerre_draw(p, n)`` square the bidiagonal B of T = B B^T / n.
+    The pivots d_k of T - z I and their z-derivatives give
+    tr(T - z I)^{-1} = -sum_k d_k' / d_k; im d_k <= -im z.
     """
     diag = ((c2 + np.concatenate(([0.0], s2))) / n).tolist()
     off2 = (c2[:-1] * s2 / (n * n)).tolist()

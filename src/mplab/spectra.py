@@ -5,11 +5,11 @@ covariance S = X X^T / n; its sorted eigenvalue list is the empirical
 spectral distribution (ESD), held as a ``matcore.Spectrum``.  This module
 computes sample covariances, the ESD of a data matrix and the Kolmogorov
 sup-distance between an ESD and a limit law.  The ESD comes from the
-smallest Gram of X, formed by BLAS from X, or summed from X's nonzeros when
-they are handed over as drawn, with no X, and few.  It is solved one
-connected block at a time, with the eigenvalues known exactly read off
-rather than solved for.  The empirical Cauchy-Stieltjes transform of an ESD
-is ``matcore.resolvent_trace``.
+smallest Gram of X: formed by BLAS from X, summed from X's nonzeros when they
+are handed over as drawn, with no X, and few, or drawn in law with no X (a
+standard Gaussian model's Laguerre tridiagonal).  It is solved one connected
+block at a time, with the exactly known eigenvalues read off, not solved for.
+The empirical Cauchy-Stieltjes transform of an ESD is ``matcore.resolvent_trace``.
 """
 
 from __future__ import annotations

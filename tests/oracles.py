@@ -99,6 +99,17 @@ def laguerre_trace(c2, s2, p: int, n: int, z: complex) -> complex:
     return matcore.resolvent_trace(Spectrum(np.concatenate([np.zeros(p - m), vals])), z)
 
 
+def laguerre_gram(c2, s2, n: int) -> np.ndarray:
+    """The tridiagonal B B^T / n of the Laguerre bidiagonal B, entry by entry.
+
+    Diagonal (c2_k + s2_{k-1}) / n and off-diagonal sqrt(c2_k s2_k) / n, each
+    rounded once, placed by ``np.diag``: the same bits as the model's Gram.
+    """
+    c2, s2 = np.asarray(c2, dtype=np.float64), np.asarray(s2, dtype=np.float64)
+    off = np.sqrt(c2[:-1] * s2) / n
+    return np.diag((c2 + np.concatenate(([0.0], s2))) / n) + np.diag(off, 1) + np.diag(off, -1)
+
+
 # Tolerances and subdivision limit of the law's adaptive quadratures.
 QUAD_EPS = 1e-13
 QUAD_LIMIT = 400

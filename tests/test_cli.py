@@ -910,6 +910,26 @@ def test_main_dump_matrix_writes_file(tmp_path, capsys):
     assert m.shape == (12, 12)
 
 
+def test_main_dump_esd_of_iid_gauss_is_what_trial_zero_grades(tmp_path, capsys):
+    # A standard Gaussian trial draws its Gram in law, with no X: the dumped
+    # ESD is still the spectrum that trial 0 graded, so its KS distance is
+    # the report's first record, bit for bit.
+    epath, report = tmp_path / "esd.csv", tmp_path / "report.csv"
+    code, _, _ = run_main(
+        ["esd", "--model", "iid-gauss", "--p", "64", "--n", "128", "--trials", "2",
+         "--seed", "4", "--out", str(report), "--dump-esd", str(epath), "--no-thresholds"],
+        capsys,
+    )
+    assert code == 0
+    with open(report) as fh:
+        record = read_records(fh, "csv")[0]
+    with open(epath) as fh:
+        assert fh.readline() == "eigenvalue\n"
+        dumped = Spectrum(np.loadtxt(fh, ndmin=1))
+    assert dumped.p == 64 and record.trial == 0
+    assert ks_distance(dumped, MPLaw(0.5)) == record.value
+
+
 def _strict_json(text: str):
     def reject(name: str):
         raise ValueError("non-finite constant %s" % name)

@@ -49,6 +49,7 @@ from mplab.ensembles import (
     parse_model_spec,
     sample_data_matrix,
 )
+from mplab.ensembles import _laguerre_draw
 from mplab.matcore import (
     DomainError,
     InvalidInputError,
@@ -58,7 +59,7 @@ from mplab.matcore import (
 )
 from mplab.mp_law import MPLaw
 from mplab.spectra import gram, gram_esd, ks_distance, sample_covariance
-from oracles import as_frame, esd, projected_covariance
+from oracles import as_frame, esd, laguerre_gram, projected_covariance
 
 
 def gaussian_tail_second_moment(c: float) -> float:
@@ -302,23 +303,24 @@ GAUSSIAN_SPECS = ("iid-gauss", "gauss-cov:identity")
 
 def test_mp_property_fixed_half_reproducible_by_hand():
     # Standard Gaussian data is compressed in law: the trial's spectrum is
-    # that of a q-by-n draw from the trial stream, bit for bit.
+    # that of the Laguerre tridiagonal of a q-by-n draw, from the trial
+    # stream, solved whole by the dense oracle, bit for bit.
     model, p, n, q = IIDGaussian(), 30, 60, 15
     got = mp_property_trial(model, p, n, q, derive_rng(13), frame_mode="fixed-half")
-    x = sample_data_matrix(model, q, n, derive_rng(13))
-    e = esd(sample_covariance(x), psd=True)
+    e = esd(laguerre_gram(*_laguerre_draw(q, n, derive_rng(13)), n), psd=True)
     assert got == ks_distance(e, MPLaw(q / n))
 
 
 @pytest.mark.parametrize("spec", GAUSSIAN_SPECS)
 @pytest.mark.parametrize("frame_mode", ["haar", "fixed-half"])
 def test_mp_property_standard_gaussian_draws_only_the_compressed_data(spec, frame_mode):
-    # Both frames take the same q-by-n draw and nothing more from the stream.
+    # Both frames take the same Laguerre draw of q-by-n data and nothing more
+    # from the stream.
     model, p, n, q = parse_model_spec(spec), 40, 24, 30
     rng = derive_rng(15)
     got = mp_property_trial(model, p, n, q, rng, frame_mode=frame_mode)
     by_hand = derive_rng(15)
-    e = gram_esd(*gram(sample_data_matrix(IIDGaussian(), q, n, by_hand)))
+    e = gram_esd(laguerre_gram(*_laguerre_draw(q, n, by_hand), n), q)
     assert got == ks_distance(e, MPLaw(q / n))
     assert rng.random() == by_hand.random()
 
@@ -331,7 +333,8 @@ def test_mp_property_standard_gaussian_draws_only_the_compressed_data(spec, fram
 def test_mp_property_fixed_half_matches_coordinate_frame(spec):
     # The trial slices the first q rows of X; multiplying by the coordinate
     # frame selects the same rows and gives the same bits.  A standard
-    # Gaussian model draws those q rows alone.  The oracle's spectrum takes
+    # Gaussian model draws the Gram of those q rows in law, as the Laguerre
+    # tridiagonal of a q-by-n draw.  The oracle's spectrum takes
     # the trial's path, which reads the eigenvalues of zero rows off exactly,
     # so only the slicing is under test.
     model = parse_model_spec(spec)
@@ -339,11 +342,11 @@ def test_mp_property_fixed_half_matches_coordinate_frame(spec):
         for seed in (13, 14):
             got = mp_property_trial(model, p, n, q, derive_rng(seed), frame_mode="fixed-half")
             if spec in GAUSSIAN_SPECS:
-                compressed = sample_data_matrix(model, q, n, derive_rng(seed))
+                g = laguerre_gram(*_laguerre_draw(q, n, derive_rng(seed)), n), q
             else:
                 x = sample_data_matrix(model, p, n, derive_rng(seed))
-                compressed = as_frame(np.eye(q, p)) @ x
-            e = gram_esd(*gram(compressed))
+                g = gram(as_frame(np.eye(q, p)) @ x)
+            e = gram_esd(*g)
             assert got == ks_distance(e, MPLaw(q / n)), (p, n, q, seed)
 
 
@@ -364,16 +367,17 @@ def test_mp_property_matches_projected_covariance_oracle(frame_mode):
 
 @pytest.mark.parametrize("p, n, q", [(48, 96, 24), (96, 48, 32)])
 def test_mp_property_gaussian_in_law_draw_has_the_frame_paths_law(p, n, q):
-    # C X for a Haar frame C and Gaussian X against the trial's direct q-by-n
-    # draw: two-sample KS distance of the per-trial KS distance and of the
-    # largest eigenvalue, 2000 trials a side, below the 1% critical value.
+    # C X for a Haar frame C and Gaussian X against the trial's Laguerre draw
+    # of q-by-n data: two-sample KS distance of the per-trial KS distance and
+    # of the largest eigenvalue, 2000 trials a side, below the 1% critical
+    # value.
     draws = 2000
     crit = 1.63 * np.sqrt(2.0 / draws)
     law = MPLaw(q / n)
     direct, frame = [], []
     for k in range(draws):
         d = mp_property_trial(IIDGaussian(), p, n, q, derive_rng(61, p, k))
-        e = gram_esd(*gram(sample_data_matrix(IIDGaussian(), q, n, derive_rng(61, p, k))))
+        e = gram_esd(laguerre_gram(*_laguerre_draw(q, n, derive_rng(61, p, k)), n), q)
         assert ks_distance(e, law) == d
         direct.append((d, e.eigenvalues[-1]))
         rng = derive_rng(62, p, k)

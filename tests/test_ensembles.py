@@ -101,8 +101,7 @@ def test_sparse_spike_entries_and_rate():
 def test_sparse_spike_nonzeros_are_the_nonzeros_of_its_sample(p, n):
     # ``nonzeros`` is the one sampler: its rows, columns and values are those
     # of np.nonzero of ``sample`` in column-major order, bit for bit, and both
-    # leave the stream at the same place.  The two 300-column shapes span
-    # several row blocks, the last one ragged; (300, 40) has p > n.
+    # leave the stream at the same place.  (300, 40) has p > n.
     model = IIDSparseSpike()
     rng_nz, rng_x = derive_rng(23, p, n), derive_rng(23, p, n)
     rows, cols, vals = model.nonzeros(p, n, rng_nz)
@@ -114,6 +113,27 @@ def test_sparse_spike_nonzeros_are_the_nonzeros_of_its_sample(p, n):
     assert rng_nz.random() == rng_x.random()
     if p == 1:
         assert rows.size == n  # every entry of a one-row draw is a spike
+
+
+def test_sparse_spike_nonzero_count_is_binomial():
+    # Flat positions k p + i come distinct and strictly ascending, and the
+    # count K of a (64, 128) draw has the mean and variance of Binomial(p n,
+    # 1/p) within 4 standard errors over 4000 draws.  The standard error of
+    # the sample variance is sqrt((mu4 - var^2 (D - 3) / (D - 1)) / D), with
+    # the binomial's fourth central moment mu4 = var (1 + 3 (N - 2) pi (1 - pi))
+    # for N = p n trials of probability pi = 1/p.
+    model, p, n, draws = IIDSparseSpike(), 64, 128, 4000
+    counts = np.empty(draws)
+    for t in range(draws):
+        rows, cols, _ = model.nonzeros(p, n, derive_rng(29, t))
+        assert np.all(np.diff(cols * p + rows) > 0)
+        counts[t] = rows.size
+    big_n, pi = p * n, 1.0 / p
+    var = big_n * pi * (1.0 - pi)
+    mu4 = var * (1.0 + 3.0 * (big_n - 2) * pi * (1.0 - pi))
+    var_se = np.sqrt((mu4 - var * var * (draws - 3) / (draws - 1)) / draws)
+    assert abs(counts.mean() - big_n * pi) <= 4.0 * np.sqrt(var / draws)
+    assert abs(counts.var(ddof=1) - var) <= 4.0 * var_se
 
 
 def test_block_xi_structure():
@@ -384,6 +404,19 @@ def test_data_matrix_first_column_matches_single_draw():
         assert np.array_equal(a[:, 0], b), model.spec()
 
 
+def sparse_spike_reference(p, n, rng):
+    """A p-by-n sparse-spike draw by its recipe, in the stream order the model promises.
+
+    The count K ~ Binomial(p n, 1/p), then K distinct flat positions k p + i
+    (column-major), sorted, then K fair signs.
+    """
+    k = rng.binomial(p * n, 1.0 / p)
+    flat = np.sort(rng.choice(p * n, k, replace=False, shuffle=False))
+    x = np.zeros(p * n)
+    x[flat] = np.sqrt(float(p)) * (rng.integers(0, 2, k) * 2.0 - 1.0)
+    return x.reshape(n, p).T
+
+
 def reference_column(model, p, rng):
     """One column drawn entry by entry in the stream order the models promise."""
     if isinstance(model, IIDGaussian):
@@ -391,8 +424,7 @@ def reference_column(model, p, rng):
     if isinstance(model, IIDRademacher):
         return rng.integers(0, 2, size=p).astype(np.float64) * 2.0 - 1.0
     if isinstance(model, IIDSparseSpike):
-        u = rng.random(p)
-        return np.sqrt(float(p)) * ((u < 0.5 / p).astype(np.float64) - (u >= 1.0 - 0.5 / p))
+        return sparse_spike_reference(p, 1, rng)[:, 0]
     if isinstance(model, BlockXi):
         x, q = np.zeros(p), p // 2
         low = bool(rng.integers(0, 2))
@@ -423,7 +455,8 @@ def reference_column(model, p, rng):
 def test_data_matrix_shape_and_column_order(model):
     # A batch draw is the column stack of one-column draws on one stream, and
     # of the per-column reference, bit for bit: every factor acts on each
-    # column separately.
+    # column separately.  sparse-spike draws all p n entries at once: its
+    # columns are iid, and the one-column draws of the stream when n = 1.
     # block-xi needs even p; two spikes need p >= 2.
     if isinstance(model, BlockXi):
         dims = (2, 62, 64, 66)
@@ -433,8 +466,8 @@ def test_data_matrix_shape_and_column_order(model):
         dims = (1, 63, 64, 65)
     cases = [(p, n) for p in dims for n in (1, 2, 7)]
     if isinstance(model, (IIDGaussian, IIDRademacher, IIDSparseSpike, WeakDependent)):
-        # These fill the matrix from row blocks of an n-by-p draw: span at
-        # least three blocks, the last one ragged.
+        # These but sparse-spike fill the matrix from row blocks of an n-by-p
+        # draw: span at least three blocks, the last one ragged.
         step = _BLOCK_BYTES // (8 * 1024)
         assert 300 >= 3 * step and 300 % step
         cases += [(1024, 300), (1000, 300)]
@@ -443,10 +476,15 @@ def test_data_matrix_shape_and_column_order(model):
         rng = derive_rng(10, p, n)
         cols = np.column_stack([sample_vector(model, p, rng) for _ in range(n)])
         rng = derive_rng(10, p, n)
-        ref = np.column_stack([reference_column(model, p, rng) for _ in range(n)])
+        if isinstance(model, IIDSparseSpike):
+            ref = sparse_spike_reference(p, n, rng)
+            others = (cols, ref) if n == 1 else (ref,)
+        else:
+            ref = np.column_stack([reference_column(model, p, rng) for _ in range(n)])
+            others = (cols, ref)
         assert x.shape == (p, n) and x.dtype == np.float64
         assert x.flags.c_contiguous
-        for other in (cols, ref):
+        for other in others:
             assert np.array_equal(x, other), (p, n)
 
 

@@ -24,6 +24,7 @@ from mplab.ensembles import (
     WeakDependent,
     derive_rng,
 )
+from mplab.ensembles import _laguerre_draw
 from mplab.equivalence import (
     ConstantColumns,
     RandomPSDUnitNorm,
@@ -36,7 +37,7 @@ from mplab.equivalence import (
 )
 from mplab.equivalence import _column_groups, _laguerre_traces, _scale_each_column
 from mplab.matcore import DomainError, resolvent_trace, spectral_norm
-from oracles import dense_traces, laguerre_trace, swap_gaps_dense
+from oracles import dense_traces, laguerre_gram, laguerre_trace, swap_gaps_dense
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +242,6 @@ GAP_PATH_TOL = 1e-13
 LAGUERRE_TOL, LAGUERRE_TOL_NEAR_AXIS = 1e-13, 1e-9
 
 
-def laguerre_draws(p, n, rng):
-    """The chi-square draws that follow X when the twin is drawn in law."""
-    m, big = min(p, n), max(p, n)
-    c2 = rng.chisquare(np.arange(big, big - m, -1.0))
-    return c2, rng.chisquare(np.arange(m - 1.0, 0.0, -1.0))
-
-
 def twin_sides(model, p, n, zs, rng):
     """X's dense-recipe traces and the twin's recurrence traces, on one stream.
 
@@ -255,7 +249,7 @@ def twin_sides(model, p, n, zs, rng):
     chi-square draws.
     """
     x_traces = dense_traces(model.sample(p, n, rng), zs)
-    c2, s2 = laguerre_draws(p, n, rng)
+    c2, s2 = _laguerre_draw(p, n, rng)
     twin = _laguerre_traces(c2, s2, p, n, zs)
     for z, t in zip(zs, twin):
         assert abs(t - laguerre_trace(c2, s2, p, n, z)) <= LAGUERRE_TOL * abs(t)
@@ -316,15 +310,40 @@ def test_twin_is_drawn_in_law_exactly_when_it_is_standard_gaussian():
         assert cfg.twin_shift is None
 
 
-@pytest.mark.parametrize("p, n", [(1, 1), (1, 5), (5, 1), (48, 96), (96, 48), (300, 300)])
-def test_laguerre_recurrence_matches_the_tridiagonal_eigensolve(p, n):
-    c2, s2 = laguerre_draws(p, n, derive_rng(41, p, n))
+def laguerre_points(p, n):
+    """(zs, tol) at three heights: z inside the support, at its edges and outside it."""
     lo, hi = (1.0 - np.sqrt(p / n)) ** 2, (1.0 + np.sqrt(p / n)) ** 2
     for im, tol in ((1.0, LAGUERRE_TOL), (0.05, LAGUERRE_TOL), (1e-3, LAGUERRE_TOL_NEAR_AXIS)):
-        # inside the support, at its edges and outside it
-        zs = [complex(re, im) for re in ((lo + hi) / 2, lo, hi, -1.0, hi + 2.0)]
+        yield [complex(re, im) for re in ((lo + hi) / 2, lo, hi, -1.0, hi + 2.0)], tol
+
+
+@pytest.mark.parametrize("p, n", [(1, 1), (1, 5), (5, 1), (48, 96), (96, 48), (300, 300)])
+def test_laguerre_recurrence_matches_the_tridiagonal_eigensolve(p, n):
+    c2, s2 = _laguerre_draw(p, n, derive_rng(41, p, n))
+    for zs, tol in laguerre_points(p, n):
         for z, got in zip(zs, _laguerre_traces(c2, s2, p, n, zs)):
             want = laguerre_trace(c2, s2, p, n, z)
+            assert abs(got - want) <= tol * abs(want), (z, got, want)
+
+
+@pytest.mark.parametrize("model", [IIDGaussian(), GaussianCov(Identity())], ids=lambda m: m.spec())
+@pytest.mark.parametrize("p, n", [(1, 1), (1, 5), (5, 1), (48, 96), (96, 48)])
+def test_laguerre_gram_is_the_twins_tridiagonal(model, p, n):
+    # A standard Gaussian model's Gram is the exactly symmetric m-by-m
+    # tridiagonal of the chi-square draws the twin reads, m = min(p, n);
+    # gram_esd pads it with exactly p - m zeros, and its resolvent trace is
+    # the twin's pivot recurrence on the same draws.
+    m = min(p, n)
+    t, dim = model.sample_gram(p, n, derive_rng(43, p, n))
+    c2, s2 = _laguerre_draw(p, n, derive_rng(43, p, n))
+    assert dim == p and t.shape == (m, m)
+    assert np.array_equal(t.view(np.uint64), t.T.view(np.uint64))
+    assert t.tobytes() == laguerre_gram(c2, s2, n).tobytes()
+    e = spectra.gram_esd(t, p)
+    assert np.count_nonzero(e.eigenvalues == 0.0) == p - m
+    for zs, tol in laguerre_points(p, n):
+        for z, got in zip(zs, _laguerre_traces(c2, s2, p, n, zs)):
+            want = resolvent_trace(e, z)
             assert abs(got - want) <= tol * abs(want), (z, got, want)
 
 
@@ -334,7 +353,7 @@ def test_laguerre_twin_has_the_dense_twins_law(p, n):
     draws = 2000
     crit = 1.63 * np.sqrt(2.0 / draws)
     zs = (1j, -1.0 + 0.5j)
-    twin = np.array([_laguerre_traces(*laguerre_draws(p, n, derive_rng(51, p, k)), p, n, zs)
+    twin = np.array([_laguerre_traces(*_laguerre_draw(p, n, derive_rng(51, p, k)), p, n, zs)
                      for k in range(draws)])
     dense = []
     for k in range(draws):

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from mplab.cli.config import ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
     GaussianCov,
     IIDGaussian,
+    Identity,
     IIDSparseSpike,
     WeakDependent,
     derive_rng,
@@ -150,6 +152,9 @@ def test_esd_of_sample_covariance_is_nonnegative():
 MODELS = ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
           "gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,0", "weak-ma:1,0.5"]
 
+#: The models whose ``sample_gram`` is drawn in law, as a Laguerre tridiagonal.
+IN_LAW = (IIDGaussian(), GaussianCov(Identity()))
+
 
 @pytest.mark.parametrize("spec", MODELS)
 @pytest.mark.parametrize("p, n", [(24, 40), (32, 32), (40, 24), (4, 10), (10, 4), (4, 1)])
@@ -169,9 +174,14 @@ def check_gram_esd_against_full_eigensolve(model, p, n):
         s = sample_covariance(x)
         want = esd(s, psd=True).eigenvalues
         g, dim = gram(x)
-        # The model's own Gram, drawn on the same stream, is gram(x) bit for bit.
         drawn, drawn_dim = model.sample_gram(p, n, derive_rng(seed, p, n))
-        assert drawn_dim == dim and drawn.tobytes() == g.tobytes()
+        if model in IN_LAW:
+            # The model's own Gram is the min(p, n)-square Laguerre tridiagonal,
+            # of gram(x)'s law (test_standard_gaussian_sample_gram_has_the_dense_law).
+            assert drawn_dim == dim and drawn.shape == (min(p, n),) * 2
+        else:
+            # The model's own Gram, drawn on the same stream, is gram(x) bit for bit.
+            assert drawn_dim == dim and drawn.tobytes() == g.tobytes()
         got = gram_esd(g, dim).eigenvalues
         assert dim == p and got.size == p
         assert np.all(np.diff(got) >= 0) and np.all(got >= 0)
@@ -188,6 +198,28 @@ def check_gram_esd_against_full_eigensolve(model, p, n):
             k = min(n, p - zero_rows)
             assert g.shape == (k, k)
             assert np.array_equal(g.view(np.uint64), g.T.view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", ["iid-gauss", "gauss-cov:identity"])
+@pytest.mark.parametrize("p, n", [(24, 48), (48, 24)])
+def test_standard_gaussian_sample_gram_has_the_dense_law(spec, p, n):
+    # The Laguerre tridiagonal against gram of a dense draw: two-sample KS
+    # distance of the per-trial KS distance and of the largest eigenvalue,
+    # 2000 trials a side, below the 1% critical value.
+    model, draws = parse_model_spec(spec), 2000
+    crit = 1.63 * np.sqrt(2.0 / draws)
+    law = MPLaw(p / n)
+    sides = []
+    for in_law, seed in ((True, 71), (False, 72)):
+        side = []
+        for k in range(draws):
+            rng = derive_rng(seed, p, k)
+            e = gram_esd(*(model.sample_gram(p, n, rng) if in_law
+                           else gram(model.sample(p, n, rng))))
+            side.append((ks_distance(e, law), e.eigenvalues[-1]))
+        sides.append(np.array(side))
+    for j in range(2):
+        assert ks_2samp(sides[0][:, j], sides[1][:, j]).statistic < crit
 
 
 def bfs_blocks(s) -> list[list[int]]:
@@ -408,7 +440,7 @@ def test_gram_of_given_nonzeros_is_gram_bit_for_bit(x, nonzero_route):
     (40, 24, 0, "R", False),
     (300, 40, 5, "X^T", True),    # at least n nonzero rows
     (6, 3, 0, "X^T", False),
-    (2, 1, 0, "R", True),         # no spike at all: a 0-by-0 Gram
+    (2, 1, 3, "R", True),         # no spike at all: a 0-by-0 Gram
 ])
 def test_sparse_spike_gram_from_its_drawn_nonzeros_is_gram_bit_for_bit(
         p, n, seed, rows, nonzero_route):
