@@ -250,7 +250,7 @@ def mp_property_trial(
     of the ESD of (C X)(C X)^T / n to the limit law with ratio q/n.  The data
     is compressed before the Gram is formed, so no p-by-p matrix is built:
     (C X)(C X)^T / n equals C (X X^T / n) C^T up to rounding.  The coordinate
-    frame keeps the first q rows: the model's ``sample_gram`` with q rows.  So
+    frame keeps the first q rows: the model's ``sample_esd`` with q rows.  So
     does a Haar frame for standard Gaussian data, as C x ~ N(0, I_q) for every
     C with orthonormal rows: no frame is drawn.
     """
@@ -261,11 +261,12 @@ def mp_property_trial(
     if frame_mode not in ("haar", "fixed-half"):
         raise DomainError(f"unknown frame mode {frame_mode!r}")
     if frame_mode == "fixed-half" or model in _STANDARD_GAUSSIAN:
-        g = model.sample_gram(p, n, rng, q)
+        e = model.sample_esd(p, n, rng, q)
     else:
         # The frame is orthonormal by construction, so it is not re-validated.
-        g = spectra.gram(matcore.haar_frame(q, p, rng) @ sample_data_matrix(model, p, n, rng))
-    return spectra.ks_distance(spectra.gram_esd(*g), MPLaw(q / n))
+        e = spectra.gram_esd(*spectra.gram(
+            matcore.haar_frame(q, p, rng) @ sample_data_matrix(model, p, n, rng)))
+    return spectra.ks_distance(e, MPLaw(q / n))
 
 
 # ---------------------------------------------------------------------------

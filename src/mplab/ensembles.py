@@ -16,8 +16,8 @@ sample-covariance universality:
   normalized to unit marginal variance.
 
 A model is one class that owns its behaviour: ``sample`` draws a whole data
-matrix, ``sample_gram`` the ``spectra.gram`` of its first q rows (pair-summed
-for sparse-spike, Laguerre in law for standard Gaussian data), ``cov`` is the
+matrix, ``sample_esd`` the ESD of its first q rows (from the drawn nonzeros for
+sparse-spike, in law for standard Gaussian data), ``cov`` is the
 covariance spec of the exact E[x x^T] (its Gaussian twin is
 ``GaussianCov(model.cov)``), ``spec`` its grammar string and ``isotropic``
 whether the covariance is the identity.  Covariance specs own the algebra of
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectra
-from .matcore import DomainError
+from .matcore import DomainError, Spectrum
 
 
 class ParseError(ValueError):
@@ -243,8 +243,6 @@ def _band_square_trace(p: int, gamma0: float, lags: np.ndarray) -> float:
 # through ``sample_data_matrix``, which validates the dimensions.
 
 
-Gram = tuple[np.ndarray, int]  # a Gram and p, as ``spectra.gram`` returns them
-
 #: Size of one row block of an n-by-p draw, so the draw is never held whole.
 #: Freed blocks stay resident in each worker thread's malloc arena.
 _BLOCK_BYTES = 256 << 10
@@ -275,11 +273,19 @@ def _half(p: int) -> int:
     return p // 2
 
 
-class _Dense:
-    """Models whose Gram is formed from the first q rows (all p by default) of their draw."""
+def _esd_rows(p: int, q: int | None) -> int:
+    """q, or p when None: the first rows whose ESD ``sample_esd`` draws, checked 1 <= q <= p."""
+    if q is not None and not (isinstance(q, (int, np.integer)) and q is not True and 1 <= q <= p):
+        raise DomainError(f"need an integer 1 <= q <= p, got q={q!r}, p={p}")
+    return p if q is None else q
 
-    def sample_gram(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Gram:
-        return spectra.gram(self.sample(p, n, rng)[:q])
+
+class _Dense:
+    """Models whose ESD is that of the Gram of the first q rows of their draw."""
+
+    def sample_esd(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Spectrum:
+        q = _esd_rows(p, q)
+        return spectra.gram_esd(*spectra.gram(self.sample(p, n, rng)[:q]))
 
 
 class _Isotropic(_Dense):
@@ -301,12 +307,14 @@ class IIDGaussian(_Isotropic):
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return _columns(p, n, lambda m: rng.standard_normal((m, p)))
 
-    def sample_gram(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Gram:
-        """The Gram of the first q rows in law: B B^T / n for B of ``_laguerre_draw(q, n)``."""
-        c2, s2 = _laguerre_draw(q or p, n, rng)
+    def sample_esd(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Spectrum:
+        """The ESD of the first q rows in law: of B B^T / n, B from ``_laguerre_draw(q, n)``."""
+        q = _esd_rows(p, q)
+        c2, s2 = _laguerre_draw(q, n, rng)
         t = np.diag((c2 + np.concatenate(([0.0], s2))) / n)
-        t.flat[1::c2.size + 1] = t.flat[c2.size::c2.size + 1] = np.sqrt(c2[:-1] * s2) / n
-        return t, q or p
+        t.flat[1::c2.size + 1] = t.flat[c2.size::c2.size + 1] = off = np.sqrt(c2[:-1] * s2) / n
+        # T is connected when its off-diagonal is nonzero: one block, with no search.
+        return spectra.block_esd([t], q) if off.all() else spectra.gram_esd(t, q)
 
 
 def _laguerre_draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -351,10 +359,11 @@ class IIDSparseSpike(_Isotropic):
         out[rows, cols] = vals
         return out
 
-    def sample_gram(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Gram:
+    def sample_esd(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Spectrum:
+        q = _esd_rows(p, q)
         rows, cols, vals = self.nonzeros(p, n, rng)
-        keep = rows < (q or p)
-        return spectra.gram_from_nonzeros(rows[keep], cols[keep], vals[keep], q or p, n)
+        keep = rows < q
+        return spectra.esd_from_nonzeros(rows[keep], cols[keep], vals[keep], q, n)
 
 
 @dataclass(frozen=True)
@@ -392,8 +401,8 @@ class GaussianCov(_Dense):
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.cov.color(IIDGaussian().sample(self.cov.width(p), n, rng))
 
-    def sample_gram(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Gram:
-        return (IIDGaussian() if self.isotropic else super()).sample_gram(p, n, rng, q)
+    def sample_esd(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Spectrum:
+        return (IIDGaussian() if self.isotropic else super()).sample_esd(p, n, rng, q)
 
     def spec(self) -> str:
         return f"gauss-cov:{self.cov.spec()}"

@@ -232,11 +232,11 @@ def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
 def _spectrum(cfg: SwapConfig, model: VectorModel, rng: np.random.Generator) -> matcore.Spectrum:
     """Spectrum of (X + C)(X + C)^T / n + B for a draw X of ``model``, colored by cfg's columns.
 
-    Without offsets it is the ESD from ``spectra.gram_esd``, of the model's own
-    ``sample_gram`` when no column is colored; an offset needs the p-by-p matrix.
+    Without offsets it is the model's own ``sample_esd`` when no column is
+    colored, else ``spectra.gram_esd``; an offset needs the p-by-p matrix.
     """
     if cfg.b is None and cfg.c is None and not cfg.column_groups:
-        return spectra.gram_esd(*model.sample_gram(cfg.p, cfg.n, rng))
+        return model.sample_esd(cfg.p, cfg.n, rng)
     x = sample_data_matrix(model, cfg.p, cfg.n, rng)
     _scale_each_column(cfg.column_groups, x)
     if cfg.b is None and cfg.c is None:

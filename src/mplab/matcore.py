@@ -80,21 +80,10 @@ def require_upper_half(z: complex) -> complex:
 
 
 def eigh(m, want_vectors: bool = True) -> Spectrum:
-    """Full eigendecomposition of a real symmetric matrix.
+    """Ascending eigenvalues of a real symmetric matrix, and orthonormal eigenvectors if wanted.
 
-    Parameters
-    ----------
-    m : array_like
-        Square real matrix.  Only the lower triangle is read, as LAPACK
-        does, so callers need not symmetrize first.
-    want_vectors : bool
-        When False only eigenvalues are computed (cheaper).
-
-    Returns
-    -------
-    Spectrum
-        Ascending eigenvalues, and orthonormal eigenvectors as columns when
-        requested.  Identical input bits give identical output bits.
+    The eigenvectors are columns.  Only the lower triangle is read, as LAPACK does, so
+    callers need not symmetrize first.  Identical input bits give identical output bits.
     """
     return _eigh(as_square(m), want_vectors)
 

@@ -1,15 +1,12 @@
 """Empirical spectral distributions and their comparison with the limit law.
 
-A data matrix X (p rows, n columns) is summarized by the normalized sample
-covariance S = X X^T / n; its sorted eigenvalue list is the empirical
-spectral distribution (ESD), held as a ``matcore.Spectrum``.  This module
-computes sample covariances, the ESD of a data matrix and the Kolmogorov
-sup-distance between an ESD and a limit law.  The ESD comes from the
-smallest Gram of X: formed by BLAS from X, summed from X's nonzeros when they
-are handed over as drawn, with no X, and few, or drawn in law with no X (a
-standard Gaussian model's Laguerre tridiagonal).  It is solved one connected
-block at a time, with the exactly known eigenvalues read off, not solved for.
-The empirical Cauchy-Stieltjes transform of an ESD is ``matcore.resolvent_trace``.
+The empirical spectral distribution (ESD) of a p-by-n data matrix X is the
+sorted eigenvalue list of its sample covariance S = X X^T / n, held as a
+``matcore.Spectrum``.  It is solved one connected block of a Gram at a time,
+with the exactly known eigenvalues read off: from the smallest Gram of X
+(``gram_esd``), or from X's few nonzeros, summed with no X and no Gram
+(``esd_from_nonzeros``).  The module also gives the Kolmogorov distance of an
+ESD to a limit law; its Cauchy-Stieltjes transform is ``matcore.resolvent_trace``.
 """
 
 from __future__ import annotations
@@ -47,37 +44,6 @@ def _row_gram(a: np.ndarray, n: int) -> np.ndarray:
 
 
 PAIR_RATIO = 2048
-PAIR_CHUNK = 1 << 18
-
-
-def _pair_gram(rows, cols, vals, r: int, m: int) -> np.ndarray | None:
-    """a a^T for the r-by-m a with nonzeros vals at (rows, cols), or None when the rule picks BLAS.
-
-    With k_c nonzeros in column c, the Gram is summed from the same-column
-    pairs of nonzeros when PAIR_RATIO * sum_c k_c**2 <= r * r * m, the
-    multiply-adds of the dense product, PAIR_CHUNK products at a time.  The
-    rule sits just on the dense side of the measured crossover: with one
-    OpenBLAS thread, the two routes cost the same at r * r * m / sum_c k_c**2
-    of about 1500 for r = 1024, m = 2048 and for r = 256, m = 512, and of
-    about 2500 for r = 128, m = 256.  With the nonzeros in ascending column
-    order, entry (i, j) sums a[i, c] * a[j, c] over the columns c in that
-    order, as entry (j, i) does: the result is exactly symmetric.
-    """
-    per_col = np.bincount(cols, minlength=m)
-    if PAIR_RATIO * int(per_col @ per_col) > r * r * m:
-        return None
-    # Entry e pairs with the k[e] entries of its column, which start at first[e].
-    k = per_col[cols]
-    first = np.cumsum(per_col)[cols] - k
-    s = np.zeros(r * r)
-    step = max(1, PAIR_CHUNK // int(k.max(initial=1)))
-    for lo in range(0, rows.size, step):
-        e = slice(lo, lo + step)
-        ke = k[e]
-        partner = np.arange(ke.sum()) - np.repeat(np.cumsum(ke) - ke - first[e], ke)
-        np.add.at(s, np.repeat(rows[e] * r, ke) + rows[partner],
-                  np.repeat(vals[e], ke) * vals[partner])
-    return s.reshape(r, r)
 
 
 def sample_covariance(x) -> np.ndarray:
@@ -105,13 +71,18 @@ def gram(x) -> tuple[np.ndarray, int]:
     return _row_gram(a.T, n), p
 
 
-def gram_from_nonzeros(rows, cols, vals, p: int, n: int) -> tuple[np.ndarray, int]:
-    """``gram``'s Gram of the p-by-n X with finite nonzeros vals at (rows, cols).
+def esd_from_nonzeros(rows, cols, vals, p: int, n: int) -> Spectrum:
+    """ESD of X X^T / n for the p-by-n X with finite nonzeros vals at (rows, cols).
 
-    Given in column-major order, they go to ``_pair_gram`` as those of X, of its
-    nonzero rows or of X^T, as ``gram`` picks.  When its rule picks BLAS, X is
-    built and the result is ``gram(x)`` bit for bit; otherwise it is the same
-    Gram summed from the same-column pairs, in column order, with no X.
+    Given in column-major order, they are those of X, of its nonzero rows or
+    of X^T, as ``gram`` picks: r-by-m.  With k_c of them in column c, X is
+    built for ``gram_esd(*gram(x))`` when PAIR_RATIO * sum_c k_c**2 > r * r * m,
+    the multiply-adds of the dense product (with one OpenBLAS thread the routes
+    cost the same at a ratio of about 1500 for r, m = 1024, 2048 or 256, 512,
+    and 2500 for 128, 256).  Else each distinct Gram entry is summed once from
+    the same-column pairs in column order, with no X and no r-by-r Gram, and
+    each block of its nonzero off-diagonal sums is densified alone: the result
+    is ``gram_esd``'s of the Gram summed column by column, bit for bit.
     """
     r, m, i, j, v = p, n, rows, cols, vals
     if p > n:
@@ -121,61 +92,91 @@ def gram_from_nonzeros(rows, cols, vals, p: int, n: int) -> tuple[np.ndarray, in
         else:  # X^T, whose nonzeros go grouped by X's rows
             by_row = np.argsort(rows, kind="stable")
             r, m, i, j, v = n, p, cols[by_row], rows[by_row], vals[by_row]
-    s = _pair_gram(i, j, v, r, m)
-    if s is None:
+    per_col = np.bincount(j, minlength=m)
+    if PAIR_RATIO * int(per_col @ per_col) > r * r * m:
         x = np.zeros((p, n))
         x[rows, cols] = vals
-        return gram(x)
+        return gram_esd(*gram(x))
+    # Entry e pairs with the k[e] entries of its column, which start at first[e].
+    k = per_col[j]
+    first = np.cumsum(per_col)[j] - k
+    partner = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k - first, k)
+    keys, at = np.unique(np.repeat(i * r, k) + i[partner], return_inverse=True)
+    s = np.zeros(keys.size)
+    np.add.at(s, at, np.repeat(v, k) * v[partner])
     s /= n
-    return s, p
+    if not np.all(np.isfinite(s)):
+        raise InvalidInputError("data matrix has non-finite entries")
+    i, j = np.divmod(keys, r)
+    keep = (i == j) | (s != 0)  # an off-diagonal sum that cancels to 0.0 is no edge
+    i, j, s = i[keep], j[keep], s[keep]
+    isolated, blocks = _components(r, i[i != j], j[i != j])
+    row = np.searchsorted(i, np.arange(r + 1))  # row x's entries are row[x]:row[x + 1]
+
+    def densified():
+        for b in blocks:
+            count = row[b + 1] - row[b]
+            e = np.arange(count.sum()) + np.repeat(row[b] - np.cumsum(count) + count, count)
+            g = np.zeros((b.size, b.size))
+            g[np.repeat(np.arange(b.size), count), np.searchsorted(b, j[e])] = s[e]
+            yield g
+
+    diagonal = np.zeros(r)
+    diagonal[i[i == j]] = s[i == j]
+    return block_esd(densified(), p, diagonal[isolated])
 
 
 def gram_esd(g, p: int) -> Spectrum:
-    """ESD of a p-by-p sample covariance from its exactly symmetric Gram ``g``.
+    """ESD of a p-by-p sample covariance from its exactly symmetric k-by-k Gram ``g``.
 
-    ``g`` is as ``gram`` returns it, k-by-k.  Its eigenvalues are those of
-    the connected blocks of its off-diagonal nonzero pattern, so each block
-    is solved alone.  A coordinate with no off-diagonal nonzero is a block of
-    its own whose diagonal entry is read off; this covers the zero rows of X.
-    The p - k eigenvalues that g lacks are exact zeros.  Roundoff negatives
-    are clamped by ``matcore.clamp_psd_eigenvalues``.  When the pattern is
-    connected and g is p-by-p, the result is bit for bit the clamped
-    eigenvalues of g.
+    ``g`` is as ``gram`` returns it.  The connected blocks of its off-diagonal
+    nonzero pattern go to ``block_esd``, which reads X's zero rows off.
     """
     a = matcore.as_square(g)
     k = a.shape[0]
     if k > p:
         raise DomainError(f"a {k}-by-{k} Gram has no sample covariance of dimension {p}")
     isolated, blocks = _blocks(a)
-    # g was validated above, so the blocks go to the eigensolver unchecked.
-    # np.ix_ makes no |b|-by-k slab of rows (4.5 MiB in a sparse-spike trial at
-    # 1024x2048, whose copies took 2.6 ms against 1.4 ms with a[b].take(b, 1)).
-    vals = [matcore._eigh(a if b.size == k else a[np.ix_(b, b)], want_vectors=False)
-            .eigenvalues for b in blocks]
-    if len(blocks) == 1 and blocks[0].size == p:
+    # g was validated above; np.ix_ copies each block with no |b|-by-k slab of rows.
+    return block_esd((a if b.size == k else a[np.ix_(b, b)] for b in blocks), p,
+                     np.diagonal(a)[isolated])
+
+
+def block_esd(blocks, p: int, read_off=()) -> Spectrum:
+    """ESD of a p-by-p sample covariance from its Gram's connected blocks, each solved alone.
+
+    ``blocks`` are exactly symmetric finite matrices and ``read_off`` the diagonal
+    entries of the isolated coordinates; the p - k eigenvalues that these k
+    coordinates lack are exact zeros.  Roundoff negatives are clamped by
+    ``matcore.clamp_psd_eigenvalues``, and one p-by-p block gives its own bits.
+    """
+    vals = [matcore._eigh(g, want_vectors=False).eigenvalues for g in blocks]
+    if len(vals) == 1 and vals[0].size == p:
         lam = vals[0]
     else:
-        lam = np.sort(np.concatenate([np.diagonal(a)[isolated], *vals, np.zeros(p - k)]))
+        k = len(read_off) + sum(v.size for v in vals)
+        lam = np.sort(np.concatenate([read_off, *vals, np.zeros(p - k)]))
     return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(lam))
 
 
 def _blocks(a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The isolated coordinates and the larger connected blocks of ``a``.
-
-    The blocks are those of the off-diagonal nonzero pattern of a symmetric
-    k-by-k matrix: the coordinates with no off-diagonal nonzero, ascending,
-    and the ascending coordinates of each block of more than one coordinate.
-    """
+    """``_components`` of the off-diagonal nonzero pattern of a symmetric k-by-k matrix."""
     k = a.shape[0]
     edge = a != 0
     np.fill_diagonal(edge, False)
-    degree = np.count_nonzero(edge, axis=1)
-    if k > 1 and 2 * int(degree.min()) >= k - 1:
+    if k > 1 and 2 * int(np.count_nonzero(edge, axis=1).min()) >= k - 1:
         # Two coordinates that are not neighbours have more than the k - 2
         # others as neighbours between them, so they share one: connected.
         return np.arange(0), [np.arange(k)]
-    j = np.flatnonzero(edge) % k
-    del edge
+    return _components(k, *np.nonzero(edge))
+
+
+def _components(k: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The isolated coordinates and larger blocks, ascending, of range(k) joined by edges (i, j).
+
+    Each edge is listed both ways, by ascending i.
+    """
+    degree = np.bincount(i, minlength=k)
     rest = np.flatnonzero(degree)
     starts = np.cumsum(degree[rest]) - degree[rest]
     # Each coordinate's label is the least coordinate known to share its

@@ -192,6 +192,19 @@ def test_sample_vector_rejects_bad_dimension():
         sample_vector(IIDGaussian(), 0, derive_rng(0))
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=spec_id)
+def test_sample_esd_checks_its_row_count_alike(model):
+    # Every model takes 1 <= q <= p rows, q = p being the whole draw, and
+    # rejects any other q with the same error before it draws.
+    p, n = 4, 6
+    whole = model.sample_esd(p, n, derive_rng(2, p, n)).eigenvalues
+    assert whole.tobytes() == model.sample_esd(p, n, derive_rng(2, p, n), p).eigenvalues.tobytes()
+    assert model.sample_esd(p, n, derive_rng(2, p, n), 2).p == 2
+    for q in (0, 5, -1, True, 2.0, np.int64(0)):
+        with pytest.raises(DomainError, match="1 <= q <= p"):
+            model.sample_esd(p, n, derive_rng(2, p, n), q)
+
+
 # ---------------------------------------------------------------------------
 # moments: isotropy and dependence
 

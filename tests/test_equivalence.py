@@ -329,17 +329,16 @@ def test_laguerre_recurrence_matches_the_tridiagonal_eigensolve(p, n):
 @pytest.mark.parametrize("model", [IIDGaussian(), GaussianCov(Identity())], ids=lambda m: m.spec())
 @pytest.mark.parametrize("p, n", [(1, 1), (1, 5), (5, 1), (48, 96), (96, 48)])
 def test_laguerre_gram_is_the_twins_tridiagonal(model, p, n):
-    # A standard Gaussian model's Gram is the exactly symmetric m-by-m
-    # tridiagonal of the chi-square draws the twin reads, m = min(p, n);
-    # gram_esd pads it with exactly p - m zeros, and its resolvent trace is
-    # the twin's pivot recurrence on the same draws.
+    # A standard Gaussian model's ESD is gram_esd's of the exactly symmetric
+    # m-by-m tridiagonal of the chi-square draws the twin reads, m = min(p, n):
+    # it holds exactly p - m padded zeros, and its resolvent trace is the
+    # twin's pivot recurrence on the same draws.
     m = min(p, n)
-    t, dim = model.sample_gram(p, n, derive_rng(43, p, n))
     c2, s2 = _laguerre_draw(p, n, derive_rng(43, p, n))
-    assert dim == p and t.shape == (m, m)
-    assert np.array_equal(t.view(np.uint64), t.T.view(np.uint64))
-    assert t.tobytes() == laguerre_gram(c2, s2, n).tobytes()
-    e = spectra.gram_esd(t, p)
+    t = laguerre_gram(c2, s2, n)
+    assert t.shape == (m, m) and np.array_equal(t.view(np.uint64), t.T.view(np.uint64))
+    e = model.sample_esd(p, n, derive_rng(43, p, n))
+    assert e.eigenvalues.tobytes() == spectra.gram_esd(t, p).eigenvalues.tobytes()
     assert np.count_nonzero(e.eigenvalues == 0.0) == p - m
     for zs, tol in laguerre_points(p, n):
         for z, got in zip(zs, _laguerre_traces(c2, s2, p, n, zs)):

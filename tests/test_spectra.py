@@ -19,6 +19,7 @@ from mplab.ensembles import (
     Identity,
     IIDSparseSpike,
     WeakDependent,
+    _laguerre_draw,
     derive_rng,
     parse_model_spec,
     sample_data_matrix,
@@ -33,16 +34,17 @@ from mplab.matcore import (
 )
 from mplab.mp_law import MPLaw
 from mplab.cli.records import write_esd_csv
+from mplab import spectra
 from mplab.spectra import (
     PAIR_RATIO,
     _blocks,
+    esd_from_nonzeros,
     gram,
     gram_esd,
-    gram_from_nonzeros,
     ks_distance,
     sample_covariance,
 )
-from oracles import column_outer_sum, esd, projected_covariance
+from oracles import column_outer_sum, esd, laguerre_gram, projected_covariance
 
 
 def law_quantiles(law: MPLaw, p: int) -> np.ndarray:
@@ -101,7 +103,7 @@ def test_sample_covariance_rejects_bad_input():
 
 
 def on_nonzero_route(x) -> bool:
-    """Whether ``gram_from_nonzeros`` sums X X^T from X's nonzeros: its stated rule."""
+    """Whether ``esd_from_nonzeros`` sums X X^T from X's nonzeros: its stated rule."""
     k = np.count_nonzero(x, axis=0)
     return PAIR_RATIO * int(k @ k) <= x.shape[0] ** 2 * x.shape[1]
 
@@ -152,7 +154,7 @@ def test_esd_of_sample_covariance_is_nonnegative():
 MODELS = ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
           "gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,0", "weak-ma:1,0.5"]
 
-#: The models whose ``sample_gram`` is drawn in law, as a Laguerre tridiagonal.
+#: The models whose ``sample_esd`` is drawn in law, of a Laguerre tridiagonal.
 IN_LAW = (IIDGaussian(), GaussianCov(Identity()))
 
 
@@ -174,15 +176,19 @@ def check_gram_esd_against_full_eigensolve(model, p, n):
         s = sample_covariance(x)
         want = esd(s, psd=True).eigenvalues
         g, dim = gram(x)
-        drawn, drawn_dim = model.sample_gram(p, n, derive_rng(seed, p, n))
-        if model in IN_LAW:
-            # The model's own Gram is the min(p, n)-square Laguerre tridiagonal,
-            # of gram(x)'s law (test_standard_gaussian_sample_gram_has_the_dense_law).
-            assert drawn_dim == dim and drawn.shape == (min(p, n),) * 2
-        else:
-            # The model's own Gram, drawn on the same stream, is gram(x) bit for bit.
-            assert drawn_dim == dim and drawn.tobytes() == g.tobytes()
         got = gram_esd(g, dim).eigenvalues
+        drawn = model.sample_esd(p, n, derive_rng(seed, p, n)).eigenvalues
+        if model in IN_LAW:
+            # The model's own ESD is that of the min(p, n)-square Laguerre
+            # tridiagonal, of gram(x)'s law
+            # (test_standard_gaussian_sample_gram_has_the_dense_law).
+            c2, s2 = _laguerre_draw(p, n, derive_rng(seed, p, n))
+            t = laguerre_gram(c2, s2, n)
+            assert t.shape == (min(p, n),) * 2
+            assert drawn.tobytes() == gram_esd(t, p).eigenvalues.tobytes()
+        else:
+            # The model's own ESD, drawn on the same stream, is gram(x)'s bit for bit.
+            assert drawn.tobytes() == got.tobytes()
         assert dim == p and got.size == p
         assert np.all(np.diff(got) >= 0) and np.all(got >= 0)
         assert np.max(np.abs(got - want)) <= 1e-12 * want[-1], (model, p, n, seed)
@@ -214,8 +220,7 @@ def test_standard_gaussian_sample_gram_has_the_dense_law(spec, p, n):
         side = []
         for k in range(draws):
             rng = derive_rng(seed, p, k)
-            e = gram_esd(*(model.sample_gram(p, n, rng) if in_law
-                           else gram(model.sample(p, n, rng))))
+            e = model.sample_esd(p, n, rng) if in_law else gram_esd(*gram(model.sample(p, n, rng)))
             side.append((ks_distance(e, law), e.eigenvalues[-1]))
         sides.append(np.array(side))
     for j in range(2):
@@ -349,10 +354,11 @@ def test_gram_esd_of_a_permuted_block_diagonal_hand_case(p, n, nonzero_route):
     # The Gram of X, and the Gram of its nonzeros on the route the rule picks.
     assert on_nonzero_route(gram_rows(x)) == nonzero_route
     cols, rows = np.nonzero(x.T)
-    for g, dim in (gram(x), gram_from_nonzeros(rows, cols, x[rows, cols], p, n)):
-        # At p > n only the 6 nonzero rows of X enter the Gram.
-        assert dim == p and g.shape == ((6, 6) if p > n else (p, p))
-        lam = gram_esd(g, dim).eigenvalues
+    g, dim = gram(x)
+    # At p > n only the 6 nonzero rows of X enter the Gram.
+    assert dim == p and g.shape == ((6, 6) if p > n else (p, p))
+    for lam in (gram_esd(g, dim).eigenvalues,
+                esd_from_nonzeros(rows, cols, x[rows, cols], p, n).eigenvalues):
         r5 = np.sqrt(5.0)
         solved = np.array([(3.0 - r5) / 2.0, 1.0, 1.0, (3.0 + r5) / 2.0, 4.0]) / n
         want = np.sort(np.concatenate([np.zeros(p - 6), solved, [9.0 / n]]))
@@ -407,6 +413,12 @@ def one_per_row(p: int, n: int) -> np.ndarray:
     return x
 
 
+def spiky_real(p: int, n: int) -> np.ndarray:
+    """sparse-spike's pattern with Gaussian values, whose sums of many terms round."""
+    rng = derive_rng(31, p, n)
+    return IIDSparseSpike().sample(p, n, rng) * rng.standard_normal((p, n))
+
+
 ROUTE_CASES = [
     (block_hand_case(64, 128), True),   # X X^T from X's nonzeros
     (block_hand_case(7, 9), False),     # X X^T dense
@@ -420,17 +432,26 @@ ROUTE_IDS = ["nonzero-XXt", "dense-XXt", "nonzero-XtX", "dense-rows"]
     *ROUTE_CASES,
     (np.vstack([one_per_row(256, 512), np.zeros((344, 512))]), True),  # nonzero rows' Gram
     (one_per_row(12, 4), False),        # X^T X dense
-], ids=[*ROUTE_IDS, "nonzero-rows", "dense-XtX"])
+    (spiky_real(128, 2048), True),      # X X^T, about 16 terms to a diagonal entry
+    (spiky_real(2048, 128), True),      # X^T X, the same
+], ids=[*ROUTE_IDS, "nonzero-rows", "dense-XtX", "nonzero-XXt-rounding", "nonzero-XtX-rounding"])
 def test_gram_of_given_nonzeros_is_gram_bit_for_bit(x, nonzero_route):
-    # Handed X's nonzeros in column-major order, gram_from_nonzeros takes
+    # Handed X's nonzeros in column-major order, esd_from_nonzeros takes
     # gram's choice of X, its nonzero rows or X^T.  On the nonzero route its
-    # bits are the column-by-column outer product sum of those rows; only the
-    # dense route builds X, and gives gram(x)'s bits.
+    # bits are gram_esd's of the column-by-column outer product sum of those
+    # rows; only the dense route builds X, and gives gram_esd(*gram(x))'s bits.
     assert on_nonzero_route(gram_rows(x)) == nonzero_route
-    cols, rows = np.nonzero(x.T)
-    g, p = gram_from_nonzeros(rows, cols, x[rows, cols], *x.shape)
-    want = column_outer_sum(gram_rows(x), x.shape[1]) if nonzero_route else gram(x)[0]
-    assert p == x.shape[0] and g.shape == want.shape and g.tobytes() == want.tobytes()
+    check_esd_from_nonzeros(x, nonzero_route)
+
+
+def check_esd_from_nonzeros(x, nonzero_route, e=None):
+    """``esd_from_nonzeros`` of X's nonzeros, or e, is the oracle's ESD bit for bit."""
+    p, n = x.shape
+    if e is None:
+        cols, rows = np.nonzero(x.T)
+        e = esd_from_nonzeros(rows, cols, x[rows, cols], p, n)
+    want = gram_esd(column_outer_sum(gram_rows(x), n), p) if nonzero_route else gram_esd(*gram(x))
+    assert e.eigenvalues.tobytes() == want.eigenvalues.tobytes()
 
 
 @pytest.mark.parametrize("p, n, seed, rows, nonzero_route", [
@@ -448,14 +469,68 @@ def test_sparse_spike_gram_from_its_drawn_nonzeros_is_gram_bit_for_bit(
     a = gram_rows(x)
     assert ("X" if a is x else "R" if a.shape[1] == n else "X^T") == rows
     assert on_nonzero_route(a) == nonzero_route
-    g, dim = IIDSparseSpike().sample_gram(p, n, derive_rng(seed, p, n))
-    want = column_outer_sum(a, n) if nonzero_route else gram(x)[0]
-    assert dim == p and g.shape == want.shape and g.tobytes() == want.tobytes()
+    e = IIDSparseSpike().sample_esd(p, n, derive_rng(seed, p, n))
+    check_esd_from_nonzeros(x, nonzero_route, e)
+
+
+@pytest.mark.parametrize("p, n, q, nonzero_route", [
+    (512, 1024, 256, True), (1024, 256, 512, True), (1024, 512, 300, True),
+    (16, 16, 8, False), (64, 32, 40, False),
+])
+def test_sparse_spike_esd_of_first_rows_is_theirs_bit_for_bit(p, n, q, nonzero_route):
+    # The ESD of the first q rows of a draw: the oracle's on those rows.
+    for seed in range(3):
+        x = sample_data_matrix(IIDSparseSpike(), p, n, derive_rng(seed, p, n))[:q]
+        assert on_nonzero_route(gram_rows(x)) == nonzero_route
+        e = IIDSparseSpike().sample_esd(p, n, derive_rng(seed, p, n), q)
+        assert e.p == q
+        check_esd_from_nonzeros(x, nonzero_route, e)
+
+
+def solved_blocks(monkeypatch, esd_of) -> tuple[list[np.ndarray], Spectrum]:
+    """The matrices that ``esd_of()`` hands the eigensolver, and its result."""
+    seen, eigh = [], spectra.matcore._eigh
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra.matcore, "_eigh",
+                      lambda a, **kw: seen.append(a.copy()) or eigh(a, **kw))
+        return seen, esd_of()
+
+
+def test_an_off_diagonal_sum_that_cancels_splits_the_blocks(monkeypatch):
+    # Rows 0 and 1 share columns 0 and 1, whose products 1 and -1 cancel to
+    # exactly 0.0: they are two isolated coordinates, read off, not a block.
+    # Rows 2 and 3 share column 2 only and are solved together.
+    p, n = 64, 128
+    x = np.zeros((p, n))
+    x[[0, 0, 1], [0, 1, 0]] = 1.0
+    x[1, 1] = -1.0
+    x[[2, 3, 2], [2, 2, 3]] = [1.0, 2.0, 3.0]
+    assert on_nonzero_route(x) and column_outer_sum(x)[0, 1] == 0.0
+    cols, rows = np.nonzero(x.T)
+    got, e = solved_blocks(monkeypatch, lambda: esd_from_nonzeros(rows, cols, x[rows, cols], p, n))
+    want, oracle = solved_blocks(monkeypatch, lambda: gram_esd(column_outer_sum(x), p))
+    assert [b.shape for b in got] == [b.shape for b in want] == [(2, 2)]
+    assert got[0].tobytes() == want[0].tobytes()
+    assert e.eigenvalues.tobytes() == oracle.eigenvalues.tobytes()
+    assert np.count_nonzero(e.eigenvalues == 2.0 / n) == 2
+
+
+@pytest.mark.parametrize("spec", ["iid-gauss", "gauss-cov:identity"])
+@pytest.mark.parametrize("p, n, q", [(48, 96, None), (96, 48, None), (64, 64, 32), (5, 1, None)])
+def test_standard_gaussian_esd_solves_its_tridiagonal_whole(monkeypatch, spec, p, n, q):
+    # T is connected, so no label search runs, and the ESD is gram_esd's of T.
+    model, m = parse_model_spec(spec), min(q or p, n)
+    monkeypatch.setattr(spectra, "_components", None)
+    seen, e = solved_blocks(monkeypatch, lambda: model.sample_esd(p, n, derive_rng(9, p, n), q))
+    monkeypatch.undo()
+    t = laguerre_gram(*_laguerre_draw(q or p, n, derive_rng(9, p, n)), n)
+    assert [b.tobytes() for b in seen] == [t.tobytes()] and t.shape == (m, m)
+    assert e.eigenvalues.tobytes() == gram_esd(t, q or p).eigenvalues.tobytes()
 
 
 def test_sparse_spike_esd_trial_holds_no_dense_draw():
-    # The trial draws the nonzeros and forms the Gram from them: its traced
-    # peak stays below one p-by-n float64 matrix.
+    # The trial draws the nonzeros and solves their blocks: its traced peak
+    # stays below one p-by-n float64 matrix.
     p, n = 512, 2048
     cfg = ExperimentConfig(experiment="esd", model="sparse-spike", p=p, n=n, trials=1, seed=19)
     tracemalloc.start()
@@ -465,6 +540,21 @@ def test_sparse_spike_esd_trial_holds_no_dense_draw():
     finally:
         tracemalloc.stop()
     assert peak < 8 * p * n
+
+
+def test_sparse_spike_esd_forms_no_p_by_p_gram():
+    # At 1024x2048 the rule sums the Gram's entries from the nonzeros, and the
+    # traced peak of one ESD stays below one p-by-p float64 matrix.
+    p, n = 1024, 2048
+    for seed in range(3):
+        rng = derive_rng(seed, p, n)
+        tracemalloc.start()
+        try:
+            e = IIDSparseSpike().sample_esd(p, n, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.p == p and peak < 8 * p * p, (seed, peak)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
@@ -543,10 +633,9 @@ def test_spectral_moments_match_their_exact_finite_n_values(spec, p, n):
     trials = 800
     m1, m2 = np.empty(trials), np.empty(trials)
     for t in range(trials):
-        g, dim = model.sample_gram(p, n, derive_rng(15, t))
-        if spec == "block-xi":
-            assert not pattern_is_connected(g)
-        lam = gram_esd(g, dim).eigenvalues
+        if spec == "block-xi" and t == 0:  # the blocks are solved alone
+            assert not pattern_is_connected(gram(model.sample(p, n, derive_rng(15, t)))[0])
+        lam = model.sample_esd(p, n, derive_rng(15, t)).eigenvalues
         m1[t], m2[t] = lam.sum() / p, lam @ lam / p
     tr1 = np.sum(model.cov.diagonal(p)) / p
     tr2 = model.cov.square_trace(p) / p
