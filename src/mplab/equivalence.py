@@ -196,14 +196,15 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, .
     exactly; with all columns Identity that is the homogeneous gap bit for
     bit.  With ``cfg.twin_shift`` set, Z is not drawn: ``_laguerre_draw``
     follows X, and ``_laguerre_traces`` reads the twin from it at z - beta.
-    X's spectrum is solved before Z is drawn; |Delta| <= 2 / im(z) at each z.
+    X's matrix is formed, and X freed, before Z is drawn; a formed Z is solved
+    with X in one call.  |Delta| <= 2 / im(z) at each z.
     """
-    spec_x = _spectrum(cfg, cfg.model, rng)
     if cfg.twin_shift is not None:
+        (spec_x,) = _spectra(cfg, rng, cfg.model)
         twin = _laguerre_traces(*_laguerre_draw(cfg.p, cfg.n, rng), cfg.p, cfg.n,
                                 [z - cfg.twin_shift for z in cfg.zs])
     else:
-        spec_z = _spectrum(cfg, GaussianCov(cfg.model.cov), rng)
+        spec_x, spec_z = _spectra(cfg, rng, cfg.model, GaussianCov(cfg.model.cov))
         twin = [matcore.resolvent_trace(spec_z, z) for z in cfg.zs]
     return tuple(matcore.resolvent_trace(spec_x, z) - t for z, t in zip(cfg.zs, twin))
 
@@ -229,22 +230,29 @@ def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
     return traces
 
 
-def _spectrum(cfg: SwapConfig, model: VectorModel, rng: np.random.Generator) -> matcore.Spectrum:
-    """Spectrum of (X + C)(X + C)^T / n + B for a draw X of ``model``, colored by cfg's columns.
+def _spectra(cfg: SwapConfig, rng: np.random.Generator, *models: VectorModel) -> list[matcore.Spectrum]:
+    """Spectra of (X + C)(X + C)^T / n + B, colored by cfg's columns, for a draw X of each model.
 
-    Without offsets it is the model's own ``sample_esd`` when no column is
-    colored, else ``spectra.gram_esd``; an offset needs the p-by-p matrix.
+    With no offset or colored column, each is the model's own ``sample_esd``.
+    Else each X is formed into ``spectra.gram_esd``'s blocks, or with an offset
+    its p-by-p matrix, and freed before the next draw; one call solves them all.
     """
     if cfg.b is None and cfg.c is None and not cfg.column_groups:
-        return model.sample_esd(cfg.p, cfg.n, rng)
+        return [model.sample_esd(cfg.p, cfg.n, rng) for model in models]
+    formed = [_formed(cfg, model, rng) for model in models]
+    if cfg.b is None and cfg.c is None:
+        return spectra.block_esds(formed)
+    return [matcore.Spectrum(eigenvalues=v) for v in matcore._eigvalsh(formed)]
+
+
+def _formed(cfg: SwapConfig, model: VectorModel, rng: np.random.Generator):
+    """``_spectra``'s problem for one draw X of ``model``, which is not kept."""
     x = sample_data_matrix(model, cfg.p, cfg.n, rng)
     _scale_each_column(cfg.column_groups, x)
     if cfg.b is None and cfg.c is None:
-        return spectra.gram_esd(*spectra.gram(x))
+        return spectra.gram_blocks(*spectra.gram(x))
     s = spectra.sample_covariance(x if cfg.c is None else x + cfg.c)
-    if cfg.b is not None:
-        s += cfg.b
-    return matcore.eigh(s, want_vectors=False)
+    return matcore.as_square(s if cfg.b is None else s + cfg.b)
 
 
 def _column_groups(covs: tuple[CovSpec, ...]) -> tuple[tuple[CovSpec, np.ndarray], ...]:

@@ -85,19 +85,32 @@ def eigh(m, want_vectors: bool = True) -> Spectrum:
     The eigenvectors are columns.  Only the lower triangle is read, as LAPACK does, so
     callers need not symmetrize first.  Identical input bits give identical output bits.
     """
-    return _eigh(as_square(m), want_vectors)
-
-
-def _eigh(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
-    """``eigh`` of a float64 matrix already validated by ``as_square``."""
+    a = as_square(m)
+    if not want_vectors:
+        return Spectrum(eigenvalues=_eigvalsh([a])[0])
     try:
-        if want_vectors:
-            vals, vecs = np.linalg.eigh(a)
-        else:
-            vals, vecs = np.linalg.eigvalsh(a), None
+        vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+
+
+def _eigvalsh(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Ascending eigenvalues of each matrix validated by ``as_square``, in input order.
+
+    One stacked ``np.linalg.eigvalsh`` call per order solves each matrix alone,
+    with its own bits.  numpy releases the GIL only when count times order exceeds
+    500, so two p = 256 problems overlap other threads' work; one alone holds it.
+    """
+    vals = {}
+    try:
+        for order in {a.shape[0] for a in mats}:
+            ks = [k for k, a in enumerate(mats) if a.shape[0] == order]
+            stack = np.stack([mats[k] for k in ks]) if len(ks) > 1 else mats[ks[0]][None]
+            vals.update(zip(ks, np.linalg.eigvalsh(stack)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolve did not converge: {exc}") from exc
+    return [vals[k] for k in range(len(mats))]
 
 
 def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The empirical spectral distribution (ESD) of a p-by-n data matrix X is the
 sorted eigenvalue list of its sample covariance S = X X^T / n, held as a
-``matcore.Spectrum``.  It is solved one connected block of a Gram at a time,
+``matcore.Spectrum``.  Each connected block of a Gram is solved alone,
 with the exactly known eigenvalues read off: from the smallest Gram of X
 (``gram_esd``), or from X's few nonzeros, summed with no X and no Gram
 (``esd_from_nonzeros``).  The module also gives the Kolmogorov distance of an
@@ -113,50 +113,56 @@ def esd_from_nonzeros(rows, cols, vals, p: int, n: int) -> Spectrum:
     isolated, blocks = _components(r, i[i != j], j[i != j])
     row = np.searchsorted(i, np.arange(r + 1))  # row x's entries are row[x]:row[x + 1]
 
-    def densified():
-        for b in blocks:
-            count = row[b + 1] - row[b]
-            e = np.arange(count.sum()) + np.repeat(row[b] - np.cumsum(count) + count, count)
-            g = np.zeros((b.size, b.size))
-            g[np.repeat(np.arange(b.size), count), np.searchsorted(b, j[e])] = s[e]
-            yield g
+    def densified(b):
+        count = row[b + 1] - row[b]
+        e = np.arange(count.sum()) + np.repeat(row[b] - np.cumsum(count) + count, count)
+        g = np.zeros((b.size, b.size))
+        g[np.repeat(np.arange(b.size), count), np.searchsorted(b, j[e])] = s[e]
+        return g
 
     diagonal = np.zeros(r)
     diagonal[i[i == j]] = s[i == j]
-    return block_esd(densified(), p, diagonal[isolated])
+    return block_esd([densified(b) for b in blocks], p, diagonal[isolated])
 
 
 def gram_esd(g, p: int) -> Spectrum:
-    """ESD of a p-by-p sample covariance from its exactly symmetric k-by-k Gram ``g``.
+    """ESD of a p-by-p sample covariance from its exactly symmetric k-by-k Gram ``g`` (``gram``'s)."""
+    return block_esd(*gram_blocks(g, p))
 
-    ``g`` is as ``gram`` returns it.  The connected blocks of its off-diagonal
-    nonzero pattern go to ``block_esd``, which reads X's zero rows off.
-    """
+
+def gram_blocks(g, p: int) -> tuple[list[np.ndarray], int, np.ndarray]:
+    """``gram_esd(g, p)``'s problem for ``block_esds``: g's connected blocks, p, its isolated diagonal."""
     a = matcore.as_square(g)
     k = a.shape[0]
     if k > p:
         raise DomainError(f"a {k}-by-{k} Gram has no sample covariance of dimension {p}")
     isolated, blocks = _blocks(a)
     # g was validated above; np.ix_ copies each block with no |b|-by-k slab of rows.
-    return block_esd((a if b.size == k else a[np.ix_(b, b)] for b in blocks), p,
-                     np.diagonal(a)[isolated])
+    return [a if b.size == k else a[np.ix_(b, b)] for b in blocks], p, np.diagonal(a)[isolated]
 
 
-def block_esd(blocks, p: int, read_off=()) -> Spectrum:
-    """ESD of a p-by-p sample covariance from its Gram's connected blocks, each solved alone.
+def block_esd(blocks: list[np.ndarray], p: int, read_off=()) -> Spectrum:
+    """``block_esds`` of the one problem (blocks, p, read_off)."""
+    return block_esds([(blocks, p, read_off)])[0]
 
-    ``blocks`` are exactly symmetric finite matrices and ``read_off`` the diagonal
-    entries of the isolated coordinates; the p - k eigenvalues that these k
-    coordinates lack are exact zeros.  Roundoff negatives are clamped by
-    ``matcore.clamp_psd_eigenvalues``, and one p-by-p block gives its own bits.
+
+def block_esds(problems: list[tuple]) -> list[Spectrum]:
+    """ESDs of p-by-p sample covariances, each from its Gram's connected blocks, in order.
+
+    A problem (blocks, p, read_off) holds exactly symmetric finite blocks and the
+    diagonal entries of the isolated coordinates; the p - k eigenvalues that these
+    k coordinates lack are exact zeros.  Every block goes to one
+    ``matcore._eigvalsh`` call, which stacks the blocks of one order: sorted, the
+    bits are those of one call per block.  Roundoff negatives are clamped by
+    ``matcore.clamp_psd_eigenvalues``.
     """
-    vals = [matcore._eigh(g, want_vectors=False).eigenvalues for g in blocks]
-    if len(vals) == 1 and vals[0].size == p:
-        lam = vals[0]
-    else:
-        k = len(read_off) + sum(v.size for v in vals)
-        lam = np.sort(np.concatenate([read_off, *vals, np.zeros(p - k)]))
-    return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(lam))
+    vals = iter(matcore._eigvalsh([g for blocks, _, _ in problems for g in blocks]))
+    out = []
+    for blocks, p, read_off in problems:
+        parts = [read_off, *(next(vals) for _ in blocks)]
+        lam = np.sort(np.concatenate([*parts, np.zeros(p - sum(map(len, parts)))]))
+        out.append(Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(lam)))
+    return out
 
 
 def _blocks(a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

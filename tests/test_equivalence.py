@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from mplab import spectra
+from mplab import matcore, spectra
 from mplab.cli.config import EXPERIMENTS, ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
@@ -442,3 +442,61 @@ def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
     want = resolvent_trace(spectra.gram_esd(*spectra.gram(x)), z) - resolvent_trace(
         spectra.gram_esd(*spectra.gram(zmat)), z)
     assert resolvent_gap(cfg, derive_rng(22))[0] == want
+
+
+# ---------------------------------------------------------------------------
+# one eigensolve call per trial
+
+
+HETERO = (Identity(), Toeplitz(0.5))
+
+
+def dense_twin_configs(p=24, n=48, zs=(1j, -1.0 + 0.5j)):
+    """The benchmark's two dense-twin swaps, small: eq-hetero and eq-multiz-psd."""
+    return [SwapConfig(IIDGaussian(), p, n, zs, hetero=HETERO * (n // 2)),
+            SwapConfig(IIDRademacher(), p, n, zs, b_spec=RandomPSDUnitNorm(2))]
+
+
+def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of every argument ``np.linalg.eigvalsh`` is given from here on."""
+    shapes, solve = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+    return shapes
+
+
+@pytest.mark.parametrize("cfg", dense_twin_configs(), ids=["hetero", "psd"])
+def test_a_dense_twin_trial_solves_both_sides_in_one_stacked_call(monkeypatch, cfg):
+    shapes = eigvalsh_shapes(monkeypatch)
+    resolvent_gap(cfg, derive_rng(6))
+    assert shapes == [(2, cfg.p, cfg.p)]
+
+
+@pytest.mark.parametrize("b_spec", [None, ScaledIdentity(0.5)])
+def test_a_laguerre_twin_trial_stacks_nothing(monkeypatch, b_spec):
+    cfg = SwapConfig(IIDRademacher(), 24, 48, (1j,), b_spec=b_spec)
+    assert cfg.twin_shift is not None
+    shapes = eigvalsh_shapes(monkeypatch)
+    resolvent_gap(cfg, derive_rng(6))
+    # One call on X's matrix alone, whether or not it comes as a stack of one.
+    assert [(int(np.prod(s[:-2])), s[-2:]) for s in shapes] == [(1, (24, 24))]
+
+
+@pytest.mark.parametrize("cfg", dense_twin_configs(), ids=["hetero", "psd"])
+def test_a_dense_twin_gap_is_the_by_hand_recipe_bitwise(cfg):
+    # Draw X, color it, take its matrix, then draw Z from the same stream;
+    # solve each alone.
+    def solved(model, rng):
+        x = model.sample(cfg.p, cfg.n, rng)
+        for k, spec in enumerate(cfg.hetero or ()):
+            x[:, k : k + 1] = spec.color(x[:, k : k + 1])
+        if cfg.b is None:
+            return matcore.clamp_psd_eigenvalues(np.linalg.eigvalsh(spectra.sample_covariance(x)))
+        return np.linalg.eigvalsh(spectra.sample_covariance(x) + cfg.b)
+
+    for t in range(3):
+        rng = derive_rng(40, t)
+        x_vals = solved(cfg.model, rng)
+        z_vals = solved(GaussianCov(cfg.model.cov), rng)
+        want = tuple(resolvent_trace(matcore.Spectrum(x_vals), z)
+                     - resolvent_trace(matcore.Spectrum(z_vals), z) for z in cfg.zs)
+        assert resolvent_gap(cfg, derive_rng(40, t)) == want

@@ -263,3 +263,48 @@ def test_resolvent_norm_bound_property(p, seed, v, u):
     m = _random_psd(np.random.default_rng(seed), p)
     val = resolvent_trace(eigh(m, want_vectors=False), complex(u, v))
     assert abs(val) <= 1.0 / v + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one values-only LAPACK entry point
+
+
+def _random_symmetric(rng, k):
+    g = rng.standard_normal((k, k))
+    return g + g.T
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 256, 500, 501, 512])
+def test_stacked_eigvalsh_is_each_matrix_alone_bit_for_bit(order):
+    rng = _rng(order)
+    mats = [_random_symmetric(rng, order) for _ in range(2)]
+    for group in (mats, mats[:1]):  # one stacked call, and a lone matrix
+        got = matcore._eigvalsh(group)
+        assert [v.tobytes() for v in got] == [np.linalg.eigvalsh(a).tobytes() for a in group]
+
+
+def test_stacked_eigvalsh_keeps_input_order_across_orders():
+    rng = _rng(12)
+    mats = [_random_symmetric(rng, k) for k in (7, 3, 256, 7, 1, 3, 7, 256)]
+    got = matcore._eigvalsh(mats)
+    assert [v.tobytes() for v in got] == [np.linalg.eigvalsh(a).tobytes() for a in mats]
+    assert matcore._eigvalsh([]) == []
+
+
+def test_stacked_eigvalsh_makes_one_call_per_order(monkeypatch):
+    shapes, solve = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+    rng = _rng(13)
+    matcore._eigvalsh([_random_symmetric(rng, k) for k in (4, 9, 4, 4)])
+    assert sorted(shapes) == [(1, 9, 9), (3, 4, 4)]
+
+
+def test_stacked_eigvalsh_failure_is_a_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(matcore.ConvergenceError):
+        matcore._eigvalsh([np.eye(3), np.eye(3)])
+    with pytest.raises(matcore.ConvergenceError):
+        eigh(np.eye(3), want_vectors=False)
