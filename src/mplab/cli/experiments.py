@@ -34,7 +34,7 @@ from ..ensembles import (
     parse_model_spec,
     sample_data_matrix,
 )
-from ..spectra import ks_distance, sample_covariance
+from ..spectra import block_esds, ks_distance, sample_covariance
 from ..conditions import (
     chebyshev_bound,
     lindeberg_trial,
@@ -139,7 +139,8 @@ def _build_esd(cfg: ExperimentConfig) -> Trials:
     base = {"model": cfg.model, "p": cfg.p, "n": cfg.n, "rho": cfg.p / cfg.n}
 
     def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-        d = ks_distance(model.sample_esd(cfg.p, cfg.n, rng), law)
+        (e,) = block_esds([model.sample_blocks(cfg.p, cfg.n, rng)])
+        d = ks_distance(e, law)
         return [dict(base, statistic="ks_distance", value=d)]
 
     return Trials([fn] * cfg.trials, _summarize_ks, draws_matrix=True)
@@ -541,7 +542,7 @@ def dump_first_trial(
 ) -> None:
     """Redraw trial 0 and dump its p-by-p sample covariance and/or its spectrum.
 
-    The spectrum is trial 0's own, ``model.sample_esd`` on its stream; the
+    The spectrum is trial 0's own, ``model.sample_blocks`` on its stream; the
     matrix is ``sample_covariance`` of a dense draw on it (trial 0's X, if any).
     """
     if cfg.experiment != "esd":
@@ -552,4 +553,5 @@ def dump_first_trial(
         x = sample_data_matrix(model, p, n, derive_rng(cfg.seed, code, 0))
         write_matrix_dump(matrix_path, sample_covariance(x))
     if esd_path:
-        write_esd_csv(esd_path, model.sample_esd(p, n, derive_rng(cfg.seed, code, 0)))
+        (e,) = block_esds([model.sample_blocks(p, n, derive_rng(cfg.seed, code, 0))])
+        write_esd_csv(esd_path, e)

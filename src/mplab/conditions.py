@@ -16,7 +16,8 @@ of each; the Monte Carlo loop over draws is the CLI's trial runner
 * single trials of the projected-spectrum experiment: compress a sample
   covariance along a frame and measure the Kolmogorov distance to the limit
   law of the compressed aspect ratio.  Standard Gaussian data is compressed
-  in law: C X is itself a q-by-n standard Gaussian draw.
+  in law: C X is itself a q-by-n standard Gaussian draw.  The trial forms
+  one eigenproblem and solves it with ``spectra.block_esds``.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def mp_property_trial(
     of the ESD of (C X)(C X)^T / n to the limit law with ratio q/n.  The data
     is compressed before the Gram is formed, so no p-by-p matrix is built:
     (C X)(C X)^T / n equals C (X X^T / n) C^T up to rounding.  The coordinate
-    frame keeps the first q rows: the model's ``sample_esd`` with q rows.  So
+    frame keeps the first q rows: the model's ``sample_blocks`` with q rows.  So
     does a Haar frame for standard Gaussian data, as C x ~ N(0, I_q) for every
     C with orthonormal rows: no frame is drawn.
     """
@@ -261,11 +262,11 @@ def mp_property_trial(
     if frame_mode not in ("haar", "fixed-half"):
         raise DomainError(f"unknown frame mode {frame_mode!r}")
     if frame_mode == "fixed-half" or model in _STANDARD_GAUSSIAN:
-        e = model.sample_esd(p, n, rng, q)
+        problem = model.sample_blocks(p, n, rng, q)
     else:
         # The frame is orthonormal by construction, so it is not re-validated.
-        e = spectra.gram_esd(*spectra.gram(
-            matcore.haar_frame(q, p, rng) @ sample_data_matrix(model, p, n, rng)))
+        problem = spectra.blocks(matcore.haar_frame(q, p, rng) @ sample_data_matrix(model, p, n, rng))
+    (e,) = spectra.block_esds([problem])
     return spectra.ks_distance(e, MPLaw(q / n))
 
 

@@ -16,8 +16,9 @@ sample-covariance universality:
   normalized to unit marginal variance.
 
 A model is one class that owns its behaviour: ``sample`` draws a whole data
-matrix, ``sample_esd`` the ESD of its first q rows (from the drawn nonzeros for
-sparse-spike, in law for standard Gaussian data), ``cov`` is the
+matrix, ``sample_blocks`` the eigenproblem of its first q rows for
+``spectra.block_esds`` (from the drawn nonzeros for sparse-spike, in law for
+standard Gaussian data), ``cov`` is the
 covariance spec of the exact E[x x^T] (its Gaussian twin is
 ``GaussianCov(model.cov)``), ``spec`` its grammar string and ``isotropic``
 whether the covariance is the identity.  Covariance specs own the algebra of
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectra
-from .matcore import DomainError, Spectrum
+from .matcore import DomainError
 
 
 class ParseError(ValueError):
@@ -274,18 +275,18 @@ def _half(p: int) -> int:
 
 
 def _esd_rows(p: int, q: int | None) -> int:
-    """q, or p when None: the first rows whose ESD ``sample_esd`` draws, checked 1 <= q <= p."""
+    """q, or p when None: the first rows whose problem ``sample_blocks`` draws, checked 1 <= q <= p."""
     if q is not None and not (isinstance(q, (int, np.integer)) and q is not True and 1 <= q <= p):
         raise DomainError(f"need an integer 1 <= q <= p, got q={q!r}, p={p}")
     return p if q is None else q
 
 
 class _Dense:
-    """Models whose ESD is that of the Gram of the first q rows of their draw."""
+    """Models whose eigenproblem is ``spectra.blocks`` of the first q rows of their draw."""
 
-    def sample_esd(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Spectrum:
+    def sample_blocks(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> tuple:
         q = _esd_rows(p, q)
-        return spectra.gram_esd(*spectra.gram(self.sample(p, n, rng)[:q]))
+        return spectra.blocks(self.sample(p, n, rng)[:q])
 
 
 class _Isotropic(_Dense):
@@ -307,14 +308,17 @@ class IIDGaussian(_Isotropic):
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return _columns(p, n, lambda m: rng.standard_normal((m, p)))
 
-    def sample_esd(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Spectrum:
-        """The ESD of the first q rows in law: of B B^T / n, B from ``_laguerre_draw(q, n)``."""
+    def sample_blocks(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> tuple:
+        """The first q rows' problem in law: T = B B^T / n, B from ``_laguerre_draw(q, n)``.
+
+        The tridiagonal T is one block: connected almost surely, and solved
+        right whole either way.
+        """
         q = _esd_rows(p, q)
         c2, s2 = _laguerre_draw(q, n, rng)
         t = np.diag((c2 + np.concatenate(([0.0], s2))) / n)
-        t.flat[1::c2.size + 1] = t.flat[c2.size::c2.size + 1] = off = np.sqrt(c2[:-1] * s2) / n
-        # T is connected when its off-diagonal is nonzero: one block, with no search.
-        return spectra.block_esd([t], q) if off.all() else spectra.gram_esd(t, q)
+        t.flat[1::c2.size + 1] = t.flat[c2.size::c2.size + 1] = np.sqrt(c2[:-1] * s2) / n
+        return [t], q, ()
 
 
 def _laguerre_draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -359,11 +363,11 @@ class IIDSparseSpike(_Isotropic):
         out[rows, cols] = vals
         return out
 
-    def sample_esd(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Spectrum:
+    def sample_blocks(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> tuple:
         q = _esd_rows(p, q)
         rows, cols, vals = self.nonzeros(p, n, rng)
         keep = rows < q
-        return spectra.esd_from_nonzeros(rows[keep], cols[keep], vals[keep], q, n)
+        return spectra.nonzero_blocks(rows[keep], cols[keep], vals[keep], q, n)
 
 
 @dataclass(frozen=True)
@@ -401,8 +405,8 @@ class GaussianCov(_Dense):
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.cov.color(IIDGaussian().sample(self.cov.width(p), n, rng))
 
-    def sample_esd(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> Spectrum:
-        return (IIDGaussian() if self.isotropic else super()).sample_esd(p, n, rng, q)
+    def sample_blocks(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> tuple:
+        return (IIDGaussian() if self.isotropic else super()).sample_blocks(p, n, rng, q)
 
     def spec(self) -> str:
         return f"gauss-cov:{self.cov.spec()}"

@@ -15,6 +15,7 @@ One draw of X and Z gives Delta at every point z of a config.  Only the law
 of Z's trace enters Delta: when Z is standard Gaussian, C absent and B absent
 or beta I, that trace is drawn from the Laguerre tridiagonal model of Dumitriu
 & Edelman (2002, "Matrix models for beta ensembles"), and Z is never formed.
+Otherwise each side is one eigenproblem, and both are solved in one call.
 
 A heterogeneous config assigns each column its own covariance;
 ``average_spread`` gives the averaged covariance-spread statistic
@@ -196,8 +197,8 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, .
     exactly; with all columns Identity that is the homogeneous gap bit for
     bit.  With ``cfg.twin_shift`` set, Z is not drawn: ``_laguerre_draw``
     follows X, and ``_laguerre_traces`` reads the twin from it at z - beta.
-    X's matrix is formed, and X freed, before Z is drawn; a formed Z is solved
-    with X in one call.  |Delta| <= 2 / im(z) at each z.
+    X's problem is formed, and X freed, before Z is drawn; a drawn Z's is
+    solved with X's in one call.  |Delta| <= 2 / im(z) at each z.
     """
     if cfg.twin_shift is not None:
         (spec_x,) = _spectra(cfg, rng, cfg.model)
@@ -233,12 +234,10 @@ def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
 def _spectra(cfg: SwapConfig, rng: np.random.Generator, *models: VectorModel) -> list[matcore.Spectrum]:
     """Spectra of (X + C)(X + C)^T / n + B, colored by cfg's columns, for a draw X of each model.
 
-    With no offset or colored column, each is the model's own ``sample_esd``.
-    Else each X is formed into ``spectra.gram_esd``'s blocks, or with an offset
-    its p-by-p matrix, and freed before the next draw; one call solves them all.
+    Each X is formed into its problem for ``spectra.block_esds``, or with an
+    offset its p-by-p matrix, before the next draw; one call solves them all.
+    S + B is not clamped: an offset such as ``id:-3`` makes it indefinite.
     """
-    if cfg.b is None and cfg.c is None and not cfg.column_groups:
-        return [model.sample_esd(cfg.p, cfg.n, rng) for model in models]
     formed = [_formed(cfg, model, rng) for model in models]
     if cfg.b is None and cfg.c is None:
         return spectra.block_esds(formed)
@@ -246,11 +245,16 @@ def _spectra(cfg: SwapConfig, rng: np.random.Generator, *models: VectorModel) ->
 
 
 def _formed(cfg: SwapConfig, model: VectorModel, rng: np.random.Generator):
-    """``_spectra``'s problem for one draw X of ``model``, which is not kept."""
+    """``_spectra``'s problem for one draw X of ``model``, which is not kept.
+
+    With no offset or colored column it is the model's own ``sample_blocks``.
+    """
+    if cfg.b is None and cfg.c is None and not cfg.column_groups:
+        return model.sample_blocks(cfg.p, cfg.n, rng)
     x = sample_data_matrix(model, cfg.p, cfg.n, rng)
     _scale_each_column(cfg.column_groups, x)
     if cfg.b is None and cfg.c is None:
-        return spectra.gram_blocks(*spectra.gram(x))
+        return spectra.blocks(x)
     s = spectra.sample_covariance(x if cfg.c is None else x + cfg.c)
     return matcore.as_square(s if cfg.b is None else s + cfg.b)
 

@@ -2,11 +2,13 @@
 
 The empirical spectral distribution (ESD) of a p-by-n data matrix X is the
 sorted eigenvalue list of its sample covariance S = X X^T / n, held as a
-``matcore.Spectrum``.  Each connected block of a Gram is solved alone,
-with the exactly known eigenvalues read off: from the smallest Gram of X
-(``gram_esd``), or from X's few nonzeros, summed with no X and no Gram
-(``esd_from_nonzeros``).  The module also gives the Kolmogorov distance of an
-ESD to a limit law; its Cauchy-Stieltjes transform is ``matcore.resolvent_trace``.
+``matcore.Spectrum``.  It is reached in two steps.  First a problem
+(blocks, p, read_off) is formed: the connected blocks of a Gram of S, with
+the exactly known eigenvalues read off, from the smallest Gram of X
+(``blocks``) or from X's few nonzeros, summed with no X and no Gram
+(``nonzero_blocks``).  Then ``block_esds`` solves any number of problems in
+one eigensolve.  The module also gives the Kolmogorov distance of an ESD to
+a limit law; its Cauchy-Stieltjes transform is ``matcore.resolvent_trace``.
 """
 
 from __future__ import annotations
@@ -52,37 +54,38 @@ def sample_covariance(x) -> np.ndarray:
     return _row_gram(a, a.shape[1])
 
 
-def gram(x) -> tuple[np.ndarray, int]:
-    """A Gram of a p-by-n data matrix with the nonzero eigenvalues of S, and p.
+def blocks(x) -> tuple[list[np.ndarray], int, np.ndarray]:
+    """The eigenproblem of S = X X^T / n for ``block_esds``, from a p-by-n data matrix.
 
-    X X^T / n (bit for bit ``sample_covariance(x)``) when p <= n.  When
-    p > n it is R R^T / n for the r nonzero rows R of X if r < n, else
-    X^T X / n.  Each shares the nonzero eigenvalues of S = X X^T / n, so
-    ``gram_esd`` recovers the ESD of the sample covariance from it; the
-    caller may free X before that eigensolve.
+    Its Gram is X X^T / n (bit for bit ``sample_covariance(x)``) when p <= n.
+    When p > n it is R R^T / n for the r nonzero rows R of X if r < n, else
+    X^T X / n.  Each shares the nonzero eigenvalues of S; the problem is the
+    Gram's connected blocks, p and the diagonal of its isolated coordinates,
+    so the caller may free X before the eigensolve.
     """
     a = _data_matrix(x)
     p, n = a.shape
-    if p <= n:
-        return sample_covariance(a), p
-    nonzero = a.any(axis=1)
-    if np.count_nonzero(nonzero) < n:
-        return _row_gram(a[nonzero], n), p
-    return _row_gram(a.T, n), p
+    if p > n:
+        nonzero = a.any(axis=1)
+        a = a[nonzero] if np.count_nonzero(nonzero) < n else a.T
+    g = _row_gram(a, n)
+    isolated, parts = _blocks(g)
+    # np.ix_ copies each block with no |b|-by-k slab of rows.
+    return [g if b.size == g.shape[0] else g[np.ix_(b, b)] for b in parts], p, np.diagonal(g)[isolated]
 
 
-def esd_from_nonzeros(rows, cols, vals, p: int, n: int) -> Spectrum:
-    """ESD of X X^T / n for the p-by-n X with finite nonzeros vals at (rows, cols).
+def nonzero_blocks(rows, cols, vals, p: int, n: int) -> tuple[list[np.ndarray], int, np.ndarray]:
+    """``blocks(x)``'s problem for the p-by-n X with finite nonzeros vals at (rows, cols).
 
     Given in column-major order, they are those of X, of its nonzero rows or
-    of X^T, as ``gram`` picks: r-by-m.  With k_c of them in column c, X is
-    built for ``gram_esd(*gram(x))`` when PAIR_RATIO * sum_c k_c**2 > r * r * m,
-    the multiply-adds of the dense product (with one OpenBLAS thread the routes
+    of X^T, as ``blocks`` picks: r-by-m.  With k_c of them in column c, X is
+    built for ``blocks(x)`` when PAIR_RATIO * sum_c k_c**2 > r * r * m, the
+    multiply-adds of the dense product (with one OpenBLAS thread the routes
     cost the same at a ratio of about 1500 for r, m = 1024, 2048 or 256, 512,
     and 2500 for 128, 256).  Else each distinct Gram entry is summed once from
     the same-column pairs in column order, with no X and no r-by-r Gram, and
-    each block of its nonzero off-diagonal sums is densified alone: the result
-    is ``gram_esd``'s of the Gram summed column by column, bit for bit.
+    each block of its nonzero off-diagonal sums is densified alone: the blocks
+    of the Gram summed column by column, bit for bit.
     """
     r, m, i, j, v = p, n, rows, cols, vals
     if p > n:
@@ -96,7 +99,7 @@ def esd_from_nonzeros(rows, cols, vals, p: int, n: int) -> Spectrum:
     if PAIR_RATIO * int(per_col @ per_col) > r * r * m:
         x = np.zeros((p, n))
         x[rows, cols] = vals
-        return gram_esd(*gram(x))
+        return blocks(x)
     # Entry e pairs with the k[e] entries of its column, which start at first[e].
     k = per_col[j]
     first = np.cumsum(per_col)[j] - k
@@ -110,7 +113,7 @@ def esd_from_nonzeros(rows, cols, vals, p: int, n: int) -> Spectrum:
     i, j = np.divmod(keys, r)
     keep = (i == j) | (s != 0)  # an off-diagonal sum that cancels to 0.0 is no edge
     i, j, s = i[keep], j[keep], s[keep]
-    isolated, blocks = _components(r, i[i != j], j[i != j])
+    isolated, parts = _components(r, i[i != j], j[i != j])
     row = np.searchsorted(i, np.arange(r + 1))  # row x's entries are row[x]:row[x + 1]
 
     def densified(b):
@@ -122,28 +125,7 @@ def esd_from_nonzeros(rows, cols, vals, p: int, n: int) -> Spectrum:
 
     diagonal = np.zeros(r)
     diagonal[i[i == j]] = s[i == j]
-    return block_esd([densified(b) for b in blocks], p, diagonal[isolated])
-
-
-def gram_esd(g, p: int) -> Spectrum:
-    """ESD of a p-by-p sample covariance from its exactly symmetric k-by-k Gram ``g`` (``gram``'s)."""
-    return block_esd(*gram_blocks(g, p))
-
-
-def gram_blocks(g, p: int) -> tuple[list[np.ndarray], int, np.ndarray]:
-    """``gram_esd(g, p)``'s problem for ``block_esds``: g's connected blocks, p, its isolated diagonal."""
-    a = matcore.as_square(g)
-    k = a.shape[0]
-    if k > p:
-        raise DomainError(f"a {k}-by-{k} Gram has no sample covariance of dimension {p}")
-    isolated, blocks = _blocks(a)
-    # g was validated above; np.ix_ copies each block with no |b|-by-k slab of rows.
-    return [a if b.size == k else a[np.ix_(b, b)] for b in blocks], p, np.diagonal(a)[isolated]
-
-
-def block_esd(blocks: list[np.ndarray], p: int, read_off=()) -> Spectrum:
-    """``block_esds`` of the one problem (blocks, p, read_off)."""
-    return block_esds([(blocks, p, read_off)])[0]
+    return [densified(b) for b in parts], p, diagonal[isolated]
 
 
 def block_esds(problems: list[tuple]) -> list[Spectrum]:
@@ -156,10 +138,10 @@ def block_esds(problems: list[tuple]) -> list[Spectrum]:
     bits are those of one call per block.  Roundoff negatives are clamped by
     ``matcore.clamp_psd_eigenvalues``.
     """
-    vals = iter(matcore._eigvalsh([g for blocks, _, _ in problems for g in blocks]))
+    vals = iter(matcore._eigvalsh([g for mats, _, _ in problems for g in mats]))
     out = []
-    for blocks, p, read_off in problems:
-        parts = [read_off, *(next(vals) for _ in blocks)]
+    for mats, p, read_off in problems:
+        parts = [read_off, *(next(vals) for _ in mats)]
         lam = np.sort(np.concatenate([*parts, np.zeros(p - sum(map(len, parts)))]))
         out.append(Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(lam)))
     return out

@@ -1,12 +1,14 @@
 """Dense reference computations that the tests compare the package against.
 
-The package computes spectra from data matrices (``spectra.gram_esd``) and
-compresses the data before forming a Gram.  These oracles take the long way
-instead: the ESD of an explicit symmetric matrix, a sample covariance summed
-one column at a time, the compression C S C^T of a full sample covariance
-along a validated row-orthonormal frame, swap gaps from two full p-by-p
-sample covariances, and the resolvent trace of the Laguerre tridiagonal model
-from its bidiagonal factor, solved whole.
+The package computes spectra from data matrices as eigenproblems
+(``spectra.blocks``) solved by ``spectra.block_esds``, and compresses the
+data before forming a Gram.  These oracles take the long way instead: the
+ESD of an explicit symmetric matrix, the Gram that ``spectra.blocks``
+splits and its ESD solved from a Gram handed over whole, a sample
+covariance summed one column at a time, the compression C S C^T of a full
+sample covariance along a validated row-orthonormal frame, swap gaps from
+two full p-by-p sample covariances, and the resolvent trace of the Laguerre
+tridiagonal model from its bidiagonal factor, solved whole.
 
 The law's quadrature oracles (``quad_cdf``, ``quad_stieltjes``, ``quad_mass``,
 ``quad_moment``) integrate with scipy's adaptive ``quad`` and their own
@@ -50,6 +52,45 @@ def esd(m, psd: bool = False) -> Spectrum:
     if psd:
         return Spectrum(eigenvalues=matcore.clamp_psd_eigenvalues(spec.eigenvalues))
     return spec
+
+
+def gram(x) -> tuple[np.ndarray, int]:
+    """The Gram whose blocks ``spectra.blocks`` solves, and p, as one product.
+
+    X X^T / n when p <= n.  When p > n, R R^T / n for the r nonzero rows R of
+    X if r < n, else X^T X / n: each shares the nonzero eigenvalues of X X^T / n.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    p, n = a.shape
+    if p > n:
+        nonzero = a.any(axis=1)
+        a = a[nonzero] if np.count_nonzero(nonzero) < n else a.T
+    return a @ a.T / n, p
+
+
+def gram_blocks(g, p: int) -> tuple[list[np.ndarray], int, np.ndarray]:
+    """The problem (blocks, p, read_off) of a validated k-by-k Gram of a p-by-p sample covariance.
+
+    Each connected block of g's off-diagonal pattern, as ``spectra._blocks``
+    finds it, and the diagonal entries of its isolated coordinates.
+    """
+    a = matcore.as_square(g)
+    if a.shape[0] > p:
+        raise DomainError(f"a {a.shape[0]}-by-{a.shape[0]} Gram has no sample covariance of dimension {p}")
+    isolated, blocks = spectra._blocks(a)
+    return [a[np.ix_(b, b)] for b in blocks], p, np.diagonal(a)[isolated]
+
+
+def gram_esd(g, p: int) -> Spectrum:
+    """ESD of a p-by-p sample covariance from its k-by-k Gram, solved block by block."""
+    (e,) = spectra.block_esds([gram_blocks(g, p)])
+    return e
+
+
+def same_problem(a, b) -> bool:
+    """Whether two problems (blocks, p, read_off) hold the same bits."""
+    return (a[1] == b[1] and [m.tobytes() for m in a[0]] == [m.tobytes() for m in b[0]]
+            and np.asarray(a[2], dtype=np.float64).tobytes() == np.asarray(b[2], dtype=np.float64).tobytes())
 
 
 def column_outer_sum(x, n: int | None = None) -> np.ndarray:

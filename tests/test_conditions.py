@@ -58,8 +58,8 @@ from mplab.matcore import (
     spectral_norm,
 )
 from mplab.mp_law import MPLaw
-from mplab.spectra import gram, gram_esd, ks_distance, sample_covariance
-from oracles import as_frame, esd, laguerre_gram, projected_covariance
+from mplab.spectra import block_esds, blocks, ks_distance, sample_covariance
+from oracles import as_frame, esd, gram, gram_esd, laguerre_gram, projected_covariance
 
 
 def gaussian_tail_second_moment(c: float) -> float:
@@ -382,7 +382,7 @@ def test_mp_property_gaussian_in_law_draw_has_the_frame_paths_law(p, n, q):
         direct.append((d, e.eigenvalues[-1]))
         rng = derive_rng(62, p, k)
         c = haar_frame(q, p, rng)
-        e = gram_esd(*gram(c @ sample_data_matrix(IIDGaussian(), p, n, rng)))
+        (e,) = block_esds([blocks(c @ sample_data_matrix(IIDGaussian(), p, n, rng))])
         frame.append((ks_distance(e, law), e.eigenvalues[-1]))
     direct, frame = np.array(direct), np.array(frame)
     for j in range(2):

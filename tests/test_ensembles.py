@@ -29,6 +29,7 @@ from mplab.ensembles import (
 )
 from mplab.ensembles import _BLOCK_BYTES, _band_matrix
 from mplab.matcore import DomainError
+from mplab.spectra import block_esds
 
 ALL_MODELS = (
     IIDGaussian(),
@@ -194,15 +195,19 @@ def test_sample_vector_rejects_bad_dimension():
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=spec_id)
 def test_sample_esd_checks_its_row_count_alike(model):
-    # Every model takes 1 <= q <= p rows, q = p being the whole draw, and
-    # rejects any other q with the same error before it draws.
+    # Every model's ``sample_blocks`` takes 1 <= q <= p rows, q = p being the
+    # whole draw, and rejects any other q with the same error before it draws.
     p, n = 4, 6
-    whole = model.sample_esd(p, n, derive_rng(2, p, n)).eigenvalues
-    assert whole.tobytes() == model.sample_esd(p, n, derive_rng(2, p, n), p).eigenvalues.tobytes()
-    assert model.sample_esd(p, n, derive_rng(2, p, n), 2).p == 2
+
+    def esd(*q):
+        (e,) = block_esds([model.sample_blocks(p, n, derive_rng(2, p, n), *q)])
+        return e
+
+    assert esd().eigenvalues.tobytes() == esd(p).eigenvalues.tobytes()
+    assert esd(2).p == 2
     for q in (0, 5, -1, True, 2.0, np.int64(0)):
         with pytest.raises(DomainError, match="1 <= q <= p"):
-            model.sample_esd(p, n, derive_rng(2, p, n), q)
+            model.sample_blocks(p, n, derive_rng(2, p, n), q)
 
 
 # ---------------------------------------------------------------------------

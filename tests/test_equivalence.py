@@ -37,7 +37,7 @@ from mplab.equivalence import (
 )
 from mplab.equivalence import _column_groups, _laguerre_traces, _scale_each_column
 from mplab.matcore import DomainError, resolvent_trace, spectral_norm
-from oracles import dense_traces, laguerre_gram, laguerre_trace, swap_gaps_dense
+from oracles import dense_traces, gram_esd, laguerre_gram, laguerre_trace, swap_gaps_dense
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +281,8 @@ def test_gap_without_offsets_matches_the_dense_recipe(model, p, n):
 
 
 def test_gap_without_offsets_is_the_dense_recipe_bitwise_when_nothing_deflates():
-    # p <= n and no zero rows: gram is sample_covariance and gram_esd solves it
-    # whole, so the X side is the dense recipe's bit for bit.
+    # p <= n and no zero rows: X's problem is sample_covariance as one block,
+    # solved whole, so the X side is the dense recipe's bit for bit.
     model, p, n, zs = IIDRademacher(), 32, 64, (1j, -1.0 + 0.5j)
     x_traces, twin = twin_sides(model, p, n, zs, derive_rng(32))
     assert resolvent_gap(SwapConfig(model, p, n, zs), derive_rng(32)) == tuple(
@@ -329,7 +329,7 @@ def test_laguerre_recurrence_matches_the_tridiagonal_eigensolve(p, n):
 @pytest.mark.parametrize("model", [IIDGaussian(), GaussianCov(Identity())], ids=lambda m: m.spec())
 @pytest.mark.parametrize("p, n", [(1, 1), (1, 5), (5, 1), (48, 96), (96, 48)])
 def test_laguerre_gram_is_the_twins_tridiagonal(model, p, n):
-    # A standard Gaussian model's ESD is gram_esd's of the exactly symmetric
+    # A standard Gaussian model's ESD is the oracle's of the exactly symmetric
     # m-by-m tridiagonal of the chi-square draws the twin reads, m = min(p, n):
     # it holds exactly p - m padded zeros, and its resolvent trace is the
     # twin's pivot recurrence on the same draws.
@@ -337,8 +337,8 @@ def test_laguerre_gram_is_the_twins_tridiagonal(model, p, n):
     c2, s2 = _laguerre_draw(p, n, derive_rng(43, p, n))
     t = laguerre_gram(c2, s2, n)
     assert t.shape == (m, m) and np.array_equal(t.view(np.uint64), t.T.view(np.uint64))
-    e = model.sample_esd(p, n, derive_rng(43, p, n))
-    assert e.eigenvalues.tobytes() == spectra.gram_esd(t, p).eigenvalues.tobytes()
+    (e,) = spectra.block_esds([model.sample_blocks(p, n, derive_rng(43, p, n))])
+    assert e.eigenvalues.tobytes() == gram_esd(t, p).eigenvalues.tobytes()
     assert np.count_nonzero(e.eigenvalues == 0.0) == p - m
     for zs, tol in laguerre_points(p, n):
         for z, got in zip(zs, _laguerre_traces(c2, s2, p, n, zs)):
@@ -357,7 +357,7 @@ def test_laguerre_twin_has_the_dense_twins_law(p, n):
     dense = []
     for k in range(draws):
         zmat = GaussianCov(Identity()).sample(p, n, derive_rng(52, p, k))
-        spec = spectra.gram_esd(*spectra.gram(zmat))
+        (spec,) = spectra.block_esds([spectra.blocks(zmat)])
         dense.append([resolvent_trace(spec, z) for z in zs])
     dense = np.array(dense)
     for j in range(len(zs)):
@@ -439,8 +439,8 @@ def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
         x[:, k : k + 1] = spec.color(x[:, k : k + 1])
         zmat[:, k : k + 1] = spec.color(zmat[:, k : k + 1])
     z = cfg.zs[0]
-    want = resolvent_trace(spectra.gram_esd(*spectra.gram(x)), z) - resolvent_trace(
-        spectra.gram_esd(*spectra.gram(zmat)), z)
+    (esd_x,), (esd_z,) = (spectra.block_esds([spectra.blocks(m)]) for m in (x, zmat))
+    want = resolvent_trace(esd_x, z) - resolvent_trace(esd_z, z)
     assert resolvent_gap(cfg, derive_rng(22))[0] == want
 
 
@@ -452,9 +452,14 @@ HETERO = (Identity(), Toeplitz(0.5))
 
 
 def dense_twin_configs(p=24, n=48, zs=(1j, -1.0 + 0.5j)):
-    """The benchmark's two dense-twin swaps, small: eq-hetero and eq-multiz-psd."""
+    """The benchmark's two dense-twin swaps, small (eq-hetero and eq-multiz-psd), and two plain ones."""
     return [SwapConfig(IIDGaussian(), p, n, zs, hetero=HETERO * (n // 2)),
-            SwapConfig(IIDRademacher(), p, n, zs, b_spec=RandomPSDUnitNorm(2))]
+            SwapConfig(IIDRademacher(), p, n, zs, b_spec=RandomPSDUnitNorm(2)),
+            SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs),
+            SwapConfig(WeakDependent((1.0, 0.5)), p, n, zs)]
+
+
+DENSE_TWIN_IDS = ["hetero", "psd", "toeplitz", "weak-ma"]
 
 
 def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
@@ -464,7 +469,7 @@ def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
-@pytest.mark.parametrize("cfg", dense_twin_configs(), ids=["hetero", "psd"])
+@pytest.mark.parametrize("cfg", dense_twin_configs(), ids=DENSE_TWIN_IDS)
 def test_a_dense_twin_trial_solves_both_sides_in_one_stacked_call(monkeypatch, cfg):
     shapes = eigvalsh_shapes(monkeypatch)
     resolvent_gap(cfg, derive_rng(6))
@@ -481,7 +486,7 @@ def test_a_laguerre_twin_trial_stacks_nothing(monkeypatch, b_spec):
     assert [(int(np.prod(s[:-2])), s[-2:]) for s in shapes] == [(1, (24, 24))]
 
 
-@pytest.mark.parametrize("cfg", dense_twin_configs(), ids=["hetero", "psd"])
+@pytest.mark.parametrize("cfg", dense_twin_configs(), ids=DENSE_TWIN_IDS)
 def test_a_dense_twin_gap_is_the_by_hand_recipe_bitwise(cfg):
     # Draw X, color it, take its matrix, then draw Z from the same stream;
     # solve each alone.

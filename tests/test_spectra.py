@@ -38,13 +38,28 @@ from mplab import spectra
 from mplab.spectra import (
     PAIR_RATIO,
     _blocks,
-    esd_from_nonzeros,
-    gram,
-    gram_esd,
+    block_esds,
+    blocks,
     ks_distance,
+    nonzero_blocks,
     sample_covariance,
 )
-from oracles import column_outer_sum, esd, laguerre_gram, projected_covariance
+from oracles import (
+    column_outer_sum,
+    esd,
+    gram,
+    gram_blocks,
+    gram_esd,
+    laguerre_gram,
+    projected_covariance,
+    same_problem,
+)
+
+
+def solve(problem) -> Spectrum:
+    """The ESD of one problem (blocks, p, read_off): ``block_esds`` of it alone."""
+    (e,) = block_esds([problem])
+    return e
 
 
 def law_quantiles(law: MPLaw, p: int) -> np.ndarray:
@@ -103,7 +118,7 @@ def test_sample_covariance_rejects_bad_input():
 
 
 def on_nonzero_route(x) -> bool:
-    """Whether ``esd_from_nonzeros`` sums X X^T from X's nonzeros: its stated rule."""
+    """Whether ``nonzero_blocks`` sums X X^T from X's nonzeros: its stated rule."""
     k = np.count_nonzero(x, axis=0)
     return PAIR_RATIO * int(k @ k) <= x.shape[0] ** 2 * x.shape[1]
 
@@ -149,12 +164,12 @@ def test_esd_of_sample_covariance_is_nonnegative():
 
 
 # ---------------------------------------------------------------------------
-# gram and gram_esd
+# blocks of a Gram and their ESD
 
 MODELS = ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
           "gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,0", "weak-ma:1,0.5"]
 
-#: The models whose ``sample_esd`` is drawn in law, of a Laguerre tridiagonal.
+#: The models whose ``sample_blocks`` is drawn in law, a Laguerre tridiagonal.
 IN_LAW = (IIDGaussian(), GaussianCov(Identity()))
 
 
@@ -175,9 +190,12 @@ def check_gram_esd_against_full_eigensolve(model, p, n):
         x = sample_data_matrix(model, p, n, derive_rng(seed, p, n))
         s = sample_covariance(x)
         want = esd(s, psd=True).eigenvalues
+        # The package's problem is that of the oracle's Gram, bit for bit.
         g, dim = gram(x)
-        got = gram_esd(g, dim).eigenvalues
-        drawn = model.sample_esd(p, n, derive_rng(seed, p, n)).eigenvalues
+        problem = blocks(x)
+        assert same_problem(problem, gram_blocks(g, dim))
+        got = solve(problem).eigenvalues
+        drawn = solve(model.sample_blocks(p, n, derive_rng(seed, p, n))).eigenvalues
         if model in IN_LAW:
             # The model's own ESD is that of the min(p, n)-square Laguerre
             # tridiagonal, of gram(x)'s law
@@ -220,7 +238,7 @@ def test_standard_gaussian_sample_gram_has_the_dense_law(spec, p, n):
         side = []
         for k in range(draws):
             rng = derive_rng(seed, p, k)
-            e = model.sample_esd(p, n, rng) if in_law else gram_esd(*gram(model.sample(p, n, rng)))
+            e = solve(model.sample_blocks(p, n, rng) if in_law else blocks(model.sample(p, n, rng)))
             side.append((ks_distance(e, law), e.eigenvalues[-1]))
         sides.append(np.array(side))
     for j in range(2):
@@ -264,7 +282,7 @@ def test_blocks_are_the_breadth_first_components(k, density):
 
 @pytest.mark.parametrize("p, n", [(6, 4), (4, 6), (5, 5)])
 def test_gram_esd_of_zero_data_is_all_zeros(p, n):
-    got = gram_esd(*gram(np.zeros((p, n)))).eigenvalues
+    got = solve(blocks(np.zeros((p, n)))).eigenvalues
     assert np.array_equal(got, np.zeros(p))
 
 
@@ -272,9 +290,10 @@ def test_gram_esd_wider_than_tall_hand_case():
     # p = n + 1: S = X X^T / 2 has rank 2, and X^T X / 2 = [[1, 1/2], [1/2, 1]]
     # has eigenvalues 1/2 and 3/2; the third eigenvalue of S is exactly 0.
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    g, p = gram(x)
-    assert p == 3 and np.array_equal(g, [[1.0, 0.5], [0.5, 1.0]])
-    lam = gram_esd(g, p).eigenvalues
+    mats, p, read_off = blocks(x)
+    assert p == 3 and len(mats) == 1 and np.array_equal(mats[0], [[1.0, 0.5], [0.5, 1.0]])
+    assert len(read_off) == 0
+    lam = solve((mats, p, read_off)).eigenvalues
     assert lam[0] == 0.0
     assert np.allclose(lam, [0.0, 0.5, 1.5], rtol=0, atol=1e-15)
 
@@ -285,7 +304,7 @@ def test_gram_esd_solves_a_row_with_one_off_diagonal_entry():
     # none, so its diagonal 1/3 is read off.  S = [[1, 0, 0], [0, 5, 1],
     # [0, 1, 1]] / 3 has eigenvalues 1/3 and (3 -+ sqrt 5) / 3.
     x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
-    lam = gram_esd(*gram(x)).eigenvalues
+    lam = solve(blocks(x)).eigenvalues
     r5 = np.sqrt(5.0)
     assert np.allclose(lam, [(3.0 - r5) / 3.0, 1.0 / 3.0, (3.0 + r5) / 3.0], rtol=0, atol=1e-15)
     assert lam[1] == sample_covariance(x)[0, 0]
@@ -298,16 +317,16 @@ def test_gram_esd_reads_isolated_coordinates_off_exactly():
                   [0.0, 0.0, 3.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0],
                   [2.0, -1.0, 0.0, 0.0]])
-    lam = gram_esd(*gram(x)).eigenvalues
+    lam = solve(blocks(x)).eigenvalues
     # Rows 1 and 4 are orthogonal with squared norm 5; row 2 has squared norm 9.
     assert np.array_equal(lam, np.array([0.0, 0.0, 5.0, 5.0, 9.0]) / 4.0)
 
 
 def test_gram_rejects_bad_input_in_both_orientations():
     with pytest.raises(InvalidInputError):
-        gram(np.ones(4))
+        blocks(np.ones(4))
     with pytest.raises(DomainError):
-        gram(np.ones((3, 0)))
+        blocks(np.ones((3, 0)))
     for shape in ((5, 7), (7, 5)):
         for bad in (np.nan, np.inf, -np.inf, 1e200):
             for i, j in ((0, 0), (2, 4), (4, 3)):
@@ -315,10 +334,15 @@ def test_gram_rejects_bad_input_in_both_orientations():
                 x[i, j] = bad
                 for a in (x, np.asfortranarray(x)):
                     with pytest.raises(InvalidInputError):
-                        gram(a)
+                        blocks(a)
 
 
 def test_gram_esd_rejects_bad_input():
+    # ``block_esds`` refuses an indefinite read-off diagonal.  A Gram handed
+    # over whole is validated by the oracle that the tests solve Grams with,
+    # whose last case reaches that refusal too.
+    with pytest.raises(InvalidInputError):
+        block_esds([([], 3, np.array([-1.0, 1.0]))])
     with pytest.raises(InvalidInputError):
         gram_esd(np.ones((2, 3)), 3)
     with pytest.raises(InvalidInputError):
@@ -357,8 +381,9 @@ def test_gram_esd_of_a_permuted_block_diagonal_hand_case(p, n, nonzero_route):
     g, dim = gram(x)
     # At p > n only the 6 nonzero rows of X enter the Gram.
     assert dim == p and g.shape == ((6, 6) if p > n else (p, p))
-    for lam in (gram_esd(g, dim).eigenvalues,
-                esd_from_nonzeros(rows, cols, x[rows, cols], p, n).eigenvalues):
+    assert same_problem(blocks(x), gram_blocks(g, dim))
+    for lam in (solve(blocks(x)).eigenvalues,
+                solve(nonzero_blocks(rows, cols, x[rows, cols], p, n)).eigenvalues):
         r5 = np.sqrt(5.0)
         solved = np.array([(3.0 - r5) / 2.0, 1.0, 1.0, (3.0 + r5) / 2.0, 4.0]) / n
         want = np.sort(np.concatenate([np.zeros(p - 6), solved, [9.0 / n]]))
@@ -375,7 +400,8 @@ def test_gram_of_few_nonzero_rows_is_their_gram():
     x[1, 0], x[4, 2] = 1.0, 2.0
     g, p = gram(x)
     assert p == 6 and np.array_equal(g, [[0.25, 0.0], [0.0, 1.0]])
-    assert np.array_equal(gram_esd(g, p).eigenvalues, [0.0, 0.0, 0.0, 0.0, 0.25, 1.0])
+    assert same_problem(blocks(x), gram_blocks(g, p))
+    assert np.array_equal(solve(blocks(x)).eigenvalues, [0.0, 0.0, 0.0, 0.0, 0.25, 1.0])
 
 
 def test_gram_esd_labels_long_paths():
@@ -392,13 +418,14 @@ def test_gram_esd_labels_long_paths():
     x = x[derive_rng(7).permutation(p)]
     g, dim = gram(x)
     assert not pattern_is_connected(g)
-    got = gram_esd(g, dim).eigenvalues
+    assert same_problem(blocks(x), gram_blocks(g, dim))
+    got = solve(blocks(x)).eigenvalues
     want = esd(sample_covariance(x), psd=True).eigenvalues
     assert np.max(np.abs(got - want)) <= 1e-12 * want[-1]
 
 
 def gram_rows(x) -> np.ndarray:
-    """The matrix whose rows ``gram`` multiplies: X, X^T or X's nonzero rows."""
+    """The matrix whose rows ``blocks`` multiplies: X, X^T or X's nonzero rows."""
     p, n = x.shape
     nonzero = x.any(axis=1)
     if p <= n:
@@ -436,21 +463,21 @@ ROUTE_IDS = ["nonzero-XXt", "dense-XXt", "nonzero-XtX", "dense-rows"]
     (spiky_real(2048, 128), True),      # X^T X, the same
 ], ids=[*ROUTE_IDS, "nonzero-rows", "dense-XtX", "nonzero-XXt-rounding", "nonzero-XtX-rounding"])
 def test_gram_of_given_nonzeros_is_gram_bit_for_bit(x, nonzero_route):
-    # Handed X's nonzeros in column-major order, esd_from_nonzeros takes
-    # gram's choice of X, its nonzero rows or X^T.  On the nonzero route its
-    # bits are gram_esd's of the column-by-column outer product sum of those
-    # rows; only the dense route builds X, and gives gram_esd(*gram(x))'s bits.
+    # Handed X's nonzeros in column-major order, nonzero_blocks takes
+    # blocks's choice of X, its nonzero rows or X^T.  On the nonzero route its
+    # ESD's bits are gram_esd's of the column-by-column outer product sum of
+    # those rows; only the dense route builds X, and gives blocks(x)'s bits.
     assert on_nonzero_route(gram_rows(x)) == nonzero_route
-    check_esd_from_nonzeros(x, nonzero_route)
+    check_nonzero_blocks(x, nonzero_route)
 
 
-def check_esd_from_nonzeros(x, nonzero_route, e=None):
-    """``esd_from_nonzeros`` of X's nonzeros, or e, is the oracle's ESD bit for bit."""
+def check_nonzero_blocks(x, nonzero_route, e=None):
+    """The ESD of ``nonzero_blocks`` of X's nonzeros, or e, is the oracle's bit for bit."""
     p, n = x.shape
     if e is None:
         cols, rows = np.nonzero(x.T)
-        e = esd_from_nonzeros(rows, cols, x[rows, cols], p, n)
-    want = gram_esd(column_outer_sum(gram_rows(x), n), p) if nonzero_route else gram_esd(*gram(x))
+        e = solve(nonzero_blocks(rows, cols, x[rows, cols], p, n))
+    want = gram_esd(column_outer_sum(gram_rows(x), n), p) if nonzero_route else solve(blocks(x))
     assert e.eigenvalues.tobytes() == want.eigenvalues.tobytes()
 
 
@@ -469,8 +496,8 @@ def test_sparse_spike_gram_from_its_drawn_nonzeros_is_gram_bit_for_bit(
     a = gram_rows(x)
     assert ("X" if a is x else "R" if a.shape[1] == n else "X^T") == rows
     assert on_nonzero_route(a) == nonzero_route
-    e = IIDSparseSpike().sample_esd(p, n, derive_rng(seed, p, n))
-    check_esd_from_nonzeros(x, nonzero_route, e)
+    e = solve(IIDSparseSpike().sample_blocks(p, n, derive_rng(seed, p, n)))
+    check_nonzero_blocks(x, nonzero_route, e)
 
 
 @pytest.mark.parametrize("p, n, q, nonzero_route", [
@@ -482,9 +509,9 @@ def test_sparse_spike_esd_of_first_rows_is_theirs_bit_for_bit(p, n, q, nonzero_r
     for seed in range(3):
         x = sample_data_matrix(IIDSparseSpike(), p, n, derive_rng(seed, p, n))[:q]
         assert on_nonzero_route(gram_rows(x)) == nonzero_route
-        e = IIDSparseSpike().sample_esd(p, n, derive_rng(seed, p, n), q)
+        e = solve(IIDSparseSpike().sample_blocks(p, n, derive_rng(seed, p, n), q))
         assert e.p == q
-        check_esd_from_nonzeros(x, nonzero_route, e)
+        check_nonzero_blocks(x, nonzero_route, e)
 
 
 def solved_blocks(monkeypatch, esd_of) -> tuple[list[np.ndarray], Spectrum]:
@@ -507,7 +534,7 @@ def test_an_off_diagonal_sum_that_cancels_splits_the_blocks(monkeypatch):
     x[[2, 3, 2], [2, 2, 3]] = [1.0, 2.0, 3.0]
     assert on_nonzero_route(x) and column_outer_sum(x)[0, 1] == 0.0
     cols, rows = np.nonzero(x.T)
-    got, e = solved_blocks(monkeypatch, lambda: esd_from_nonzeros(rows, cols, x[rows, cols], p, n))
+    got, e = solved_blocks(monkeypatch, lambda: solve(nonzero_blocks(rows, cols, x[rows, cols], p, n)))
     want, oracle = solved_blocks(monkeypatch, lambda: gram_esd(column_outer_sum(x), p))
     assert [b.shape for b in got] == [b.shape for b in want] == [(2, 2)]
     assert got[0].tobytes() == want[0].tobytes()
@@ -518,10 +545,11 @@ def test_an_off_diagonal_sum_that_cancels_splits_the_blocks(monkeypatch):
 @pytest.mark.parametrize("spec", ["iid-gauss", "gauss-cov:identity"])
 @pytest.mark.parametrize("p, n, q", [(48, 96, None), (96, 48, None), (64, 64, 32), (5, 1, None)])
 def test_standard_gaussian_esd_solves_its_tridiagonal_whole(monkeypatch, spec, p, n, q):
-    # T is connected, so no label search runs, and the ESD is gram_esd's of T.
+    # T is handed over as one block, so no label search runs, and the ESD is
+    # gram_esd's of T, which is connected.
     model, m = parse_model_spec(spec), min(q or p, n)
     monkeypatch.setattr(spectra, "_components", None)
-    seen, e = solved_blocks(monkeypatch, lambda: model.sample_esd(p, n, derive_rng(9, p, n), q))
+    seen, e = solved_blocks(monkeypatch, lambda: solve(model.sample_blocks(p, n, derive_rng(9, p, n), q)))
     monkeypatch.undo()
     t = laguerre_gram(*_laguerre_draw(q or p, n, derive_rng(9, p, n)), n)
     assert [b.tobytes() for b in seen] == [t.tobytes()] and t.shape == (m, m)
@@ -550,7 +578,7 @@ def test_sparse_spike_esd_forms_no_p_by_p_gram():
         rng = derive_rng(seed, p, n)
         tracemalloc.start()
         try:
-            e = IIDSparseSpike().sample_esd(p, n, rng)
+            e = solve(IIDSparseSpike().sample_blocks(p, n, rng))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -566,7 +594,7 @@ def test_both_routes_reject_bad_entries_in_sparse_data(x, bad):
         y[i, j] = bad
         for a in (y, np.asfortranarray(y)):
             with pytest.raises(InvalidInputError):
-                gram(a)
+                blocks(a)
             with pytest.raises(InvalidInputError):
                 sample_covariance(a)
 
@@ -635,7 +663,7 @@ def test_spectral_moments_match_their_exact_finite_n_values(spec, p, n):
     for t in range(trials):
         if spec == "block-xi" and t == 0:  # the blocks are solved alone
             assert not pattern_is_connected(gram(model.sample(p, n, derive_rng(15, t)))[0])
-        lam = model.sample_esd(p, n, derive_rng(15, t)).eigenvalues
+        lam = solve(model.sample_blocks(p, n, derive_rng(15, t))).eigenvalues
         m1[t], m2[t] = lam.sum() / p, lam @ lam / p
     tr1 = np.sum(model.cov.diagonal(p)) / p
     tr2 = model.cov.square_trace(p) / p
