@@ -11,11 +11,13 @@ covariance, B is a fixed symmetric offset and C a fixed column offset.  When
 the model's quadratic forms concentrate and its covariance spread vanishes,
 Delta tends to zero as p grows; models violating those conditions keep a
 visible gap.  Whatever the model, |Delta| <= 2 / im(z) deterministically.
-One draw of X and Z gives Delta at every point z of a config.  Only the law
-of Z's trace enters Delta: when Z is standard Gaussian, C absent and B absent
-or beta I, that trace is drawn from the Laguerre tridiagonal model of Dumitriu
-& Edelman (2002, "Matrix models for beta ensembles"), and Z is never formed.
-Otherwise each side is one eigenproblem, and both are solved in one call.
+One draw of X and Z gives Delta at every point z of a config.  B = beta I
+only shifts the spectrum, so both sides are read at z - beta with no B.  Only
+the law of Z's trace enters Delta: when Z is standard Gaussian and C and any
+other B are absent, that trace is drawn from the Laguerre tridiagonal model
+of Dumitriu & Edelman (2002, "Matrix models for beta ensembles"), and Z is
+never formed.  Otherwise each side is one eigenproblem, and both are solved
+in one call.
 
 A heterogeneous config assigns each column its own covariance;
 ``average_spread`` gives the averaged covariance-spread statistic
@@ -49,8 +51,9 @@ from .matcore import DomainError
 # ---------------------------------------------------------------------------
 # offsets
 #
-# An offset owns its behaviour: ``build`` is the dense matrix in dimension p
-# (p-by-n for a column offset) and ``spec()`` its grammar string.
+# An offset owns its behaviour: ``spec()`` is its grammar string, and
+# ``build`` the dense matrix in dimension p (p-by-n for a column offset).
+# B = beta I has none: it is a shift of z.
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,6 @@ class ScaledIdentity:
     def __post_init__(self):
         if not math.isfinite(self.beta):
             raise DomainError(f"offset scale must be finite, got {self.beta}")
-
-    def build(self, p: int) -> np.ndarray:
-        return self.beta * np.eye(p)
 
     def spec(self) -> str:
         return f"id:{self.beta!r}"
@@ -126,11 +126,13 @@ class SwapConfig:
     column_groups: tuple[tuple[CovSpec, np.ndarray], ...] = field(
         default=(), init=False, repr=False, compare=False
     )
-    #: beta in B = beta I (0.0 with no B) if ``_laguerre_traces`` draws the twin, else None.
-    twin_shift: float | None = field(default=None, init=False, repr=False, compare=False)
-    #: The offsets B (p-by-p) and C (p-by-n), built once and read-only, or
-    #: None.  They depend on neither z nor the trial, so every trial of a run
-    #: shares them, on any number of threads.
+    #: beta in B = beta I, else 0.0: both sides are read at z - shift.
+    shift: float = field(default=0.0, init=False, repr=False, compare=False)
+    #: Whether ``_laguerre_traces`` draws the twin in law.
+    twin_in_law: bool = field(default=False, init=False, repr=False, compare=False)
+    #: The offsets B (a ``psd:`` p-by-p matrix) and C (p-by-n), built once and
+    #: read-only, or None.  They depend on neither z nor the trial, so every
+    #: trial of a run shares them, on any number of threads.
     b: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     c: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -150,15 +152,18 @@ class SwapConfig:
             if any(spec.width(self.p) != self.p for spec in self.hetero):
                 raise DomainError("per-column covariances need a square factor")
             object.__setattr__(self, "column_groups", _column_groups(self.hetero))
-        if (self.model.cov == Identity() and not self.column_groups and self.c_spec is None
-                and (self.b_spec is None or isinstance(self.b_spec, ScaledIdentity))):
-            object.__setattr__(self, "twin_shift", self.b_spec.beta if self.b_spec else 0.0)
-        for name, spec, shape in (("b", self.b_spec, (self.p,)),
+        b_spec = self.b_spec
+        if isinstance(b_spec, ScaledIdentity):
+            object.__setattr__(self, "shift", b_spec.beta)
+            b_spec = None  # a shift of z, not a matrix
+        for name, spec, shape in (("b", b_spec, (self.p,)),
                                   ("c", self.c_spec, (self.p, self.n))):
             if spec is not None:
                 m = spec.build(*shape)
                 m.flags.writeable = False
                 object.__setattr__(self, name, m)
+        standard = self.model.cov == Identity() and not self.column_groups
+        object.__setattr__(self, "twin_in_law", standard and self.b is None and self.c is None)
 
 
 def parse_offset_spec(text: str) -> BSpec:
@@ -195,19 +200,20 @@ def resolvent_gap(cfg: SwapConfig, rng: np.random.Generator) -> tuple[complex, .
     F_k is the exact factor F_k F_k^T = Sigma_k that ``Sigma_k.color``
     applies.  Both sides share the per-column population covariances
     exactly; with all columns Identity that is the homogeneous gap bit for
-    bit.  With ``cfg.twin_shift`` set, Z is not drawn: ``_laguerre_draw``
-    follows X, and ``_laguerre_traces`` reads the twin from it at z - beta.
-    X's problem is formed, and X freed, before Z is drawn; a drawn Z's is
-    solved with X's in one call.  |Delta| <= 2 / im(z) at each z.
+    bit.  Both sides are read at z - ``cfg.shift``.  With ``cfg.twin_in_law``
+    Z is not drawn: ``_laguerre_draw`` follows X, and ``_laguerre_traces``
+    reads the twin from it.  X's problem is formed, and X freed, before Z is
+    drawn; a drawn Z's is solved with X's in one call.  |Delta| <= 2 / im(z)
+    at each z.
     """
-    if cfg.twin_shift is not None:
-        (spec_x,) = _spectra(cfg, rng, cfg.model)
-        twin = _laguerre_traces(*_laguerre_draw(cfg.p, cfg.n, rng), cfg.p, cfg.n,
-                                [z - cfg.twin_shift for z in cfg.zs])
+    models = (cfg.model,) if cfg.twin_in_law else (cfg.model, GaussianCov(cfg.model.cov))
+    spec_x, *spec_z = spectra.block_esds([_formed(cfg, model, rng) for model in models])
+    zs = [z - cfg.shift for z in cfg.zs]
+    if cfg.twin_in_law:
+        twin = _laguerre_traces(*_laguerre_draw(cfg.p, cfg.n, rng), cfg.p, cfg.n, zs)
     else:
-        spec_x, spec_z = _spectra(cfg, rng, cfg.model, GaussianCov(cfg.model.cov))
-        twin = [matcore.resolvent_trace(spec_z, z) for z in cfg.zs]
-    return tuple(matcore.resolvent_trace(spec_x, z) - t for z, t in zip(cfg.zs, twin))
+        twin = [matcore.resolvent_trace(spec_z[0], z) for z in zs]
+    return tuple(matcore.resolvent_trace(spec_x, z) - t for z, t in zip(zs, twin))
 
 
 def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
@@ -231,32 +237,22 @@ def _laguerre_traces(c2, s2, p: int, n: int, zs) -> list[complex]:
     return traces
 
 
-def _spectra(cfg: SwapConfig, rng: np.random.Generator, *models: VectorModel) -> list[matcore.Spectrum]:
-    """Spectra of (X + C)(X + C)^T / n + B, colored by cfg's columns, for a draw X of each model.
-
-    Each X is formed into its problem for ``spectra.block_esds``, or with an
-    offset its p-by-p matrix, before the next draw; one call solves them all.
-    S + B is not clamped: an offset such as ``id:-3`` makes it indefinite.
-    """
-    formed = [_formed(cfg, model, rng) for model in models]
-    if cfg.b is None and cfg.c is None:
-        return spectra.block_esds(formed)
-    return [matcore.Spectrum(eigenvalues=v) for v in matcore._eigvalsh(formed)]
-
-
 def _formed(cfg: SwapConfig, model: VectorModel, rng: np.random.Generator):
-    """``_spectra``'s problem for one draw X of ``model``, which is not kept.
+    """The ``spectra.block_esds`` problem of (X + C)(X + C)^T / n + B for one draw X of ``model``.
 
-    With no offset or colored column it is the model's own ``sample_blocks``.
+    X is colored by cfg's columns and not kept.  With no B matrix, no C and no
+    colored column the problem is the model's own ``sample_blocks``.  B is
+    PSD, so S + B is too, and its eigenvalues may be clamped.
     """
     if cfg.b is None and cfg.c is None and not cfg.column_groups:
         return model.sample_blocks(cfg.p, cfg.n, rng)
     x = sample_data_matrix(model, cfg.p, cfg.n, rng)
     _scale_each_column(cfg.column_groups, x)
-    if cfg.b is None and cfg.c is None:
+    if cfg.c is not None:
+        x += cfg.c
+    if cfg.b is None:
         return spectra.blocks(x)
-    s = spectra.sample_covariance(x if cfg.c is None else x + cfg.c)
-    return matcore.as_square(s if cfg.b is None else s + cfg.b)
+    return [spectra.sample_covariance(x) + cfg.b], cfg.p, ()
 
 
 def _column_groups(covs: tuple[CovSpec, ...]) -> tuple[tuple[CovSpec, np.ndarray], ...]:

@@ -96,7 +96,7 @@ def eigh(m, want_vectors: bool = True) -> Spectrum:
 
 
 def _eigvalsh(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Ascending eigenvalues of each matrix validated by ``as_square``, in input order.
+    """Ascending eigenvalues of each finite square matrix, in input order; none is validated.
 
     One stacked ``np.linalg.eigvalsh`` call per order solves each matrix alone,
     with its own bits.  numpy releases the GIL only when count times order exceeds

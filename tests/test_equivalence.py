@@ -58,10 +58,11 @@ def test_paired_gaussian_mappings():
 
 
 def test_offset_matrix_scaled_identity():
-    b = ScaledIdentity(0.5).build(4)
-    assert np.array_equal(b, 0.5 * np.eye(4))
+    # B = beta I is a shift of z, never a matrix.
+    cfg = SwapConfig(IIDGaussian(), 4, 3, (1j,), b_spec=ScaledIdentity(0.5))
+    assert cfg.shift == 0.5 and cfg.b is None
     cfg = SwapConfig(IIDGaussian(), 4, 3, (1j,))
-    assert cfg.b is None and cfg.c is None
+    assert cfg.shift == 0.0 and cfg.b is None and cfg.c is None
 
 
 def test_offset_matrix_psd_is_deterministic_unit_norm():
@@ -174,16 +175,15 @@ def test_gap_shrinks_with_dimension_for_rademacher():
 
 
 def test_gap_identity_offset_matches_shifted_z():
-    # B = beta I only shifts the spectrum: the gap at (B, z) must equal the
-    # gap at (no offset, z - beta) for the same stream, up to eigensolver
-    # roundoff.
+    # B = beta I only shifts the spectrum: the gap at (B, z) is the gap at
+    # (no offset, z - beta) for the same stream, bit for bit.
     beta, z = 0.5, 0.3 + 1j
     base = dict(model=IIDRademacher(), p=24, n=48)
     with_b = SwapConfig(**base, zs=(z,), b_spec=ScaledIdentity(beta))
     without = SwapConfig(**base, zs=(z - beta,))
     d1 = resolvent_gap(with_b, derive_rng(4))[0]
     d2 = resolvent_gap(without, derive_rng(4))[0]
-    assert abs(d1 - d2) < 1e-10
+    assert d1 == d2
 
 
 def test_gap_reproducible_and_column_offset_changes_it():
@@ -269,7 +269,7 @@ def test_gap_without_offsets_matches_the_dense_recipe(model, p, n):
     cfg = SwapConfig(model, p, n, zs)
     for t in range(3):
         rng = derive_rng(31, t)
-        if cfg.twin_shift is None:
+        if not cfg.twin_in_law:
             x = model.sample(p, n, rng)
             zmat = GaussianCov(model.cov).sample(p, n, rng)
             want = swap_gaps_dense(x, zmat, zs)
@@ -298,16 +298,17 @@ def test_twin_is_drawn_in_law_exactly_when_it_is_standard_gaussian():
         (SwapConfig(IIDGaussian(), p, n, zs, hetero=(Identity(),) * n), 0.0),
     ]
     for cfg, beta in law:
-        assert cfg.twin_shift == beta
+        assert cfg.twin_in_law and cfg.shift == beta
     dense = [
         SwapConfig(WeakDependent((1.0, 0.5)), p, n, zs),
         SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs),
         SwapConfig(IIDRademacher(), p, n, zs, b_spec=RandomPSDUnitNorm(1)),
         SwapConfig(IIDRademacher(), p, n, zs, c_spec=ConstantColumns(1.0)),
         SwapConfig(IIDGaussian(), p, n, zs, hetero=(Identity(), Toeplitz(0.5)) * 2),
+        SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs, b_spec=ScaledIdentity(0.5)),
     ]
     for cfg in dense:
-        assert cfg.twin_shift is None
+        assert not cfg.twin_in_law
 
 
 def laguerre_points(p, n):
@@ -414,11 +415,13 @@ def test_grouped_column_scaling_matches_per_column_products():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_sparse_swap_gap_holds_no_dense_draw():
+@pytest.mark.parametrize("b_spec", [None, ScaledIdentity(0.5)], ids=["no-offset", "id"])
+def test_sparse_swap_gap_holds_no_dense_draw(b_spec):
     # X's Gram is formed from the drawn nonzeros and its twin is drawn in law,
-    # so the trial's traced peak stays below one p-by-n float64 matrix.
+    # B = beta I or not, so the trial's traced peak stays below one p-by-n
+    # float64 matrix.
     p, n = 512, 2048
-    cfg = SwapConfig(IIDSparseSpike(), p, n, (1j, 0.5 + 1j))
+    cfg = SwapConfig(IIDSparseSpike(), p, n, (1j, 0.5 + 1j), b_spec=b_spec)
     tracemalloc.start()
     try:
         resolvent_gap(cfg, derive_rng(24))
@@ -452,14 +455,17 @@ HETERO = (Identity(), Toeplitz(0.5))
 
 
 def dense_twin_configs(p=24, n=48, zs=(1j, -1.0 + 0.5j)):
-    """The benchmark's two dense-twin swaps, small (eq-hetero and eq-multiz-psd), and two plain ones."""
+    """The benchmark's two dense-twin swaps, small (eq-hetero and eq-multiz-psd), two plain
+    ones, a column offset and a shifted one."""
     return [SwapConfig(IIDGaussian(), p, n, zs, hetero=HETERO * (n // 2)),
             SwapConfig(IIDRademacher(), p, n, zs, b_spec=RandomPSDUnitNorm(2)),
             SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs),
-            SwapConfig(WeakDependent((1.0, 0.5)), p, n, zs)]
+            SwapConfig(WeakDependent((1.0, 0.5)), p, n, zs),
+            SwapConfig(IIDRademacher(), p, n, zs, c_spec=ConstantColumns(1.0)),
+            SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs, b_spec=ScaledIdentity(0.5))]
 
 
-DENSE_TWIN_IDS = ["hetero", "psd", "toeplitz", "weak-ma"]
+DENSE_TWIN_IDS = ["hetero", "psd", "toeplitz", "weak-ma", "const", "toeplitz-id"]
 
 
 def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
@@ -479,7 +485,7 @@ def test_a_dense_twin_trial_solves_both_sides_in_one_stacked_call(monkeypatch, c
 @pytest.mark.parametrize("b_spec", [None, ScaledIdentity(0.5)])
 def test_a_laguerre_twin_trial_stacks_nothing(monkeypatch, b_spec):
     cfg = SwapConfig(IIDRademacher(), 24, 48, (1j,), b_spec=b_spec)
-    assert cfg.twin_shift is not None
+    assert cfg.twin_in_law
     shapes = eigvalsh_shapes(monkeypatch)
     resolvent_gap(cfg, derive_rng(6))
     # One call on X's matrix alone, whether or not it comes as a stack of one.
@@ -488,20 +494,22 @@ def test_a_laguerre_twin_trial_stacks_nothing(monkeypatch, b_spec):
 
 @pytest.mark.parametrize("cfg", dense_twin_configs(), ids=DENSE_TWIN_IDS)
 def test_a_dense_twin_gap_is_the_by_hand_recipe_bitwise(cfg):
-    # Draw X, color it, take its matrix, then draw Z from the same stream;
-    # solve each alone.
+    # Draw X, color it, add C, take its matrix S + B, then draw Z from the
+    # same stream; solve each alone, and read both at z - beta.
     def solved(model, rng):
         x = model.sample(cfg.p, cfg.n, rng)
         for k, spec in enumerate(cfg.hetero or ()):
             x[:, k : k + 1] = spec.color(x[:, k : k + 1])
-        if cfg.b is None:
-            return matcore.clamp_psd_eigenvalues(np.linalg.eigvalsh(spectra.sample_covariance(x)))
-        return np.linalg.eigvalsh(spectra.sample_covariance(x) + cfg.b)
+        if cfg.c is not None:
+            x = x + cfg.c
+        s = spectra.sample_covariance(x)
+        return matcore.clamp_psd_eigenvalues(np.linalg.eigvalsh(s if cfg.b is None else s + cfg.b))
 
+    beta = cfg.b_spec.beta if isinstance(cfg.b_spec, ScaledIdentity) else 0.0
     for t in range(3):
         rng = derive_rng(40, t)
         x_vals = solved(cfg.model, rng)
         z_vals = solved(GaussianCov(cfg.model.cov), rng)
-        want = tuple(resolvent_trace(matcore.Spectrum(x_vals), z)
-                     - resolvent_trace(matcore.Spectrum(z_vals), z) for z in cfg.zs)
+        want = tuple(resolvent_trace(matcore.Spectrum(x_vals), z - beta)
+                     - resolvent_trace(matcore.Spectrum(z_vals), z - beta) for z in cfg.zs)
         assert resolvent_gap(cfg, derive_rng(40, t)) == want
