@@ -15,9 +15,10 @@ of each; the Monte Carlo loop over draws is the CLI's trial runner
 * the squared-norm drift (x^T x - p) / p for isotropic models;
 * single trials of the projected-spectrum experiment: compress a sample
   covariance along a frame and measure the Kolmogorov distance to the limit
-  law of the compressed aspect ratio.  Standard Gaussian data is compressed
-  in law: C X is itself a q-by-n standard Gaussian draw.  The trial forms
-  one eigenproblem and solves it with ``spectra.block_esds``.
+  law of the compressed aspect ratio.  Standard Gaussian data,
+  ``GaussianCov(Identity())``, is compressed in law: C X is itself a q-by-n
+  standard Gaussian draw.  The trial forms one eigenproblem and solves it
+  with ``spectra.block_esds``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import matcore, spectra
 from .ensembles import (
-    GaussianCov, Identity, IIDGaussian, ParseError, VectorModel, _check_dim,
+    GaussianCov, Identity, ParseError, VectorModel, _check_dim,
     sample_data_matrix, sample_vector,
 )
 from .matcore import DomainError
@@ -232,10 +233,6 @@ def norm_drift_stat(model: VectorModel, p: int, rng: np.random.Generator) -> flo
     return (float(x @ x) - p) / p
 
 
-#: The models whose columns are N(0, I_p).
-_STANDARD_GAUSSIAN = (IIDGaussian(), GaussianCov(Identity()))
-
-
 def mp_property_trial(
     model: VectorModel,
     p: int,
@@ -261,7 +258,7 @@ def mp_property_trial(
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
     if frame_mode not in ("haar", "fixed-half"):
         raise DomainError(f"unknown frame mode {frame_mode!r}")
-    if frame_mode == "fixed-half" or model in _STANDARD_GAUSSIAN:
+    if frame_mode == "fixed-half" or model == GaussianCov(Identity()):
         problem = model.sample_blocks(p, n, rng, q)
     else:
         # The frame is orthonormal by construction, so it is not re-validated.

@@ -4,14 +4,15 @@ Each model produces isotropic or structured p-dimensional vectors used as
 columns of data matrices.  The menu is chosen to straddle the boundary of
 sample-covariance universality:
 
-* ``IIDGaussian`` / ``IIDRademacher`` - classical well-behaved entries;
+* ``IIDRademacher`` - iid signs, classical well-behaved entries;
 * ``IIDSparseSpike`` - entries are +-sqrt(p) with probability 1/(2p) each,
   else 0: unit variance but mass escaping to the scale sqrt(p), the standard
   way to break the small-tail (Lindeberg-type) condition;
 * ``BlockXi`` - sqrt(2) * (z*xi, z*(1-xi)) with one Gaussian half switched on
   by a fair coin: isotropic, yet quadratic forms along fixed coordinate
   blocks refuse to concentrate;
-* ``GaussianCov`` - centered Gaussian with a structured covariance;
+* ``GaussianCov`` - centered Gaussian with a structured covariance; with
+  ``Identity()`` (``iid-gauss``) it is the standard Gaussian positive control;
 * ``WeakDependent`` - finite moving average over iid sign innovations,
   normalized to unit marginal variance.
 
@@ -300,39 +301,6 @@ class _Isotropic(_Dense):
 
 
 @dataclass(frozen=True)
-class IIDGaussian(_Isotropic):
-    """iid standard normal entries."""
-
-    name = "iid-gauss"
-
-    def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _columns(p, n, lambda m: rng.standard_normal((m, p)))
-
-    def sample_blocks(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> tuple:
-        """The first q rows' problem in law: T = B B^T / n, B from ``_laguerre_draw(q, n)``.
-
-        The tridiagonal T is one block: connected almost surely, and solved
-        right whole either way.
-        """
-        q = _esd_rows(p, q)
-        c2, s2 = _laguerre_draw(q, n, rng)
-        t = np.diag((c2 + np.concatenate(([0.0], s2))) / n)
-        t.flat[1::c2.size + 1] = t.flat[c2.size::c2.size + 1] = np.sqrt(c2[:-1] * s2) / n
-        return [t], q, ()
-
-
-def _laguerre_draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Squares c2, s2 of the Laguerre bidiagonal B (Dumitriu & Edelman 2002).
-
-    Chi-square with max(p, n), max(p, n) - 1, ... and min(p, n) - 1, ..., 1 degrees of
-    freedom: B B^T / n has the nonzero spectrum of standard Gaussian Z Z^T / n in law.
-    """
-    m, big = min(p, n), max(p, n)
-    c2 = rng.chisquare(np.arange(big, big - m, -1.0))
-    return c2, rng.chisquare(np.arange(m - 1.0, 0.0, -1.0))
-
-
-@dataclass(frozen=True)
 class IIDRademacher(_Isotropic):
     """iid symmetric sign entries."""
 
@@ -392,6 +360,17 @@ class BlockXi(_Isotropic):
         return out
 
 
+def _laguerre_draw(p: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Squares c2, s2 of the Laguerre bidiagonal B (Dumitriu & Edelman 2002).
+
+    Chi-square with max(p, n), max(p, n) - 1, ... and min(p, n) - 1, ..., 1 degrees of
+    freedom: B B^T / n has the nonzero spectrum of standard Gaussian Z Z^T / n in law.
+    """
+    m, big = min(p, n), max(p, n)
+    c2 = rng.chisquare(np.arange(big, big - m, -1.0))
+    return c2, rng.chisquare(np.arange(m - 1.0, 0.0, -1.0))
+
+
 @dataclass(frozen=True)
 class GaussianCov(_Dense):
     """Centered Gaussian with covariance given by a CovSpec: its factor on Gaussian innovations."""
@@ -403,10 +382,22 @@ class GaussianCov(_Dense):
         return self.cov == Identity()
 
     def sample(self, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.cov.color(IIDGaussian().sample(self.cov.width(p), n, rng))
+        w = self.cov.width(p)
+        return self.cov.color(_columns(w, n, lambda m: rng.standard_normal((m, w))))
 
     def sample_blocks(self, p: int, n: int, rng: np.random.Generator, q: int | None = None) -> tuple:
-        return (IIDGaussian() if self.isotropic else super()).sample_blocks(p, n, rng, q)
+        """The first q rows' problem; when isotropic, in law: T = B B^T / n, B from ``_laguerre_draw(q, n)``.
+
+        The tridiagonal T is one block: connected almost surely, and solved
+        right whole either way.
+        """
+        if not self.isotropic:
+            return super().sample_blocks(p, n, rng, q)
+        q = _esd_rows(p, q)
+        c2, s2 = _laguerre_draw(q, n, rng)
+        t = np.diag((c2 + np.concatenate(([0.0], s2))) / n)
+        t.flat[1::c2.size + 1] = t.flat[c2.size::c2.size + 1] = np.sqrt(c2[:-1] * s2) / n
+        return [t], q, ()
 
     def spec(self) -> str:
         return f"gauss-cov:{self.cov.spec()}"
@@ -461,7 +452,7 @@ class WeakDependent(_Dense):
         return "weak-ma:" + ",".join(repr(c) for c in self.coeffs)
 
 
-VectorModel = IIDGaussian | IIDRademacher | IIDSparseSpike | BlockXi | GaussianCov | WeakDependent
+VectorModel = IIDRademacher | IIDSparseSpike | BlockXi | GaussianCov | WeakDependent
 
 
 def _check_dim(p: int) -> None:
@@ -511,17 +502,18 @@ def parse_cov_spec(text: str) -> CovSpec:
 def parse_model_spec(text: str) -> VectorModel:
     """Parse a model spec string; the inverse of ``model.spec()``.
 
-    Grammar:
+    Grammar (``iid-gauss`` is ``gauss-cov:identity``, whose ``spec()`` it returns):
         iid-gauss | iid-rademacher | sparse-spike | block-xi
         | gauss-cov:<covspec> | weak-ma:c0,c1,...
     """
     s = text.strip()
     head, _, rest = s.partition(":")
-    simple = {cls.name: cls for cls in (IIDGaussian, IIDRademacher, IIDSparseSpike, BlockXi)}
+    simple = {cls.name: cls() for cls in (IIDRademacher, IIDSparseSpike, BlockXi)}
+    simple["iid-gauss"] = GaussianCov(Identity())
     if head in simple:
         if rest:
             raise ParseError(f"model {head!r} takes no arguments, got {rest!r}")
-        return simple[head]()
+        return simple[head]
     if head == "gauss-cov":
         if not rest:
             raise ParseError("gauss-cov needs a covariance spec")

@@ -52,8 +52,8 @@ from .matcore import DomainError
 # offsets
 #
 # An offset owns its behaviour: ``spec()`` is its grammar string, and
-# ``build`` the dense matrix in dimension p (p-by-n for a column offset).
-# B = beta I has none: it is a shift of z.
+# ``build`` the dense matrix in dimension p (for a column offset, the p-by-1
+# column every column of C equals).  B = beta I has none: it shifts z.
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,8 @@ class ConstantColumns:
         if not math.isfinite(self.gamma):
             raise DomainError(f"column-offset scale must be finite, got {self.gamma}")
 
-    def build(self, p: int, n: int) -> np.ndarray:
-        col = self.gamma * np.ones(p) / np.sqrt(float(p))
-        return np.tile(col[:, None], (1, n))
+    def build(self, p: int) -> np.ndarray:
+        return self.gamma * np.ones((p, 1)) / np.sqrt(float(p))
 
     def spec(self) -> str:
         return f"const:{self.gamma!r}"
@@ -130,9 +129,10 @@ class SwapConfig:
     shift: float = field(default=0.0, init=False, repr=False, compare=False)
     #: Whether ``_laguerre_traces`` draws the twin in law.
     twin_in_law: bool = field(default=False, init=False, repr=False, compare=False)
-    #: The offsets B (a ``psd:`` p-by-p matrix) and C (p-by-n), built once and
-    #: read-only, or None.  They depend on neither z nor the trial, so every
-    #: trial of a run shares them, on any number of threads.
+    #: The offsets B (a ``psd:`` p-by-p matrix) and C (its p-by-1 column, which
+    #: broadcasts over X), built once and read-only, or None.  They depend on
+    #: neither z nor the trial, so every trial of a run shares them, on any
+    #: number of threads.
     b: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     c: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -154,12 +154,17 @@ class SwapConfig:
             object.__setattr__(self, "column_groups", _column_groups(self.hetero))
         b_spec = self.b_spec
         if isinstance(b_spec, ScaledIdentity):
+            for z in self.zs:
+                try:
+                    matcore.require_upper_half(z - b_spec.beta)
+                except DomainError:
+                    raise DomainError(f"resolvent point {z} shifted by offset {b_spec.spec()} "
+                                      "is not finite") from None
             object.__setattr__(self, "shift", b_spec.beta)
             b_spec = None  # a shift of z, not a matrix
-        for name, spec, shape in (("b", b_spec, (self.p,)),
-                                  ("c", self.c_spec, (self.p, self.n))):
+        for name, spec in (("b", b_spec), ("c", self.c_spec)):
             if spec is not None:
-                m = spec.build(*shape)
+                m = spec.build(self.p)
                 m.flags.writeable = False
                 object.__setattr__(self, name, m)
         standard = self.model.cov == Identity() and not self.column_groups

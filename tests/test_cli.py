@@ -800,7 +800,7 @@ def test_main_exit_codes_for_bad_input(capsys):
     )
     assert code == 2 and "4096" in err
     code, _, err = run_main(
-        ["conditions", "--model", "iid-gauss", "--p", "8", "--stat", "chebyshev"],
+        ["conditions", "--model", "iid-rademacher", "--p", "8", "--stat", "chebyshev"],
         capsys,
     )
     assert code == 2 and "gauss-cov" in err
@@ -1038,6 +1038,48 @@ def test_chebyshev_report_is_the_quadform_report(family, tmp_path, capsys):
     assert set(cheb) - set(quad) == {"bound", "slack"}
     assert cheb["slack"] == cheb["bound"] + 4.0 * cheb["exceed_se"] - cheb["exceed_freq"]
     assert summaries["chebyshev"]["trials"] == 6
+
+
+_SPELLED = {
+    "esd": ["esd", "--p", "12", "--n", "20"],
+    "mp-property-haar": ["mp-property", "--p", "12", "--n", "20", "--q", "6", "--frame", "haar"],
+    "mp-property-fixed-half": ["mp-property", "--p", "12", "--n", "20", "--q", "6",
+                               "--frame", "fixed-half"],
+    "equivalence": ["equivalence", "--p", "8", "--n", "16"],
+    "equivalence-id": ["equivalence", "--p", "8", "--n", "16", "--b", "id:0.5"],
+    "equivalence-hetero": ["equivalence", "--p", "8", "--n", "16",
+                           "--hetero", "identity", "--hetero", "toeplitz:0.5"],
+    "lindeberg": ["conditions", "--p", "12", "--stat", "lindeberg"],
+    "quadform": ["conditions", "--p", "12", "--stat", "quadform", "--family", "random-psd"],
+    "chebyshev": ["conditions", "--p", "12", "--stat", "chebyshev", "--family", "random-psd"],
+    "norm-drift": ["conditions", "--p", "12", "--stat", "norm-drift"],
+}
+
+
+@pytest.mark.parametrize("argv", _SPELLED.values(), ids=_SPELLED.keys())
+def test_both_standard_gaussian_spellings_run_alike(argv, tmp_path, capsys):
+    # iid-gauss and gauss-cov:identity parse to one model: every experiment
+    # exits alike and writes the same records and summary, but for the model
+    # string each carries as given.
+    runs = []
+    for model in ("iid-gauss", "gauss-cov:identity"):
+        out = tmp_path / f"{model}.json"
+        code, summary, _ = run_main([*argv, "--model", model, "--trials", "3", "--seed", "5",
+                                     "--format", "json", "--out", str(out)], capsys)
+        records, summary = json.loads(out.read_text()), json.loads(summary)
+        assert {r.pop("model") for r in records} == {summary["config"].pop("model")} == {model}
+        runs.append((code, records, summary))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_main_rejects_a_point_the_offset_shifts_to_infinity(tmp_path, capsys):
+    # z - beta overflows: refused with the config, naming the point and the
+    # offset as given, before any trial runs, and no report is written.
+    out = tmp_path / "rows.csv"
+    code, stdout, err = run_main([*_EQ, "--b", "id:-1e308", "--z=1e308,1", "--out", str(out)],
+                                 capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: resolvent point (1e+308+1j) shifted by offset id:-1e+308 is not finite\n"
 
 
 def test_package_import_loads_only_the_named_module():

@@ -40,8 +40,8 @@ from mplab.conditions import (
 from mplab.ensembles import (
     BlockXi,
     GaussianCov,
-    IIDGaussian,
     IIDRademacher,
+    Identity,
     ParseError,
     Toeplitz,
     WeakDependent,
@@ -140,7 +140,7 @@ def test_quadform_rademacher_identity_is_exactly_zero():
 
 def test_quadform_gaussian_spiked_matrix_centers_correctly():
     p, trials = 16, 6000
-    model = IIDGaussian()
+    model = GaussianCov(Identity())
     a = np.diag(np.concatenate([[2.0], np.ones(p - 1)]))
     sigma = quadform_sigma(model, RandomPSDFamily(), p)
     rng = derive_rng(5)
@@ -305,7 +305,7 @@ def test_mp_property_fixed_half_reproducible_by_hand():
     # Standard Gaussian data is compressed in law: the trial's spectrum is
     # that of the Laguerre tridiagonal of a q-by-n draw, from the trial
     # stream, solved whole by the dense oracle, bit for bit.
-    model, p, n, q = IIDGaussian(), 30, 60, 15
+    model, p, n, q = GaussianCov(Identity()), 30, 60, 15
     got = mp_property_trial(model, p, n, q, derive_rng(13), frame_mode="fixed-half")
     e = esd(laguerre_gram(*_laguerre_draw(q, n, derive_rng(13)), n), psd=True)
     assert got == ks_distance(e, MPLaw(q / n))
@@ -376,13 +376,13 @@ def test_mp_property_gaussian_in_law_draw_has_the_frame_paths_law(p, n, q):
     law = MPLaw(q / n)
     direct, frame = [], []
     for k in range(draws):
-        d = mp_property_trial(IIDGaussian(), p, n, q, derive_rng(61, p, k))
+        d = mp_property_trial(GaussianCov(Identity()), p, n, q, derive_rng(61, p, k))
         e = gram_esd(laguerre_gram(*_laguerre_draw(q, n, derive_rng(61, p, k)), n), q)
         assert ks_distance(e, law) == d
         direct.append((d, e.eigenvalues[-1]))
         rng = derive_rng(62, p, k)
         c = haar_frame(q, p, rng)
-        (e,) = block_esds([blocks(c @ sample_data_matrix(IIDGaussian(), p, n, rng))])
+        (e,) = block_esds([blocks(c @ sample_data_matrix(GaussianCov(Identity()), p, n, rng))])
         frame.append((ks_distance(e, law), e.eigenvalues[-1]))
     direct, frame = np.array(direct), np.array(frame)
     for j in range(2):
@@ -390,23 +390,23 @@ def test_mp_property_gaussian_in_law_draw_has_the_frame_paths_law(p, n, q):
 
 
 def test_mp_property_haar_small_case_in_range():
-    val = mp_property_trial(IIDGaussian(), 40, 80, 20, derive_rng(14))
+    val = mp_property_trial(GaussianCov(Identity()), 40, 80, 20, derive_rng(14))
     assert 0.0 < val < 0.5
-    again = mp_property_trial(IIDGaussian(), 40, 80, 20, derive_rng(14))
+    again = mp_property_trial(GaussianCov(Identity()), 40, 80, 20, derive_rng(14))
     assert val == again
 
 
 def test_mp_property_validates_frame_args():
     with pytest.raises(DomainError):
-        mp_property_trial(IIDGaussian(), 8, 16, 0, derive_rng(0))
+        mp_property_trial(GaussianCov(Identity()), 8, 16, 0, derive_rng(0))
     with pytest.raises(DomainError):
-        mp_property_trial(IIDGaussian(), 8, 16, 9, derive_rng(0))
+        mp_property_trial(GaussianCov(Identity()), 8, 16, 9, derive_rng(0))
     with pytest.raises(DomainError):
-        mp_property_trial(IIDGaussian(), 8, 16, 4, derive_rng(0), frame_mode="dyadic")
+        mp_property_trial(GaussianCov(Identity()), 8, 16, 4, derive_rng(0), frame_mode="dyadic")
     # Dimensions are checked before any draw, including p, which a standard
     # Gaussian model never draws at.
     for p, n, q in ((8, 16, True), (8.0, 16, 4), (8, 16, 4.0), (8, 0, 4), (True, 16, 1)):
-        for model in (IIDGaussian(), IIDRademacher()):
+        for model in (GaussianCov(Identity()), IIDRademacher()):
             with pytest.raises(DomainError, match="positive integer"):
                 mp_property_trial(model, p, n, q, derive_rng(0))
 

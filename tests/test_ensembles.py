@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mplab.ensembles import (
     BlockXi,
     GaussianCov,
-    IIDGaussian,
     IIDRademacher,
     IIDSparseSpike,
     Identity,
@@ -31,20 +30,23 @@ from mplab.ensembles import _BLOCK_BYTES, _band_matrix
 from mplab.matcore import DomainError
 from mplab.spectra import block_esds
 
-ALL_MODELS = (
-    IIDGaussian(),
-    IIDRademacher(),
-    IIDSparseSpike(),
-    BlockXi(),
-    GaussianCov(Identity()),
-    GaussianCov(Spiked(2, 5.0)),
-    GaussianCov(Toeplitz(0.5)),
-    WeakDependent((1.0, 0.5)),
-)
+#: The model specs under test; ``iid-gauss`` and ``gauss-cov:identity`` spell one model.
+ALL_MODELS = [
+    "iid-gauss",
+    "iid-rademacher",
+    "sparse-spike",
+    "block-xi",
+    "gauss-cov:identity",
+    "gauss-cov:spiked:2,5.0",
+    "gauss-cov:toeplitz:0.5",
+    WeakDependent((1.0, 0.5)).spec(),
+]
 
 
-def spec_id(model) -> str:
-    return model.spec()
+def model_params(*extra) -> list:
+    """ALL_MODELS parsed, each under its spelling, then the extra models under their spec."""
+    return ([pytest.param(parse_model_spec(s), id=s) for s in ALL_MODELS]
+            + [pytest.param(m, id=m.spec()) for m in extra])
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +71,7 @@ def test_derive_rng_distinct_paths_differ():
 # sampling shapes and basic structure
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=spec_id)
+@pytest.mark.parametrize("model", model_params())
 def test_sample_vector_shape_dtype(model):
     x = sample_vector(model, 16, derive_rng(0, 1))
     assert x.shape == (16,)
@@ -190,10 +192,10 @@ def test_weak_ma_is_moving_average_of_sign_innovations():
 
 def test_sample_vector_rejects_bad_dimension():
     with pytest.raises(DomainError):
-        sample_vector(IIDGaussian(), 0, derive_rng(0))
+        sample_vector(GaussianCov(Identity()), 0, derive_rng(0))
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=spec_id)
+@pytest.mark.parametrize("model", model_params())
 def test_sample_esd_checks_its_row_count_alike(model):
     # Every model's ``sample_blocks`` takes 1 <= q <= p rows, q = p being the
     # whole draw, and rejects any other q with the same error before it draws.
@@ -214,12 +216,9 @@ def test_sample_esd_checks_its_row_count_alike(model):
 # moments: isotropy and dependence
 
 
-@pytest.mark.parametrize(
-    "model",
-    (IIDGaussian(), IIDRademacher(), IIDSparseSpike(), BlockXi()),
-    ids=spec_id,
-)
-def test_isotropic_models_have_identity_covariance(model):
+@pytest.mark.parametrize("spec", ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi"])
+def test_isotropic_models_have_identity_covariance(spec):
+    model = parse_model_spec(spec)
     p, reps = 16, 100_000
     rng = derive_rng(5)
     acc = np.zeros((p, p))
@@ -416,7 +415,7 @@ def test_population_covariance_weak_ma_is_banded():
 
 
 def test_data_matrix_first_column_matches_single_draw():
-    for model in ALL_MODELS:
+    for model in map(parse_model_spec, ALL_MODELS):
         a = sample_data_matrix(model, 8, 1, derive_rng(9))
         b = sample_vector(model, 8, derive_rng(9))
         assert np.array_equal(a[:, 0], b), model.spec()
@@ -437,8 +436,6 @@ def sparse_spike_reference(p, n, rng):
 
 def reference_column(model, p, rng):
     """One column drawn entry by entry in the stream order the models promise."""
-    if isinstance(model, IIDGaussian):
-        return rng.standard_normal(p)
     if isinstance(model, IIDRademacher):
         return rng.integers(0, 2, size=p).astype(np.float64) * 2.0 - 1.0
     if isinstance(model, IIDSparseSpike):
@@ -466,9 +463,7 @@ def reference_column(model, p, rng):
 
 
 @pytest.mark.parametrize(
-    "model",
-    ALL_MODELS + (WeakDependent((1.0, -0.5, 0.25)), GaussianCov(MovingAverage((1.0, 0.3)))),
-    ids=spec_id,
+    "model", model_params(WeakDependent((1.0, -0.5, 0.25)), GaussianCov(MovingAverage((1.0, 0.3))))
 )
 def test_data_matrix_shape_and_column_order(model):
     # A batch draw is the column stack of one-column draws on one stream, and
@@ -483,7 +478,8 @@ def test_data_matrix_shape_and_column_order(model):
     else:
         dims = (1, 63, 64, 65)
     cases = [(p, n) for p in dims for n in (1, 2, 7)]
-    if isinstance(model, (IIDGaussian, IIDRademacher, IIDSparseSpike, WeakDependent)):
+    standard = model == GaussianCov(Identity())
+    if standard or isinstance(model, (IIDRademacher, IIDSparseSpike, WeakDependent)):
         # These but sparse-spike fill the matrix from row blocks of an n-by-p
         # draw: span at least three blocks, the last one ragged.
         step = _BLOCK_BYTES // (8 * 1024)
@@ -510,7 +506,7 @@ def test_data_matrix_shape_and_column_order(model):
 # grammar
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=spec_id)
+@pytest.mark.parametrize("model", model_params())
 def test_model_spec_round_trip(model):
     assert parse_model_spec(model.spec()) == model
 
@@ -523,7 +519,8 @@ def test_model_spec_round_trip_odd_floats():
 
 
 def test_parse_model_spec_examples():
-    assert parse_model_spec("iid-gauss") == IIDGaussian()
+    assert parse_model_spec("iid-gauss") == GaussianCov(Identity())
+    assert parse_model_spec("iid-gauss").spec() == "gauss-cov:identity"
     assert parse_model_spec(" block-xi ") == BlockXi()
     assert parse_model_spec("gauss-cov:spiked:1,2048") == GaussianCov(Spiked(1, 2048.0))
     assert parse_model_spec("weak-ma:3,4") == WeakDependent((0.6, 0.8))

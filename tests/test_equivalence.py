@@ -13,7 +13,6 @@ from mplab.cli.config import EXPERIMENTS, ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
     GaussianCov,
-    IIDGaussian,
     IIDRademacher,
     IIDSparseSpike,
     Identity,
@@ -23,6 +22,7 @@ from mplab.ensembles import (
     Toeplitz,
     WeakDependent,
     derive_rng,
+    parse_model_spec,
 )
 from mplab.ensembles import _laguerre_draw
 from mplab.equivalence import (
@@ -45,7 +45,9 @@ from oracles import dense_traces, gram_esd, laguerre_gram, laguerre_trace, swap_
 
 
 def test_paired_gaussian_mappings():
-    assert GaussianCov(IIDGaussian().cov) == GaussianCov(Identity())
+    # iid-gauss is the standard Gaussian model, its own twin.
+    standard = parse_model_spec("iid-gauss")
+    assert GaussianCov(standard.cov) == standard == GaussianCov(Identity())
     assert GaussianCov(IIDRademacher().cov) == GaussianCov(Identity())
     g = GaussianCov(Toeplitz(0.3))
     assert GaussianCov(g.cov) == g
@@ -59,9 +61,9 @@ def test_paired_gaussian_mappings():
 
 def test_offset_matrix_scaled_identity():
     # B = beta I is a shift of z, never a matrix.
-    cfg = SwapConfig(IIDGaussian(), 4, 3, (1j,), b_spec=ScaledIdentity(0.5))
+    cfg = SwapConfig(GaussianCov(Identity()), 4, 3, (1j,), b_spec=ScaledIdentity(0.5))
     assert cfg.shift == 0.5 and cfg.b is None
-    cfg = SwapConfig(IIDGaussian(), 4, 3, (1j,))
+    cfg = SwapConfig(GaussianCov(Identity()), 4, 3, (1j,))
     assert cfg.shift == 0.0 and cfg.b is None and cfg.c is None
 
 
@@ -76,8 +78,9 @@ def test_offset_matrix_psd_is_deterministic_unit_norm():
 
 
 def test_column_offset_constant_columns():
-    c = ConstantColumns(2.0).build(4, 3)
-    assert c.shape == (4, 3)
+    # One p-by-1 column, which broadcasts over the n columns of X.
+    c = ConstantColumns(2.0).build(4)
+    assert c.shape == (4, 1)
     assert np.allclose(c, 2.0 / np.sqrt(4.0))
     assert np.allclose(np.linalg.norm(c[:, 0]) ** 2, 4.0)  # gamma^2 per column
 
@@ -119,27 +122,36 @@ def test_offset_grammar_errors():
 
 def test_swap_config_validation():
     with pytest.raises(DomainError):
-        SwapConfig(IIDGaussian(), 0, 8, (1j,))
+        SwapConfig(GaussianCov(Identity()), 0, 8, (1j,))
     with pytest.raises(DomainError):
-        SwapConfig(IIDGaussian(), 8, 8, (1.0 - 1j,))
+        SwapConfig(GaussianCov(Identity()), 8, 8, (1.0 - 1j,))
     with pytest.raises(DomainError):
-        SwapConfig(IIDGaussian(), 8, 8, ())
+        SwapConfig(GaussianCov(Identity()), 8, 8, ())
     with pytest.raises(DomainError):
-        SwapConfig(IIDGaussian(), 8, 8, (1j, 0.5 + 0.0j))
+        SwapConfig(GaussianCov(Identity()), 8, 8, (1j, 0.5 + 0.0j))
     with pytest.raises(DomainError):
-        SwapConfig(IIDGaussian(), 8, 4, (1j,), hetero=(Identity(),) * 3)
+        SwapConfig(GaussianCov(Identity()), 8, 4, (1j,), hetero=(Identity(),) * 3)
     with pytest.raises(DomainError):  # per-column covariances need an isotropic base
         SwapConfig(GaussianCov(Toeplitz(0.5)), 8, 4, (1j,), hetero=(Identity(),) * 4)
     # A moving average of order 1 reads p + 1 innovations per column, so its
     # factor is not square; order 0 is a square scaling.
     ma = WeakDependent((1.0, 0.5)).cov
     with pytest.raises(DomainError, match="square factor"):
-        SwapConfig(IIDGaussian(), 8, 4, (1j,), hetero=(Identity(), ma) * 2)
-    SwapConfig(IIDGaussian(), 8, 4, (1j,), hetero=(MovingAverage((0.5,)),) * 4)
+        SwapConfig(GaussianCov(Identity()), 8, 4, (1j,), hetero=(Identity(), ma) * 2)
+    SwapConfig(GaussianCov(Identity()), 8, 4, (1j,), hetero=(MovingAverage((0.5,)),) * 4)
     nan, inf = float("nan"), float("inf")
     for z in (complex(nan, 1.0), complex(0.0, inf), complex(inf, 1.0), complex(0.0, nan)):
         with pytest.raises(DomainError):
-            SwapConfig(IIDGaussian(), 8, 8, (z,))
+            SwapConfig(GaussianCov(Identity()), 8, 8, (z,))
+
+
+def test_swap_config_rejects_a_point_the_offset_shifts_to_infinity():
+    # Both sides are read at z - beta, so each such point is checked with the
+    # config, before any trial draws, naming the z and the offset as given.
+    b = ScaledIdentity(-1e308)
+    with pytest.raises(DomainError, match=r"\(1e\+308\+1j\) shifted by offset id:-1e\+308"):
+        SwapConfig(GaussianCov(Identity()), 4, 4, (1j, 1e308 + 1j), b_spec=b)
+    assert SwapConfig(GaussianCov(Identity()), 4, 4, (-1e308 + 1j,), b_spec=b).shift == -1e308
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +171,7 @@ def test_gap_respects_deterministic_norm_bound():
 def test_gap_of_gaussian_against_itself_is_small_not_zero():
     # The twin of iid-gauss is an independent Gaussian draw: the gap is a
     # nonzero random variable, just a concentrating one.
-    cfg = SwapConfig(IIDGaussian(), 64, 128, (1j,))
+    cfg = SwapConfig(GaussianCov(Identity()), 64, 128, (1j,))
     d = resolvent_gap(cfg, derive_rng(2))[0]
     assert d != 0
     assert abs(d) < 0.2
@@ -187,9 +199,9 @@ def test_gap_identity_offset_matches_shifted_z():
 
 
 def test_gap_reproducible_and_column_offset_changes_it():
-    cfg = SwapConfig(IIDGaussian(), 16, 32, (1j,))
+    cfg = SwapConfig(GaussianCov(Identity()), 16, 32, (1j,))
     assert resolvent_gap(cfg, derive_rng(5))[0] == resolvent_gap(cfg, derive_rng(5))[0]
-    shifted = SwapConfig(IIDGaussian(), 16, 32, (1j,), c_spec=ConstantColumns(1.0))
+    shifted = SwapConfig(GaussianCov(Identity()), 16, 32, (1j,), c_spec=ConstantColumns(1.0))
     assert resolvent_gap(shifted, derive_rng(5))[0] != resolvent_gap(cfg, derive_rng(5))[0]
 
 
@@ -197,7 +209,7 @@ def test_offsets_are_built_once_per_run_and_shared_read_only(monkeypatch):
     cfg = SwapConfig(IIDRademacher(), 16, 32, (1j,), b_spec=RandomPSDUnitNorm(3),
                      c_spec=ConstantColumns(0.5))
     assert np.array_equal(cfg.b, RandomPSDUnitNorm(3).build(16))
-    assert np.array_equal(cfg.c, ConstantColumns(0.5).build(16, 32))
+    assert np.array_equal(cfg.c, ConstantColumns(0.5).build(16)) and cfg.c.shape == (16, 1)
     assert not cfg.b.flags.writeable and not cfg.c.flags.writeable
 
     calls = []
@@ -295,7 +307,7 @@ def test_twin_is_drawn_in_law_exactly_when_it_is_standard_gaussian():
         (SwapConfig(IIDRademacher(), p, n, zs), 0.0),
         (SwapConfig(GaussianCov(Identity()), p, n, zs), 0.0),
         (SwapConfig(IIDSparseSpike(), p, n, zs, b_spec=ScaledIdentity(0.5)), 0.5),
-        (SwapConfig(IIDGaussian(), p, n, zs, hetero=(Identity(),) * n), 0.0),
+        (SwapConfig(GaussianCov(Identity()), p, n, zs, hetero=(Identity(),) * n), 0.0),
     ]
     for cfg, beta in law:
         assert cfg.twin_in_law and cfg.shift == beta
@@ -304,7 +316,7 @@ def test_twin_is_drawn_in_law_exactly_when_it_is_standard_gaussian():
         SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs),
         SwapConfig(IIDRademacher(), p, n, zs, b_spec=RandomPSDUnitNorm(1)),
         SwapConfig(IIDRademacher(), p, n, zs, c_spec=ConstantColumns(1.0)),
-        SwapConfig(IIDGaussian(), p, n, zs, hetero=(Identity(), Toeplitz(0.5)) * 2),
+        SwapConfig(GaussianCov(Identity()), p, n, zs, hetero=(Identity(), Toeplitz(0.5)) * 2),
         SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs, b_spec=ScaledIdentity(0.5)),
     ]
     for cfg in dense:
@@ -327,14 +339,14 @@ def test_laguerre_recurrence_matches_the_tridiagonal_eigensolve(p, n):
             assert abs(got - want) <= tol * abs(want), (z, got, want)
 
 
-@pytest.mark.parametrize("model", [IIDGaussian(), GaussianCov(Identity())], ids=lambda m: m.spec())
+@pytest.mark.parametrize("spec", ["iid-gauss", "gauss-cov:identity"])
 @pytest.mark.parametrize("p, n", [(1, 1), (1, 5), (5, 1), (48, 96), (96, 48)])
-def test_laguerre_gram_is_the_twins_tridiagonal(model, p, n):
+def test_laguerre_gram_is_the_twins_tridiagonal(spec, p, n):
     # A standard Gaussian model's ESD is the oracle's of the exactly symmetric
     # m-by-m tridiagonal of the chi-square draws the twin reads, m = min(p, n):
     # it holds exactly p - m padded zeros, and its resolvent trace is the
     # twin's pivot recurrence on the same draws.
-    m = min(p, n)
+    model, m = parse_model_spec(spec), min(p, n)
     c2, s2 = _laguerre_draw(p, n, derive_rng(43, p, n))
     t = laguerre_gram(c2, s2, n)
     assert t.shape == (m, m) and np.array_equal(t.view(np.uint64), t.T.view(np.uint64))
@@ -372,8 +384,8 @@ def test_laguerre_twin_has_the_dense_twins_law(p, n):
 
 def test_hetero_identity_matches_homogeneous_gap_bitwise():
     p, n = 16, 32
-    homo = SwapConfig(IIDGaussian(), p, n, (1j,))
-    het = SwapConfig(IIDGaussian(), p, n, (1j,), hetero=(Identity(),) * n)
+    homo = SwapConfig(GaussianCov(Identity()), p, n, (1j,))
+    het = SwapConfig(GaussianCov(Identity()), p, n, (1j,), hetero=(Identity(),) * n)
     d_homo = resolvent_gap(homo, derive_rng(6))[0]
     assert resolvent_gap(het, derive_rng(6))[0] == d_homo
     assert average_spread(het.hetero, p) == pytest.approx(1.0 / p, rel=1e-15)
@@ -383,7 +395,7 @@ def test_hetero_avg_spread_hand_formula():
     p, n = 8, 6
     phi = 0.5
     specs = tuple(Identity() if k % 2 == 0 else Toeplitz(phi) for k in range(n))
-    cfg = SwapConfig(IIDGaussian(), p, n, (1j,), hetero=specs)
+    cfg = SwapConfig(GaussianCov(Identity()), p, n, (1j,), hetero=specs)
     # tr(I^2) = p; tr(Toeplitz^2) = p + 2 sum_{h=1}^{p-1} (p - h) phi^{2h}.
     tr_toep = p + 2 * sum((p - h) * phi ** (2 * h) for h in range(1, p))
     expected = (3 * p + 3 * tr_toep) / (n * p * p)
@@ -437,7 +449,7 @@ def test_hetero_gap_with_diagonal_roots_matches_per_column_reference_bitwise():
     cfg = SwapConfig(IIDRademacher(), p, n, (0.5 + 1j,), hetero=covs)
     rng = derive_rng(22)
     x = IIDRademacher().sample(p, n, rng)
-    zmat = IIDGaussian().sample(p, n, rng)
+    zmat = GaussianCov(Identity()).sample(p, n, rng)
     for k, spec in enumerate(covs):
         x[:, k : k + 1] = spec.color(x[:, k : k + 1])
         zmat[:, k : k + 1] = spec.color(zmat[:, k : k + 1])
@@ -457,7 +469,7 @@ HETERO = (Identity(), Toeplitz(0.5))
 def dense_twin_configs(p=24, n=48, zs=(1j, -1.0 + 0.5j)):
     """The benchmark's two dense-twin swaps, small (eq-hetero and eq-multiz-psd), two plain
     ones, a column offset and a shifted one."""
-    return [SwapConfig(IIDGaussian(), p, n, zs, hetero=HETERO * (n // 2)),
+    return [SwapConfig(GaussianCov(Identity()), p, n, zs, hetero=HETERO * (n // 2)),
             SwapConfig(IIDRademacher(), p, n, zs, b_spec=RandomPSDUnitNorm(2)),
             SwapConfig(GaussianCov(Toeplitz(0.5)), p, n, zs),
             SwapConfig(WeakDependent((1.0, 0.5)), p, n, zs),

@@ -15,7 +15,6 @@ from mplab.cli.config import ExperimentConfig
 from mplab.cli.experiments import run_experiment
 from mplab.ensembles import (
     GaussianCov,
-    IIDGaussian,
     Identity,
     IIDSparseSpike,
     WeakDependent,
@@ -156,7 +155,7 @@ def test_esd_psd_clamps_roundoff():
 
 
 def test_esd_of_sample_covariance_is_nonnegative():
-    x = sample_data_matrix(IIDGaussian(), 30, 20, derive_rng(0))
+    x = sample_data_matrix(GaussianCov(Identity()), 30, 20, derive_rng(0))
     e = esd(sample_covariance(x), psd=True)
     assert np.all(e.eigenvalues >= 0)
     # p > n: rank deficiency forces at least p - n (near-)zero eigenvalues.
@@ -169,8 +168,9 @@ def test_esd_of_sample_covariance_is_nonnegative():
 MODELS = ["iid-gauss", "iid-rademacher", "sparse-spike", "block-xi", "gauss-cov:identity",
           "gauss-cov:toeplitz:0.5", "gauss-cov:spiked:3,0", "weak-ma:1,0.5"]
 
-#: The models whose ``sample_blocks`` is drawn in law, a Laguerre tridiagonal.
-IN_LAW = (IIDGaussian(), GaussianCov(Identity()))
+#: The spellings of the one model whose ``sample_blocks`` is drawn in law, a
+#: Laguerre tridiagonal: ``GaussianCov(Identity())``.
+IN_LAW = ["iid-gauss", "gauss-cov:identity"]
 
 
 @pytest.mark.parametrize("spec", MODELS)
@@ -196,7 +196,7 @@ def check_gram_esd_against_full_eigensolve(model, p, n):
         assert same_problem(problem, gram_blocks(g, dim))
         got = solve(problem).eigenvalues
         drawn = solve(model.sample_blocks(p, n, derive_rng(seed, p, n))).eigenvalues
-        if model in IN_LAW:
+        if model == GaussianCov(Identity()):
             # The model's own ESD is that of the min(p, n)-square Laguerre
             # tridiagonal, of gram(x)'s law
             # (test_standard_gaussian_sample_gram_has_the_dense_law).
@@ -224,7 +224,7 @@ def check_gram_esd_against_full_eigensolve(model, p, n):
             assert np.array_equal(g.view(np.uint64), g.T.view(np.uint64))
 
 
-@pytest.mark.parametrize("spec", ["iid-gauss", "gauss-cov:identity"])
+@pytest.mark.parametrize("spec", IN_LAW)
 @pytest.mark.parametrize("p, n", [(24, 48), (48, 24)])
 def test_standard_gaussian_sample_gram_has_the_dense_law(spec, p, n):
     # The Laguerre tridiagonal against gram of a dense draw: two-sample KS
@@ -542,7 +542,7 @@ def test_an_off_diagonal_sum_that_cancels_splits_the_blocks(monkeypatch):
     assert np.count_nonzero(e.eigenvalues == 2.0 / n) == 2
 
 
-@pytest.mark.parametrize("spec", ["iid-gauss", "gauss-cov:identity"])
+@pytest.mark.parametrize("spec", IN_LAW)
 @pytest.mark.parametrize("p, n, q", [(48, 96, None), (96, 48, None), (64, 64, 32), (5, 1, None)])
 def test_standard_gaussian_esd_solves_its_tridiagonal_whole(monkeypatch, spec, p, n, q):
     # T is handed over as one block, so no label search runs, and the ESD is
@@ -776,7 +776,7 @@ def test_ks_distance_shrinks_with_dimension():
     law = MPLaw(0.5)
     dists = []
     for p in (64, 256):
-        x = sample_data_matrix(IIDGaussian(), p, 2 * p, derive_rng(11, p))
+        x = sample_data_matrix(GaussianCov(Identity()), p, 2 * p, derive_rng(11, p))
         dists.append(ks_distance(esd(sample_covariance(x), psd=True), law))
     assert dists[1] < dists[0]
     assert dists[1] < 0.06
@@ -803,7 +803,7 @@ def test_empirical_stieltjes_requires_upper_half():
 def test_empirical_stieltjes_near_law_for_large_p():
     law = MPLaw(0.5)
     p = 512
-    x = sample_data_matrix(IIDGaussian(), p, 2 * p, derive_rng(12))
+    x = sample_data_matrix(GaussianCov(Identity()), p, 2 * p, derive_rng(12))
     e = esd(sample_covariance(x), psd=True)
     z = 1.0 + 1.0j
     assert abs(resolvent_trace(e, z) - law.stieltjes(z)) < 0.02
