@@ -19,7 +19,7 @@ import operator
 import os
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import cycle, islice
 from typing import Any, Callable, NamedTuple
 
@@ -46,7 +46,8 @@ from ..conditions import (
     require_isotropic,
     standard_error,
 )
-from .config import EXPERIMENTS, MATRIX_STATS, ExperimentConfig, parse_point
+from .config import (COMMON, EXPERIMENTS, MATRIX_STATS, SPEC_FIELDS, ExperimentConfig,
+                     parse_point, parse_spec)
 from .records import TrialRecord, TrialTimes, write_esd_csv, write_matrix_dump
 
 RowFn = Callable[[np.random.Generator], list[dict[str, Any]]]
@@ -73,9 +74,6 @@ PACKAGED_THRESHOLDS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "data", "acceptance_thresholds.json",
 )
-
-#: What a rule's ``when`` may name: the summary's config block, plus ``z``.
-_WHEN_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"z"}
 
 _OPS = {
     "<=": operator.le,
@@ -227,26 +225,24 @@ def _build_conditions(cfg: ExperimentConfig) -> Trials:
 
         return Trials([fn] * cfg.trials, summarize, draws_matrix=False)
 
-    if stat == "norm-drift":
-        require_isotropic(model)
+    # norm-drift: the config admits no other statistic.
+    require_isotropic(model)
 
-        def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
-            value = norm_drift_stat(model, p, rng)
-            return [dict(base, statistic="norm_drift", value=value)]
+    def fn(rng: np.random.Generator) -> list[dict[str, Any]]:
+        value = norm_drift_stat(model, p, rng)
+        return [dict(base, statistic="norm_drift", value=value)]
 
-        def summarize(records: list[TrialRecord]) -> dict[str, Any]:
-            vals = _values(records, "norm_drift")
-            freq, se = _frequency(np.abs(vals) <= eps)
-            return {
-                "within_freq": freq,
-                "within_se": se,
-                "abs_mean": float(np.mean(np.abs(vals))),
-                "abs_max": float(np.max(np.abs(vals))),
-            }
+    def summarize(records: list[TrialRecord]) -> dict[str, Any]:
+        vals = _values(records, "norm_drift")
+        freq, se = _frequency(np.abs(vals) <= eps)
+        return {
+            "within_freq": freq,
+            "within_se": se,
+            "abs_mean": float(np.mean(np.abs(vals))),
+            "abs_max": float(np.max(np.abs(vals))),
+        }
 
-        return Trials([fn] * cfg.trials, summarize, draws_matrix=False)
-
-    raise InvalidInputError("unknown statistic: %r" % (stat,))
+    return Trials([fn] * cfg.trials, summarize, draws_matrix=False)
 
 
 def _build_equivalence(cfg: ExperimentConfig) -> Trials:
@@ -443,14 +439,21 @@ def _rule_problem(rule: Any) -> str | None:
     """Why a rule could never be graded as written, or None for a sound one."""
     if not isinstance(rule, dict) or not {"experiment", "metric", "op", "value"} <= set(rule):
         return "need experiment, metric, op, value"
+    if not isinstance(rule["experiment"], str) or rule["experiment"] not in EXPERIMENTS:
+        return "unknown experiment %r" % (rule["experiment"],)
     when = rule.get("when", {})
     if not isinstance(when, dict):
         return "when must be an object"
-    unknown = sorted(set(when) - _WHEN_KEYS)
-    if unknown:
-        return "when names no config field: %s" % ", ".join(unknown)
-    if not isinstance(rule["experiment"], str) or rule["experiment"] not in EXPERIMENTS:
-        return "unknown experiment %r" % (rule["experiment"],)
+    # A rule may name what its experiment reads, and z where it reads zs.
+    reads = {*COMMON, *EXPERIMENTS[rule["experiment"]].fields}
+    unread = sorted(set(when) - reads - ({"z"} if "zs" in reads else set()))
+    if unread:
+        return "%s reads no %s" % (rule["experiment"], ", ".join(unread))
+    for key in when.keys() & set(SPEC_FIELDS):
+        try:
+            _law(key, when[key])
+        except (AttributeError, ValueError) as exc:  # not a string, or not a law
+            return "%s: %s" % (key, exc)
     if not isinstance(rule["metric"], str):
         return "metric must be a string"
     if not isinstance(rule["op"], str) or rule["op"] not in _OPS:
@@ -458,6 +461,11 @@ def _rule_problem(rule: Any) -> str | None:
     if isinstance(rule["value"], bool) or not isinstance(rule["value"], (int, float)):
         return "value must be a number"
     return None
+
+
+def _law(key: str, value: Any) -> Any:
+    """A rule key's value, a spec's text as the law it names: a rule and a run compare laws."""
+    return parse_spec(key, value) if key in SPEC_FIELDS and value is not None else value
 
 
 def _rule_params(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -494,7 +502,7 @@ def evaluate_thresholds(
         if rule.get("experiment") != cfg.experiment:
             continue
         when = rule.get("when", {})
-        if not all(params.get(key) == val for key, val in when.items()):
+        if not all(_law(key, params.get(key)) == _law(key, val) for key, val in when.items()):
             continue
         observed = metrics.get(rule["metric"])
         ok = observed is not None and bool(_OPS[rule["op"]](observed, rule["value"]))

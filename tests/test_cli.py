@@ -20,7 +20,9 @@ import pytest
 import mplab
 from mplab.cli import build_parser, config_from_args, main
 from mplab.cli.config import (
+    COMMON,
     EXPERIMENTS,
+    FLAGS,
     MAX_DIM,
     ExperimentConfig,
 )
@@ -121,6 +123,42 @@ def test_config_fills_unset_fields_from_the_table():
     cfg = ExperimentConfig(experiment="conditions", model="iid-gauss", p=8, stat="norm-drift",
                            family="fixed-half")
     assert cfg.family == "fixed-half"
+
+
+#: A valid value of every field some experiment reads: the config value and the flag text.
+_FIELD_VALUES = {
+    "model": ("iid-gauss", "iid-gauss"), "p": (8, "8"), "n": (8, "8"), "q": (4, "4"),
+    "eps": (0.5, "0.5"), "zs": ((1j,), "0,1"), "stat": ("lindeberg", "lindeberg"),
+    "family": ("identity", "identity"), "frame": ("haar", "haar"),
+    "b_spec": ("psd:1", "psd:1"), "c_spec": ("const:1.0", "const:1.0"),
+    "hetero": (("identity",), "identity"), "rhos": ((0.5,), "0.5"),
+}
+#: Every experiment with every field its row does not list.
+_UNREAD = [(name, field) for name, row in EXPERIMENTS.items()
+           for field in _FIELD_VALUES if field not in row.fields]
+
+
+def test_every_field_is_read_by_some_experiment():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(_FIELD_VALUES) == fields - {"experiment", *COMMON}
+    assert {f for row in EXPERIMENTS.values() for f in row.fields} == set(_FIELD_VALUES)
+    assert len(_UNREAD) == 13 * 6 - 23
+
+
+@pytest.mark.parametrize("experiment, field", _UNREAD, ids=["-".join(c) for c in _UNREAD])
+def test_a_field_the_experiment_does_not_read_is_refused(experiment, field, tmp_path, capsys):
+    # The library refuses it, naming the flag the command line does not
+    # have; the command line has no such flag, so it is a usage error.
+    required = {k: _FIELD_VALUES[k][0] for k in EXPERIMENTS[experiment].required}
+    value, text = _FIELD_VALUES[field]
+    flag = FLAGS[field][0]
+    with pytest.raises(InvalidInputError, match="^%s reads no %s$" % (experiment, flag)):
+        ExperimentConfig(experiment=experiment, **required, **{field: value})
+    out = tmp_path / "rows.csv"
+    argv = [experiment, *(a for k in required for a in (FLAGS[k][0], _FIELD_VALUES[k][1]))]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, text, "--out", str(out)])
+    assert exc.value.code == 2 and capsys.readouterr().out == "" and not out.exists()
 
 
 def test_experiment_codes_are_distinct():
@@ -573,26 +611,33 @@ def test_bad_threshold_files_rejected(tmp_path):
     # nothing and pass vacuously.
     sound = {"experiment": "esd", "when": {"model": "iid-gauss"}, "metric": "ks_mean",
              "op": "<=", "value": 1}
+    # The z cases key on equivalence, the experiment that reads z.
+    swap = {"experiment": "equivalence"}
     for bad in ({"when": [1]}, {"when": {"modle": "iid-gauss"}}, {"experiment": "edd"},
                 {"metric": ["ks_mean"]}, {"value": "x"}, {"value": True},
-                {"when": {"z": "0"}}, {"when": {"z": "0,1,2"}}, {"when": {"z": "0;1"}},
-                {"when": {"z": [0, 1]}}, {"when": {"z": 1}}):
+                {**swap, "when": {"z": "0"}}, {**swap, "when": {"z": "0,1,2"}},
+                {**swap, "when": {"z": "0;1"}}, {**swap, "when": {"z": [0, 1]}},
+                {**swap, "when": {"z": 1}}):
         path = tmp_path / "rule.json"
         path.write_text(json.dumps({"rules": [dict(sound, **bad)]}))
         with pytest.raises(InvalidInputError):
             load_threshold_rules(str(path))
-    path.write_text(json.dumps({"rules": [sound, dict(sound, when={"z": "0,1", "hetero": None})]}))
+    path.write_text(json.dumps({"rules": [
+        sound, dict(sound, **swap, when={"z": "0,1", "hetero": None})]}))
     assert len(load_threshold_rules(str(path))) == 2
 
 
 def test_malformed_rule_is_exit_2_before_any_trial(tmp_path, capsys, monkeypatch):
     rules = tmp_path / "rules.json"
     monkeypatch.setattr("mplab.cli.experiments._run_trials", None)  # any trial would crash
-    # timing is no config field, so no rule may key on it.
-    for when, named in [({"modle": "iid-gauss"}, "modle"), ({"timing": False}, "timing"),
-                        ({"z": "0;1"}, "z must be")]:
+    # timing is no config field, so no rule may key on it.  The z rule keys
+    # on equivalence, which reads z; any rule in the file stops the esd run.
+    for experiment, when, named in [("esd", {"modle": "iid-gauss"}, "modle"),
+                                    ("esd", {"timing": False}, "timing"),
+                                    ("equivalence", {"z": "0;1"}, "z must be")]:
         rules.write_text(json.dumps({"rules": [
-            {"experiment": "esd", "when": when, "metric": "ks_mean", "op": "<=", "value": 1}]}))
+            {"experiment": experiment, "when": when, "metric": "ks_mean", "op": "<=",
+             "value": 1}]}))
         code, out, err = run_main(["esd", "--model", "iid-gauss", "--p", "8", "--n", "8",
                                    "--thresholds", str(rules)], capsys)
         assert code == 2 and named in err and out == ""
@@ -605,21 +650,123 @@ def test_malformed_rule_is_exit_2_before_any_trial(tmp_path, capsys, monkeypatch
         run_experiment(cfg, json.loads(rules.read_text())["rules"])
 
 
-def test_every_packaged_rule_matches_the_config_it_describes():
-    # Fill each rule's required fields its ``when`` leaves open with small
-    # values; the rule must then grade the config (no trials run).
+def _described_config(rule: dict, **fields) -> ExperimentConfig:
+    """The config a rule's ``when`` describes, small values filling its open required fields."""
     fill = {"model": "iid-gauss", "p": 8, "n": 8, "q": 4}
+    when = dict(rule.get("when", {}), **fields)
+    if "z" in when:
+        when["zs"] = (when.pop("z"),)
+    if "hetero" in when:
+        when["hetero"] = tuple(when["hetero"].split(";"))
+    required = EXPERIMENTS[rule["experiment"]].required
+    return ExperimentConfig(experiment=rule["experiment"],
+                            **{k: fill[k] for k in required if k not in when}, **when)
+
+
+def test_every_packaged_rule_matches_the_config_it_describes():
+    # The rule must grade the config its ``when`` describes (no trials run).
     for rule in load_threshold_rules():
-        when = dict(rule.get("when", {}))
-        if "z" in when:
-            when["zs"] = (when.pop("z"),)
-        if "hetero" in when:
-            when["hetero"] = tuple(when["hetero"].split(";"))
-        required = EXPERIMENTS[rule["experiment"]].required
-        cfg = ExperimentConfig(experiment=rule["experiment"],
-                               **{k: fill[k] for k in required if k not in when}, **when)
-        checks = evaluate_thresholds(cfg, {}, [rule])
+        checks = evaluate_thresholds(_described_config(rule), {}, [rule])
         assert [c["name"] for c in checks] == [rule["name"]]
+
+
+_STANDARD_GAUSSIAN = ("iid-gauss", "gauss-cov:identity")
+_STANDARD_GAUSSIAN_RULES = ["esd-gauss-mean-ks", "projected-gauss-haar-close",
+                            "swap-hetero-alternating", "quadform-gauss-identity-concentrates"]
+
+
+def test_standard_gaussian_rules_are_the_listed_ones():
+    rules = load_threshold_rules()
+    named = {r["name"] for r in rules if r.get("when", {}).get("model") in _STANDARD_GAUSSIAN}
+    assert named == set(_STANDARD_GAUSSIAN_RULES)
+
+
+@pytest.mark.parametrize("name", _STANDARD_GAUSSIAN_RULES)
+def test_both_standard_gaussian_spellings_get_the_same_checks(name):
+    # A rule compares the law a model spec names, not its text: the config a
+    # standard-Gaussian rule describes is graded alike under either spelling.
+    rules = load_threshold_rules()
+    (rule,) = [r for r in rules if r["name"] == name]
+    checks = [evaluate_thresholds(_described_config(rule, model=model), {}, rules)
+              for model in _STANDARD_GAUSSIAN]
+    assert checks[0] == checks[1] and name in {c["name"] for c in checks[0]}
+
+
+@pytest.mark.parametrize("when, matches", [
+    ({"model": "gauss-cov:spiked:1,2048"}, True),
+    ({"model": "gauss-cov:spiked:1,2048.0"}, True),
+    ({"model": " gauss-cov:spiked:1,2048"}, True),
+    ({"model": "gauss-cov:spiked:1,2047"}, False),
+    ({"family": "haar-proj:3"}, True),
+    ({"family": "haar-proj:03"}, True),
+    ({"family": None}, False),
+])
+def test_spec_values_compare_as_parsed_laws(when, matches):
+    cfg = ExperimentConfig(experiment="conditions", model="gauss-cov:spiked:1,2048.0", p=8,
+                           family="haar-proj:3")
+    rules = [{"name": "r", "experiment": "conditions", "when": when,
+              "metric": "exceed_freq", "op": "<=", "value": 1.0}]
+    assert len(evaluate_thresholds(cfg, {"exceed_freq": 0.0}, rules)) == int(matches)
+
+
+def test_swap_spec_values_compare_as_parsed_laws():
+    cfg = ExperimentConfig(experiment="equivalence", model="iid-gauss", p=8, n=16,
+                           b_spec="id:0.5", c_spec="const:1", hetero=("identity", "toeplitz:0.5"))
+    metrics = {"abs_gap_median": 0.0}
+    for when, matches in [
+        ({"b_spec": "id:.5", "c_spec": "const:1.0", "hetero": "identity;toeplitz:.50"}, True),
+        ({"model": "gauss-cov:identity", "hetero": "gauss-cov:identity;toeplitz:0.5"}, None),
+        ({"hetero": ["identity", "toeplitz:0.5"]}, None),
+        ({"hetero": 1}, None),
+        ({"b_spec": "id:0.25"}, False),
+        ({"hetero": "identity"}, False),
+        ({"hetero": None}, False),
+        ({"c_spec": None}, False),
+    ]:
+        rules = [{"name": "r", "experiment": "equivalence", "when": when,
+                  "metric": "abs_gap_median", "op": "<=", "value": 1.0}]
+        if matches is None:  # a spec that does not parse is refused, not left matching nothing
+            with pytest.raises(InvalidInputError, match="hetero"):
+                evaluate_thresholds(cfg, metrics, rules)
+        else:
+            assert len(evaluate_thresholds(cfg, metrics, rules)) == int(matches), when
+
+
+def test_offset_parsers_load_only_for_a_rule_that_names_an_offset():
+    script = (
+        "import sys\n"
+        "from mplab.cli.config import ExperimentConfig\n"
+        "from mplab.cli.experiments import evaluate_thresholds, load_threshold_rules\n"
+        "cfg = ExperimentConfig(experiment='esd', model='iid-gauss', p=4, n=4)\n"
+        "evaluate_thresholds(cfg, {}, load_threshold_rules())\n"
+        "assert 'mplab.equivalence' not in sys.modules\n"
+        "rule = {'experiment': 'equivalence', 'when': {'b_spec': 'id:1'}, 'metric': 'm',\n"
+        "        'op': '<=', 'value': 1}\n"
+        "evaluate_thresholds(cfg, {}, [rule])\n"
+        "assert 'mplab.equivalence' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_source_env(), check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+#: Every experiment with every rule key it does not read: the unread fields, and z.
+_UNREAD_KEYS = _UNREAD + [(name, "z") for name, row in EXPERIMENTS.items()
+                          if "zs" not in row.fields]
+
+
+@pytest.mark.parametrize("experiment, key", _UNREAD_KEYS, ids=["-".join(c) for c in _UNREAD_KEYS])
+def test_rule_keyed_on_what_its_experiment_does_not_read_is_exit_2(experiment, key, tmp_path,
+                                                                   capsys, monkeypatch):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [
+        {"experiment": experiment, "when": {key: 4}, "metric": "m", "op": "<=", "value": 1}]}))
+    monkeypatch.setattr("mplab.cli.experiments._run_trials", None)  # any trial would crash
+    out = tmp_path / "rows.csv"
+    code, stdout, err = run_main(["law-tables", "--thresholds", str(rules), "--out", str(out)],
+                                 capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert "(%s reads no %s)" % (experiment, key) in err
 
 
 #: Each experiment's required flags only, as flags and as config fields.
@@ -733,6 +880,8 @@ def test_every_flag_sets_a_config_field_or_the_front_end():
     for name, subparser in sub.choices.items():
         dests = {a.dest for a in subparser._actions}
         assert dests <= fields | front_end, (name, dests - fields - front_end)
+        # The experiment's row lists exactly the fields its flags set.
+        assert dests & fields == {*COMMON, *EXPERIMENTS[name].fields}, name
         set_by_flags |= dests & fields
         # The experiment table, not argparse, decides what is required and
         # what an unset field takes.
@@ -741,6 +890,16 @@ def test_every_flag_sets_a_config_field_or_the_front_end():
         assert {a.dest: a.default for a in subparser._actions
                 if a.dest in fields and a.default is not None} == {}
     assert set_by_flags == fields
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_experiment_prints_its_help(experiment, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: mplab %s " % experiment)
+    for field in EXPERIMENTS[experiment].fields:
+        assert FLAGS.get((experiment, field), FLAGS[field])[0] + " " in out
 
 
 @pytest.mark.parametrize("experiment, fields", _MINIMAL_RUNS, ids=[e for e, _ in _MINIMAL_RUNS])
@@ -1287,7 +1446,7 @@ def test_only_offset_configs_load_equivalence(fields, loads):
     script = (
         "import sys\n"
         "from mplab.cli.config import ExperimentConfig\n"
-        "ExperimentConfig(experiment='esd', model='iid-gauss', p=4, n=4, **%r)\n"
+        "ExperimentConfig(experiment='equivalence', model='iid-gauss', p=4, n=4, **%r)\n"
         "assert ('mplab.equivalence' in sys.modules) == %r\n" % (fields, loads)
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
